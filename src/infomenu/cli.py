@@ -131,7 +131,6 @@ def cmd_solve_implicit(args) -> int:
         probs,
         args.epsilon,
         grid_cap=args.grid_cap,
-        threads=args.threads,
     )
     menu_doc = iomod.menu_to_json(result.menu)
     if args.out:
@@ -249,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Revenue-optimal menus and mechanisms for selling information",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for any randomness")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve-explicit", help="optimal menu for an explicit instance")

@@ -18,6 +18,7 @@ from .errors import NumericalFailure
 from .market import AuditReport, Environment, Experiment, Menu, audit_menu, base_utility
 
 CLEANUP_TOL = 1e-9
+ENTRY_TOL = 1e-7             # HiGHS primal feasibility tolerance
 AUDIT_TOL = 1e-6
 
 
@@ -115,9 +116,13 @@ def build_menu_lp(env: Environment) -> tuple[lpmod.LinearProgram, ExplicitLPInde
 
 
 def clean_experiment_matrix(raw: np.ndarray) -> np.ndarray:
-    """Clamp LP dust and renormalize rows to exact unit mass."""
-    if np.any(raw < -CLEANUP_TOL):
-        raise NumericalFailure(f"experiment entry below -{CLEANUP_TOL}: {raw.min()}")
+    """Clamp LP dust and renormalize rows to exact unit mass.
+
+    Entries may sit below zero by the backend's feasibility tolerance; any
+    further below is a genuine failure.
+    """
+    if np.any(raw < -ENTRY_TOL):
+        raise NumericalFailure(f"experiment entry below -{ENTRY_TOL}: {raw.min()}")
     m = np.clip(raw, 0.0, None)
     sums = m.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-6):

@@ -14,9 +14,9 @@ designed under misspecified type data.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,15 +224,86 @@ def schedule_delta(n_states: int, epsilon: float, grid_cap: int = DEFAULT_GRID_C
 
 def simplex_lattice(n_parts: int, resolution: int) -> np.ndarray:
     """All nonnegative integer vectors of length ``n_parts`` summing to
-    ``resolution``, in lexicographic order."""
-    if n_parts == 1:
-        return np.array([[resolution]], dtype=np.int64)
-    blocks = []
-    for first in range(resolution + 1):
-        rest = simplex_lattice(n_parts - 1, resolution - first)
-        head = np.full((len(rest), 1), first, dtype=np.int64)
-        blocks.append(np.hstack([head, rest]))
-    return np.vstack(blocks)
+    ``resolution``, in lexicographic order.
+
+    Stars and bars: each vector is a choice of ``n_parts - 1`` bar positions
+    among ``resolution + n_parts - 1`` slots, and lexicographic bar choices
+    give lexicographic vectors.
+    """
+    slots = resolution + n_parts - 1
+    bars = list(itertools.combinations(range(slots), n_parts - 1))
+    bars = np.array(bars, dtype=np.int64).reshape(len(bars), n_parts - 1)
+    fences = np.pad(bars, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, slots)))
+    return np.diff(fences, axis=1) - 1
+
+
+def _cell_vertices(lo: tuple, hi: tuple, steps: int) -> list[tuple]:
+    """Vertices of the integer box [lo, hi] clipped by sum(x) <= steps.
+
+    These are the box corners inside the bound plus the points where box
+    edges cross sum(x) = steps; all are lattice points.
+    """
+    out: dict[tuple, None] = {}
+    for corner in itertools.product(*zip(lo, hi)):
+        total = sum(corner)
+        if total > steps:
+            continue
+        out[corner] = None
+        for i, (l, h) in enumerate(zip(lo, hi)):
+            if corner[i] == l and total - l + h > steps > total:
+                out[corner[:i] + (l + steps - total,) + corner[i + 1:]] = None
+    return list(out)
+
+
+def _discover_actions(oracle: BROracle, bt: BuyerType, steps: int) -> list:
+    """One type's distinct best responses over the posterior grid and its
+    prior, in the order a full lattice scan (then the prior) meets them.
+
+    Grid points are the integer vectors x >= 0 with sum(x) <= steps in the
+    free coordinates of the prior's support (the last support coordinate is
+    steps - sum(x)).  Cells of that set are bisected: the posterior value
+    max_a q.u_a is convex, so when the oracle gives the same action at every
+    vertex of a convex cell, that action is optimal on the whole cell, and
+    the oracle's fixed tie-break returns it at every lattice point inside.
+    Such cells are dropped unsplit; a cell whose sides are all <= 1 has no
+    lattice points besides its vertices.  Each token is ordered by its
+    lexicographically smallest queried point, which is the full scan's
+    first appearance because a convex cell's lex-min point is a vertex.
+    """
+    support = np.flatnonzero(bt.prior > 0.0)
+    free = len(support) - 1
+    answers: dict[tuple, object] = {}
+    cells = [((0,) * free, (steps,) * free)]
+    while cells:
+        vertices = [_cell_vertices(lo, hi, steps) for lo, hi in cells]
+        new = list(dict.fromkeys(p for vs in vertices for p in vs if p not in answers))
+        coords = np.array(new, dtype=np.int64).reshape(len(new), free)
+        posteriors = np.zeros((len(new), len(bt.prior)))
+        posteriors[:, support[:free]] = coords / steps
+        posteriors[:, support[-1]] = (steps - coords.sum(axis=1)) / steps
+        if not answers:                      # first batch: the prior rides along
+            posteriors = np.vstack([posteriors, bt.prior])
+            tokens, _ = oracle.respond_many(posteriors)
+            prior_token = tokens[-1]
+        elif new:
+            tokens, _ = oracle.respond_many(posteriors)
+        answers.update(zip(new, tokens))
+        split = []
+        for (lo, hi), vs in zip(cells, vertices):
+            sides = [h - l for l, h in zip(lo, hi)]
+            if not vs or max(sides, default=0) <= 1:
+                continue
+            if all(answers[v] == answers[vs[0]] for v in vs):
+                continue
+            i = sides.index(max(sides))
+            mid = (lo[i] + hi[i]) // 2
+            split.append((lo, hi[:i] + (mid,) + hi[i + 1:]))
+            split.append((lo[:i] + (mid,) + lo[i + 1:], hi))
+        cells = split
+    ordered = list(dict.fromkeys(answers[p] for p in sorted(answers)))
+    if prior_token not in ordered:
+        ordered.append(prior_token)
+    return ordered
 
 
 def build_action_sets(
@@ -242,13 +313,14 @@ def build_action_sets(
     *,
     grid_cap: int = DEFAULT_GRID_CAP,
     delta: float | None = None,
-    threads: int = 1,
 ) -> tuple[ActionSets, SignalGrid]:
     """Discover the actions each type could best-respond with.
 
-    For each type, the oracle is queried across a posterior net of grid
+    For each type, the distinct oracle answers across a posterior net of grid
     resolution covering every posterior a grid column can induce (plus the
-    prior itself); the distinct answers form that type's action set.
+    prior itself) form that type's action set.  The net is searched by
+    convex-cell bisection (``_discover_actions``), so queries go only where
+    the answer changes; the result equals a scan of every net point.
     """
     if not types:
         raise InvalidInstance("need at least one type")
@@ -262,31 +334,14 @@ def build_action_sets(
     if grid.n_columns > grid_cap:
         raise GridTooLarge(f"{grid.n_columns} grid columns exceed cap {grid_cap}")
 
-    def collect(bt: BuyerType) -> tuple[str, list, np.ndarray]:
-        support = np.flatnonzero(bt.prior > 0.0)
-        lattice = simplex_lattice(len(support), grid.steps)
-        posteriors = np.zeros((len(lattice) + 1, n_states))
-        posteriors[:-1, support] = lattice / grid.steps
-        posteriors[-1] = bt.prior
-        tokens, _ = oracle.respond_many(posteriors)
-        seen: dict = {}
-        ordered = []
-        for tok in tokens:
-            if tok not in seen:
-                seen[tok] = True
-                ordered.append(tok)
-        utils = np.array(
+    actions: dict[str, list] = {}
+    utilities: dict[str, np.ndarray] = {}
+    for bt in types:
+        ordered = _discover_actions(oracle, bt, grid.steps)
+        actions[bt.id] = ordered
+        utilities[bt.id] = np.array(
             [[oracle.utility_of(tok, w) for w in range(n_states)] for tok in ordered]
         )
-        return bt.id, ordered, utils
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(collect, types))
-    else:
-        results = [collect(bt) for bt in types]
-    actions = {tid: toks for tid, toks, _ in results}
-    utilities = {tid: utils for tid, _, utils in results}
     return ActionSets(actions, utilities), grid
 
 
@@ -309,7 +364,6 @@ def solve_implicit(
     *,
     grid_cap: int = DEFAULT_GRID_CAP,
     delta: float | None = None,
-    threads: int = 1,
     max_rounds: int = 200,
     separation_tol: float = SEPARATION_TOL,
 ) -> ImplicitResult:
@@ -324,7 +378,7 @@ def solve_implicit(
     """
     market = OracleMarket(oracle, types, type_probs)
     action_sets, grid = build_action_sets(
-        oracle, types, epsilon, grid_cap=grid_cap, delta=delta, threads=threads
+        oracle, types, epsilon, grid_cap=grid_cap, delta=delta
     )
     k = len(types)
     n = grid.n_states

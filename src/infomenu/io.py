@@ -11,7 +11,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InvalidInstance
+from .errors import InvalidInstance, NumericalFailure
 from .market import AuditReport, BuyerType, Environment, Experiment, Menu
 from .multiagent import MechanismBlueprint, MultiBuyer, MultiEnvironment, ReducedForm, VPMWeights
 from .oracles import CNF, IPSATInstance
@@ -36,8 +36,17 @@ def _round_floats(obj: Any) -> Any:
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, 12-significant-digit floats."""
-    return json.dumps(_round_floats(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic JSON text: sorted keys, 12-significant-digit floats.
+
+    Non-finite floats have no JSON form and raise NumericalFailure.
+    """
+    try:
+        text = json.dumps(
+            _round_floats(obj), sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+    except ValueError as exc:
+        raise NumericalFailure(f"non-finite value in output: {exc}") from exc
+    return text + "\n"
 
 
 def _expect_version(doc: dict) -> None:

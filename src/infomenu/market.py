@@ -319,6 +319,8 @@ def audit_menu(view, menu: Menu) -> AuditReport:
         if tid not in menu.assignment:
             raise InvalidInstance(f"assignment does not cover type {tid}")
     values, base, prices = _entry_values(view, menu)
+    if not (np.isfinite(values).all() and np.isfinite(base).all() and np.isfinite(prices).all()):
+        raise InvalidInstance("audit needs finite prices and values")
 
     def net(ti: int, entry: int | None) -> float:
         if entry is None:

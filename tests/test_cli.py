@@ -10,7 +10,7 @@ import pytest
 from infomenu import audit_menu
 from infomenu import io as iomod
 from infomenu.audit import matching_environment
-from infomenu.cli import EXIT_INVALID, EXIT_OK, EXIT_TOO_LARGE, dispatch
+from infomenu.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_TOO_LARGE, dispatch
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -65,6 +65,26 @@ def test_audit_command(instance_file, tmp_path, capsys):
     doc = json.loads(text)
     assert doc["max_ic_violation"] <= 1e-9
     assert doc["revenue"] == pytest.approx(0.25, abs=1e-7)
+
+
+def test_audit_rejects_nan_price(instance_file, tmp_path):
+    out = tmp_path / "menu.json"
+    run_cli(["solve-explicit", "--instance", instance_file, "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["entries"][0]["price"] = float("nan")
+    out.write_text(json.dumps(doc))                  # writes the token NaN
+    code, text = run_cli(["audit", "--menu", str(out), "--instance", instance_file])
+    assert code == EXIT_INVALID
+    assert text == ""
+
+
+def test_respond_never_prints_nan(instance_file):
+    code, text = run_cli(
+        ["oracle", "respond", "--kind", "matrix", "--instance", instance_file,
+         "--belief", "nan,0.5"]
+    )
+    assert code == EXIT_NUMERICAL
+    assert "NaN" not in text
 
 
 def test_oracle_sat_opt(cnf_file):

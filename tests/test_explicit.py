@@ -158,3 +158,20 @@ def test_audited_revenue_matches_reported():
     again = audit_menu(env, menu)
     assert again.revenue == pytest.approx(rev, abs=1e-12)
     assert again.max_ic_violation == rep.max_ic_violation
+
+
+def test_lp_dust_below_feasibility_tolerance_is_cleaned():
+    # HiGHS returns an experiment entry of about -2e-9 on this market, inside
+    # its primal feasibility tolerance; it must be clamped, not rejected.
+    rng = np.random.default_rng([207, 34])
+    u = rng.uniform(size=(3, 5))
+    priors = rng.dirichlet(np.ones(3), size=16)
+    probs = rng.dirichlet(np.ones(16))
+    env = Environment.build(
+        range(3), range(5), u,
+        [(f"t{i}", priors[i]) for i in range(16)],
+        {f"t{i}": float(p) for i, p in enumerate(probs)},
+    )
+    menu, rev, rep = solve_explicit(env)
+    assert rep.max_ic_violation <= 1e-9 and rep.max_ir_violation <= 1e-9
+    assert audit_menu(env, menu).revenue == pytest.approx(rev, abs=1e-12)

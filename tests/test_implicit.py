@@ -1,5 +1,7 @@
 """Signal discretization, price repair, action discovery, oracle solving."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from infomenu import (
     tv_distance,
 )
 from infomenu.audit import benchmark_experiment, matching_environment
-from infomenu.implicit import schedule_delta, simplex_lattice
+from infomenu.implicit import _cell_vertices, schedule_delta, simplex_lattice
 from infomenu.oracles import (
     CNF,
     MatrixOracle,
@@ -243,6 +245,114 @@ def test_action_sets_traffic_matches_path_enumeration():
         best = min(paths, key=lambda pa: (p * paths[pa][0] + (1 - p) * paths[pa][1], pa))
         expected.add(best)
     assert set(sets.actions["t0"]) == expected
+
+
+def full_scan_actions(oracle, bt, steps):
+    """Reference discovery: query every lattice point, then the prior, and
+    keep each answer's first appearance."""
+    support = np.flatnonzero(bt.prior > 0.0)
+    lattice = simplex_lattice(len(support), steps)
+    posteriors = np.zeros((len(lattice) + 1, len(bt.prior)))
+    posteriors[:-1, support] = lattice / steps
+    posteriors[-1] = bt.prior
+    tokens, _ = oracle.respond_many(posteriors)
+    return list(dict.fromkeys(tokens))
+
+
+def assert_matches_full_scan(make_oracle, types, epsilon):
+    sets, grid = build_action_sets(make_oracle(), types, epsilon)
+    reference = make_oracle()
+    expected = {bt.id: full_scan_actions(reference, bt, grid.steps) for bt in types}
+    assert sets.actions == expected          # same tokens in the same order
+
+
+def test_action_sets_match_full_scan_on_random_matrix_markets():
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        n = 1 + trial % 3
+        u = rng.uniform(size=(n, int(rng.integers(1, 7))))
+        if trial % 2:
+            u = np.round(u, 1)                # ties between actions
+        priors = rng.dirichlet(np.ones(n), size=int(rng.integers(1, 4)))
+        if n > 1 and trial % 4 < 2:
+            priors[0, rng.integers(n)] = 0.0  # a zero-probability state
+            priors[0] /= priors[0].sum()
+        types = [BuyerType(f"t{i}", p) for i, p in enumerate(priors)]
+        eps = [0.01, 0.04, 0.1][trial % 3] if n < 3 else 0.1
+        assert_matches_full_scan(lambda: MatrixOracle(u), types, eps)
+
+
+def test_action_sets_match_full_scan_on_traffic_and_sat():
+    inst = parse_traffic("0 2 12\n0 1 1 6\n1 2 1 5\n0 2 5 2\n0 2 3 3\n")
+    types = [BuyerType("t0", [0.5, 0.5]), BuyerType("t1", [0.85, 0.15])]
+    assert_matches_full_scan(lambda: TrafficOracle(inst), types, 0.05)
+    sat = build_sat_reduction(CNF(4, [[1, -2], [2, 3], [-3, 4], [-1, -4], [2, 4]]))
+    types = [BuyerType("t0", sat.type_prior)]
+    assert_matches_full_scan(lambda: SATOracle(sat), types, 0.1)
+
+
+def spike_utility(q0, eta=1e-4):
+    """Utilities (states x actions) whose last action is a best response only
+    within about eta of the interior belief q0: one action per state, all
+    tied at q0, plus their mean raised by eta."""
+    q0 = np.asarray(q0, dtype=float)
+    own = np.diag(q0.min() / q0)
+    return np.column_stack([own, own.mean(axis=1) + eta])
+
+
+def test_action_sets_find_best_responses_seen_at_one_grid_point():
+    steps = 20
+    for x in range(1, steps):
+        u = spike_utility([x / steps, 1 - x / steps])
+        types = [BuyerType("t0", [0.5, 0.5])]
+        sets, _ = build_action_sets(MatrixOracle(u), types, 0.1, delta=1 / steps)
+        assert 2 in sets.actions["t0"]
+        assert sets.actions["t0"] == full_scan_actions(MatrixOracle(u), types[0], steps)
+    steps = 6
+    for x in simplex_lattice(3, steps - 3) + 1:  # interior points only
+        u = spike_utility(x / steps)
+        types = [BuyerType("t0", [0.2, 0.3, 0.5])]
+        sets, _ = build_action_sets(MatrixOracle(u), types, 0.1, delta=1 / steps)
+        assert 3 in sets.actions["t0"]
+        assert sets.actions["t0"] == full_scan_actions(MatrixOracle(u), types[0], steps)
+
+
+def test_action_sets_append_a_response_seen_only_at_the_prior():
+    steps = 20
+    prior = [0.5 + 1 / (3 * steps), 0.5 - 1 / (3 * steps)]   # between grid points
+    oracle = MatrixOracle(spike_utility(prior))
+    sets, _ = build_action_sets(oracle, [BuyerType("t0", prior)], 0.1, delta=1 / steps)
+    assert sets.actions["t0"] == [1, 0, 2]
+
+
+def test_action_sets_compare_every_vertex_of_a_cell():
+    # The first cell's corners at states 2 and 0 agree, the corner at state 1
+    # differs, and action 2 is optimal only inside the cell.
+    u = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.6], [1.0, 0.0, 0.6]])
+    sets, _ = build_action_sets(MatrixOracle(u), [BuyerType("t0", [0.2, 0.3, 0.5])], 0.1)
+    assert sets.actions["t0"] == [0, 2, 1]
+
+
+def test_cell_vertices_include_edge_crossings_of_the_simplex_bound():
+    assert set(_cell_vertices((0, 0), (4, 4), 6)) == {(0, 0), (4, 0), (0, 4), (4, 2), (2, 4)}
+    assert set(_cell_vertices((2, 3), (4, 4), 6)) == {(2, 3), (3, 3), (2, 4)}
+    assert _cell_vertices((4, 4), (6, 6), 6) == []
+    assert _cell_vertices((), (), 5) == [()]
+
+
+def test_two_state_discovery_queries_scale_with_breakpoints():
+    # Each change of best response costs at most one query per bisection
+    # level, on top of the two grid ends and the prior.
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        u = rng.uniform(size=(2, int(rng.integers(1, 8))))
+        if trial % 2:
+            u = np.round(u, 1)
+        bt = BuyerType("t0", rng.dirichlet(np.ones(2)))
+        oracle = MatrixOracle(u)
+        sets, grid = build_action_sets(oracle, [bt], [0.01, 0.04, 0.1][trial % 3])
+        levels = math.ceil(math.log2(grid.steps))
+        assert oracle.query_count <= 3 + (sets.size("t0") - 1) * levels
 
 
 # --- solve_implicit ---------------------------------------------------------------

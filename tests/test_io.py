@@ -9,7 +9,7 @@ from infomenu import (
     BackendUnavailable,
     BuyerType,
     Environment,
-    build_action_sets,
+    NumericalFailure,
     solve_explicit,
     solve_reduced_lp,
 )
@@ -17,7 +17,7 @@ from infomenu import io as iomod
 from infomenu.audit import matching_environment
 from infomenu.lp import LinearProgram, solve
 from infomenu.multiagent import MultiBuyer, MultiEnvironment
-from infomenu.oracles import CNF, IPSATInstance, MatrixOracle
+from infomenu.oracles import CNF, IPSATInstance
 
 
 def test_environment_round_trip_shared_utility():
@@ -103,6 +103,12 @@ def test_dumps_is_deterministic_and_rounded():
     assert text == '{"a":[0.333333333333],"b":0.3}\n'
 
 
+def test_dumps_refuses_non_finite_floats():
+    for bad in (float("nan"), float("inf"), np.float64("-inf")):
+        with pytest.raises(NumericalFailure):
+            iomod.dumps({"x": [1.0, bad]})
+
+
 def test_unknown_backend_raises():
     lp = LinearProgram()
     lp.add_variable("x", 0.0, 1.0)
@@ -110,11 +116,3 @@ def test_unknown_backend_raises():
     with pytest.raises(BackendUnavailable):
         solve(lp, backend="simplex9000")
 
-
-def test_threaded_action_discovery_matches_serial():
-    rng = np.random.default_rng(3)
-    u = rng.uniform(size=(2, 5))
-    types = [BuyerType(f"t{i}", rng.dirichlet(np.ones(2))) for i in range(4)]
-    serial, _ = build_action_sets(MatrixOracle(u), types, 0.1, threads=1)
-    threaded, _ = build_action_sets(MatrixOracle(u), types, 0.1, threads=4)
-    assert serial.actions == threaded.actions
