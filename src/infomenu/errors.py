@@ -13,10 +13,6 @@ class ZeroMassSignal(InfoMenuError):
     """A signal column has zero probability under the given prior."""
 
 
-class BackendUnavailable(InfoMenuError):
-    """The requested LP backend cannot be used."""
-
-
 class NumericalFailure(InfoMenuError):
     """An LP backend failed to converge or produced an unusable solution."""
 

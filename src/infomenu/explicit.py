@@ -9,9 +9,8 @@ experiment to be responsive for its owner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.sparse as sp
 
 from . import lp as lpmod
 from .errors import NumericalFailure
@@ -22,97 +21,71 @@ ENTRY_TOL = 1e-7             # HiGHS primal feasibility tolerance
 AUDIT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class ExplicitLPIndex:
-    """Bijective naming of the LP variable blocks.
-
-    Types, states and signals are addressed by position; signal index i
-    ranges over the action count since each signal recommends one action.
-    """
-
-    n_types: int
-    n_states: int
-    n_actions: int
-
-    def pi(self, t: int, w: int, i: int) -> str:
-        return f"pi[{t},{w},{i}]"
-
-    def price(self, t: int) -> str:
-        return f"t[{t}]"
-
-    def z(self, i: int, t: int, t2: int) -> str:
-        return f"z[{i},{t},{t2}]"
+def _csr(blocks, shape: tuple[int, int]) -> sp.csr_matrix:
+    """CSR matrix from COO blocks ``(rows, cols, vals, keep)``: arrays that
+    broadcast to one shape, entries where ``keep`` is False left out."""
+    triplets = []
+    for block in blocks:
+        r, c, v, keep = np.broadcast_arrays(*block)
+        triplets.append((r[keep], c[keep], v[keep]))
+    r, c, v = (np.concatenate(part) for part in zip(*triplets))
+    return sp.csr_matrix((v, (r, c)), shape=shape)
 
 
-def build_menu_lp(env: Environment) -> tuple[lpmod.LinearProgram, ExplicitLPIndex]:
+def build_menu_lp(env: Environment) -> lpmod.ArrayLP:
     """The full menu-design LP for an explicit environment.
 
-    Constraint groups, in order: one IC row per ordered type pair (including
-    the self pair), one helper lower bound per (pair, signal, action), one IR
-    row per type, one row-sum equality per (type, state).
+    Columns: pi[t, w, i] at (t*n + w)*m + i, then the k prices, then
+    z[i, t, t2] at k*n*m + k + (i*k + t)*k + t2, which bounds the value type t
+    gets from signal i of type t2's experiment.  Inequality rows, each a ">="
+    row negated into "<=": one IC row per ordered type pair (t, t2) including
+    the self pair, at t*k + t2; one helper lower bound per (t, t2, i, j), at
+    k^2 + ((t*k + t2)*m + i)*m + j; one IR row per type.  Equality rows: one
+    row sum per (type, state), at t*n + w.
     """
     n, m, k = env.n_states, env.n_actions, len(env.types)
-    ix = ExplicitLPIndex(k, n, m)
-    prog = lpmod.LinearProgram(sense="max")
+    priors = np.array([bt.prior for bt in env.types])                  # (k, n)
+    utils = np.array([env.utility[bt.id] for bt in env.types])         # (k, n, m)
+    own = priors[:, :, None] * utils             # [t, w, i]: theta_t[w] u_t[w, a_i]
+    n_pi = k * n * m
+    n_cols = n_pi + k + m * k * k
+    pi = np.arange(n_pi).reshape(k, n, m)
+    price = n_pi + np.arange(k)
+    z = (n_pi + k + np.arange(m * k * k)).reshape(m, k, k).transpose(1, 2, 0)   # [t, t2, i]
+    ic = np.arange(k * k).reshape(k, k)                                 # [t, t2]
+    zlb = k * k + np.arange(k * k * m * m).reshape(k, k, m, m)         # [t, t2, i, j]
+    ir = k * k * (1 + m * m) + np.arange(k)
+    off_diagonal = ~np.eye(k, dtype=bool)
+    own_dev = own.transpose(0, 2, 1)[:, None, None]     # [t, ., ., j, w]: theta_t[w] u_t[w, a_j]
 
-    for t in range(k):
-        for w in range(n):
-            for i in range(m):
-                prog.add_variable(ix.pi(t, w, i), 0.0, 1.0)
-    for t in range(k):
-        prog.add_variable(ix.price(t), None, None)
-        prog.set_objective(ix.price(t), env.prob(env.types[t].id))
-    for i in range(m):
-        for t in range(k):
-            for t2 in range(k):
-                prog.add_variable(ix.z(i, t, t2), 0.0, None)
+    A_ub = _csr(
+        [
+            # IC(t, t2): sum_i z[i, t, t2] + price[t] - price[t2] - own value of t <= 0;
+            # the two price terms of IC(t, t) cancel, so that row has none.
+            (ic[:, :, None, None], pi[:, None], -own[:, None], own[:, None] != 0.0),
+            (ic[:, :, None], z, 1.0, True),
+            (ic, price[:, None], 1.0, off_diagonal),
+            (ic, price[None, :], -1.0, off_diagonal),
+            # zlb(t, t2, i, j): sum_w theta_t[w] u_t[w, a_j] pi[t2, w, i] - z[i, t, t2] <= 0
+            (zlb, z[:, :, :, None], -1.0, True),
+            (zlb[..., None], pi.transpose(0, 2, 1)[None, :, :, None], own_dev, own_dev != 0.0),
+            # IR(t): price[t] - own value of t <= -base(t)
+            (ir[:, None, None], pi, -own, own != 0.0),
+            (ir, price, 1.0, True),
+        ],
+        (k * k * (1 + m * m) + k, n_cols),
+    )
+    A_eq = _csr([(np.arange(k * n).reshape(k, n, 1), pi, 1.0, True)], (k * n, n_cols))
+    base = np.array([base_utility(env, bt.id) for bt in env.types])
+    b_ub = -np.concatenate([np.zeros(k * k * (1 + m * m)), base])
 
-    utils = [env.utility[t.id] for t in env.types]
-    priors = [t.prior for t in env.types]
-
-    def own_value_coeffs(t: int) -> dict[str, float]:
-        # sum_i sum_w theta_w * pi[t,w,i] * u[w, a_i]
-        return {
-            ix.pi(t, w, i): priors[t][w] * utils[t][w, i]
-            for w in range(n)
-            for i in range(m)
-            if priors[t][w] * utils[t][w, i] != 0.0
-        }
-
-    for t in range(k):
-        own = own_value_coeffs(t)
-        for t2 in range(k):
-            coeffs = dict(own)
-            coeffs[ix.price(t)] = coeffs.get(ix.price(t), 0.0) - 1.0
-            for i in range(m):
-                coeffs[ix.z(i, t, t2)] = -1.0
-            coeffs[ix.price(t2)] = coeffs.get(ix.price(t2), 0.0) + 1.0
-            prog.add_constraint(f"ic[{t},{t2}]", coeffs, lpmod.GE, 0.0)
-
-    for t in range(k):
-        for t2 in range(k):
-            for i in range(m):
-                for j in range(m):
-                    coeffs = {ix.z(i, t, t2): 1.0}
-                    for w in range(n):
-                        c = priors[t][w] * utils[t][w, j]
-                        if c != 0.0:
-                            coeffs[ix.pi(t2, w, i)] = coeffs.get(ix.pi(t2, w, i), 0.0) - c
-                    prog.add_constraint(f"zlb[{i},{j},{t},{t2}]", coeffs, lpmod.GE, 0.0)
-
-    for t in range(k):
-        coeffs = own_value_coeffs(t)
-        coeffs[ix.price(t)] = coeffs.get(ix.price(t), 0.0) - 1.0
-        prog.add_constraint(
-            f"ir[{t}]", coeffs, lpmod.GE, base_utility(env, env.types[t].id)
-        )
-
-    for t in range(k):
-        for w in range(n):
-            coeffs = {ix.pi(t, w, i): 1.0 for i in range(m)}
-            prog.add_constraint(f"rowsum[{t},{w}]", coeffs, lpmod.EQ, 1.0)
-
-    return prog, ix
+    c = np.zeros(n_cols)
+    c[price] = [env.prob(bt.id) for bt in env.types]
+    bounds = np.zeros((n_cols, 2))
+    bounds[:n_pi, 1] = 1.0
+    bounds[price] = (-np.inf, np.inf)
+    bounds[n_pi + k:, 1] = np.inf
+    return lpmod.ArrayLP(c, A_ub, b_ub, A_eq, np.ones(k * n), bounds, "max")
 
 
 def clean_experiment_matrix(raw: np.ndarray) -> np.ndarray:
@@ -138,25 +111,22 @@ def optimal_prices(values: np.ndarray, base: np.ndarray, probs: np.ndarray) -> n
     the extracted menu audit to zero violations instead of backend epsilon.
     """
     k = len(base)
-    prog = lpmod.LinearProgram(sense="max")
-    for t in range(k):
-        prog.add_variable(f"t[{t}]", None, None)
-        prog.set_objective(f"t[{t}]", float(probs[t]))
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            prog.add_constraint(
-                f"ic[{i},{j}]",
-                {f"t[{i}]": -1.0, f"t[{j}]": 1.0},
-                lpmod.GE,
-                float(values[i, j] - values[i, i]),
-            )
-        prog.add_constraint(f"ir[{i}]", {f"t[{i}]": -1.0}, lpmod.GE, float(base[i] - values[i, i]))
-    sol = lpmod.solve(prog, want_duals=False)
+    own = np.diag(values)
+    # Per type i, k rows: IC against every j != i in order, then IR; each is a
+    # ">=" row negated into "<=".
+    i, j = np.nonzero(~np.eye(k, dtype=bool))
+    ic = i * k + j - (j > i)
+    ir = np.arange(k) * k + k - 1
+    A_ub = _csr([(ic, i, 1.0, True), (ic, j, -1.0, True), (ir, np.arange(k), 1.0, True)], (k * k, k))
+    b_ub = np.empty(k * k)
+    b_ub[ic] = -(values[i, j] - own[i])
+    b_ub[ir] = -(base - own)
+    bounds = np.tile([-np.inf, np.inf], (k, 1))
+    prog = lpmod.ArrayLP(probs, A_ub, b_ub, sp.csr_matrix((0, k)), np.zeros(0), bounds)
+    sol = lpmod.solve(prog)
     if sol.status != "Optimal":
         raise NumericalFailure(f"price LP is {sol.status}")
-    return np.array([sol.values[f"t[{t}]"] for t in range(k)])
+    return sol.x
 
 
 def _dedupe_actions(env: Environment) -> tuple[Environment, list[int]]:
@@ -211,16 +181,15 @@ def solve_explicit(env: Environment) -> tuple[Menu, float, AuditReport]:
     experiments so the audit is exact rather than backend-tolerance loose.
     """
     reduced, keep = _dedupe_actions(env)
-    prog, ix = build_menu_lp(reduced)
-    sol = lpmod.solve(prog, want_duals=False)
+    sol = lpmod.solve(build_menu_lp(reduced))
     if sol.status != "Optimal":
         raise NumericalFailure(f"menu LP is {sol.status}")
 
     n, m_red, k = reduced.n_states, reduced.n_actions, len(reduced.types)
+    pis = sol.x[: k * n * m_red].reshape(k, n, m_red)
     entries: list[tuple[Experiment, float]] = []
     for t in range(k):
-        raw = np.array([[sol.values[ix.pi(t, w, i)] for i in range(m_red)] for w in range(n)])
-        mat = clean_experiment_matrix(raw)
+        mat = clean_experiment_matrix(pis[t])
         if len(keep) != env.n_actions:
             full = np.zeros((n, env.n_actions))
             full[:, keep] = mat

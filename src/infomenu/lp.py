@@ -1,20 +1,14 @@
-"""Solver-neutral linear program container and the HiGHS backend adapter.
+"""Linear programs in the one array form ``solve`` hands to HiGHS.
 
-Every solver module in the package emits this one sparse LP form.  Solving
-delegates to scipy's HiGHS interface; dual values are reported in the sign
+``ArrayLP`` is that form: an objective vector, CSR inequality rows
+``A_ub x <= b_ub``, CSR equality rows ``A_eq x == b_eq`` and per-variable
+bounds.  LPs of fixed shape (the explicit menu LP, the price LP) are built
+straight into it by index arithmetic.  ``LinearProgram`` is the named form
+for LPs that grow row by row or column by column (separation rounds, column
+generation); it compiles to an ``ArrayLP``, and only its solutions carry
+name-keyed values and duals.  Dual values are reported in the sign
 convention of the *declared* objective sense (for a maximization problem the
 dual of a binding "<=" row is the nonnegative marginal revenue of its rhs).
-
-On-disk format (one item per line, whitespace-separated, ``repr`` floats so
-round-trips are exact)::
-
-    lp 1
-    sense max
-    var <name> <lb|-inf> <ub|+inf>
-    obj <name> <coeff>
-    con <name> <le|eq|ge> <rhs> <k> <var_1> <coeff_1> ... <var_k> <coeff_k>
-
-Names must not contain whitespace.
 """
 
 from __future__ import annotations
@@ -25,13 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .errors import (
-    BackendUnavailable,
-    DuplicateVariable,
-    InvalidInstance,
-    NumericalFailure,
-    UnknownConstraint,
-)
+from .errors import DuplicateVariable, InvalidInstance, NumericalFailure, UnknownConstraint
 
 LE, EQ, GE = "le", "eq", "ge"
 FEAS_TOL = 1e-7
@@ -98,92 +86,108 @@ class LinearProgram:
     def n_constraints(self) -> int:
         return len(self.constraints)
 
+    def compile(self) -> tuple[ArrayLP, list[Constraint], list[Constraint]]:
+        """The array form, with the constraints behind its inequality rows
+        and its equality rows, in row order."""
+        c = np.zeros(self.n_variables())
+        for v, coeff in self.objective.items():
+            c[self._var_index[v]] = coeff
+        ub = [con for con in self.constraints if con.relation != EQ]
+        eq = [con for con in self.constraints if con.relation == EQ]
+        bounds = np.array(
+            [(-np.inf if lo is None else lo, np.inf if hi is None else hi)
+             for _, lo, hi in self.variables],
+            dtype=float,
+        ).reshape(-1, 2)
+        return ArrayLP(c, *self._rows(ub), *self._rows(eq), bounds, self.sense), ub, eq
+
+    def _rows(self, cons: list[Constraint]) -> tuple[sp.csr_matrix, np.ndarray]:
+        """CSR rows and right-hand sides of ``cons``, GE rows negated into LE."""
+        data, rows, cols, rhs = [], [], [], []
+        for r, con in enumerate(cons):
+            s = -1.0 if con.relation == GE else 1.0
+            data.extend(s * v for v in con.coeffs.values())
+            cols.extend(self._var_index[v] for v in con.coeffs)
+            rows.extend([r] * len(con.coeffs))
+            rhs.append(s * con.rhs)
+        shape = (len(cons), self.n_variables())
+        return sp.csr_matrix((data, (rows, cols)), shape=shape), np.array(rhs)
+
+
+@dataclass
+class ArrayLP:
+    """Optimize ``c @ x`` in the declared ``sense`` subject to
+    ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq`` and
+    ``bounds[:, 0] <= x <= bounds[:, 1]`` (``-inf`` / ``inf`` where open)."""
+
+    c: np.ndarray
+    A_ub: sp.csr_matrix
+    b_ub: np.ndarray
+    A_eq: sp.csr_matrix
+    b_eq: np.ndarray
+    bounds: np.ndarray
+    sense: str = "max"
+
+    def n_variables(self) -> int:
+        return len(self.c)
+
+    def n_constraints(self) -> int:
+        return self.A_ub.shape[0] + self.A_eq.shape[0]
+
 
 @dataclass
 class LPSolution:
     status: str                                  # Optimal | Infeasible | Unbounded
-    values: dict[str, float]
+    values: dict[str, float]                     # named programs only
     objective_value: float
-    duals: dict[str, float] | None = None
+    duals: dict[str, float] | None = None        # named programs only
+    x: np.ndarray | None = None
 
     def __getitem__(self, name: str) -> float:
         return self.values[name]
 
 
-def solve(lp: LinearProgram, backend: str = "highs", want_duals: bool = True) -> LPSolution:
-    """Solve the LP; Optimal solutions respect all constraints within 1e-7.
+def solve(lp: LinearProgram | ArrayLP, want_duals: bool = True) -> LPSolution:
+    """Solve the LP with HiGHS; Optimal solutions respect all constraints
+    within 1e-7.
 
-    Duals are attached when the backend exposes them (HiGHS does); callers
-    needing duals without backend support must extract them themselves (see
-    ``dual_values_via_auxiliary``).
+    Named programs compile to the array form first; their solutions carry
+    values by name and, when ``want_duals``, duals by constraint name.
     """
-    if backend != "highs":
-        raise BackendUnavailable(f"unknown LP backend {backend!r}")
-    n = lp.n_variables()
-    sign = -1.0 if lp.sense == "max" else 1.0
-    c = np.zeros(n)
-    for v, coeff in lp.objective.items():
-        c[lp._var_index[v]] = sign * coeff
-
-    ub_rows, ub_rhs, ub_names = [], [], []
-    eq_rows, eq_rhs, eq_names = [], [], []
-    for con in lp.constraints:
-        idx = [lp._var_index[v] for v in con.coeffs]
-        vals = list(con.coeffs.values())
-        if con.relation == EQ:
-            eq_rows.append((idx, vals))
-            eq_rhs.append(con.rhs)
-            eq_names.append(con.name)
-        elif con.relation == LE:
-            ub_rows.append((idx, vals))
-            ub_rhs.append(con.rhs)
-            ub_names.append(con.name)
-        else:  # GE -> negate into LE
-            ub_rows.append((idx, [-v for v in vals]))
-            ub_rhs.append(-con.rhs)
-            ub_names.append(con.name)
-
-    def to_csr(rows):
-        data, ri, ci = [], [], []
-        for r, (idx, vals) in enumerate(rows):
-            ri.extend([r] * len(idx))
-            ci.extend(idx)
-            data.extend(vals)
-        return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
-
+    named = isinstance(lp, LinearProgram)
+    arrays, ub, eq = lp.compile() if named else (lp, [], [])
+    sign = -1.0 if arrays.sense == "max" else 1.0
     kwargs = {}
-    if ub_rows:
-        kwargs["A_ub"] = to_csr(ub_rows)
-        kwargs["b_ub"] = np.array(ub_rhs)
-    if eq_rows:
-        kwargs["A_eq"] = to_csr(eq_rows)
-        kwargs["b_eq"] = np.array(eq_rhs)
-    bounds = [(lb, ub) for _, lb, ub in lp.variables]
-    res = linprog(c, bounds=bounds, method="highs", **kwargs)
+    if arrays.A_ub.shape[0]:
+        kwargs["A_ub"], kwargs["b_ub"] = arrays.A_ub, arrays.b_ub
+    if arrays.A_eq.shape[0]:
+        kwargs["A_eq"], kwargs["b_eq"] = arrays.A_eq, arrays.b_eq
+    res = linprog(sign * arrays.c, bounds=arrays.bounds, method="highs", **kwargs)
 
     if res.status == 2:
         return LPSolution("Infeasible", {}, float("nan"))
     if res.status == 3:
-        return LPSolution("Unbounded", {}, float("inf") if lp.sense == "max" else float("-inf"))
+        return LPSolution("Unbounded", {}, float("inf") if arrays.sense == "max" else float("-inf"))
     if res.status != 0:
         raise NumericalFailure(f"LP backend stopped with status {res.status}: {res.message}")
+    if not named:
+        return LPSolution("Optimal", {}, float(arrays.c @ res.x), x=res.x)
 
-    values = {name: float(res.x[i]) for i, (name, _, _) in enumerate(lp.variables)}
+    values = dict(zip(lp._var_index, res.x.tolist()))
     objective = float(sum(coeff * values[v] for v, coeff in lp.objective.items()))
     duals = None
     if want_duals:
         duals = {}
         # linprog minimizes; marginals are d(min-obj)/d(rhs).  Convert to the
         # declared sense, and undo the GE->LE negation.
-        if ub_rows and res.ineqlin is not None:
-            for name, marg in zip(ub_names, np.atleast_1d(res.ineqlin.marginals)):
-                con = lp.constraints[lp._con_index[name]]
+        if ub and res.ineqlin is not None:
+            for con, marg in zip(ub, np.atleast_1d(res.ineqlin.marginals)):
                 d = sign * float(marg)
-                duals[name] = -d if con.relation == GE else d
-        if eq_rows and res.eqlin is not None:
-            for name, marg in zip(eq_names, np.atleast_1d(res.eqlin.marginals)):
-                duals[name] = sign * float(marg)
-    return LPSolution("Optimal", values, objective, duals)
+                duals[con.name] = -d if con.relation == GE else d
+        if eq and res.eqlin is not None:
+            for con, marg in zip(eq, np.atleast_1d(res.eqlin.marginals)):
+                duals[con.name] = sign * float(marg)
+    return LPSolution("Optimal", values, objective, duals, res.x)
 
 
 def check_feasibility(lp: LinearProgram, values: dict[str, float], tol: float = FEAS_TOL) -> float:
@@ -204,97 +208,3 @@ def check_feasibility(lp: LinearProgram, values: dict[str, float], tol: float = 
         else:
             worst = max(worst, abs(lhs - con.rhs))
     return worst
-
-
-def dual_values_via_auxiliary(lp: LinearProgram) -> dict[str, float]:
-    """Recover constraint duals by solving the explicit dual LP.
-
-    Fallback for backends without marginals.  The primal is normalized to a
-    maximization with free variables (bounds become rows, GE rows are negated
-    into LE); the textbook dual is then solved with the same backend.  Duals
-    are returned in the declared sense of ``lp``.
-    """
-    sign = 1.0 if lp.sense == "max" else -1.0
-    # Normalized rows: (tag, coeffs, rhs, is_eq); tag is the original name or
-    # None for bound rows.
-    rows: list[tuple[str | None, dict[str, float], float, bool]] = []
-    for con in lp.constraints:
-        if con.relation == EQ:
-            rows.append((con.name, con.coeffs, con.rhs, True))
-        elif con.relation == LE:
-            rows.append((con.name, con.coeffs, con.rhs, False))
-        else:
-            rows.append((con.name, {v: -c for v, c in con.coeffs.items()}, -con.rhs, False))
-    for name, lb, ub in lp.variables:
-        if ub is not None:
-            rows.append((None, {name: 1.0}, ub, False))
-        if lb is not None:
-            rows.append((None, {name: -1.0}, -lb, False))
-
-    dual = LinearProgram(sense="min")
-    for r, (_, _, rhs, is_eq) in enumerate(rows):
-        dual.add_variable(f"y{r}", None if is_eq else 0.0, None)
-        if rhs != 0.0:
-            dual.set_objective(f"y{r}", rhs)
-    cols: dict[str, dict[str, float]] = {name: {} for name, _, _ in lp.variables}
-    for r, (_, coeffs, _, _) in enumerate(rows):
-        for v, coeff in coeffs.items():
-            cols[v][f"y{r}"] = coeff
-    for name, _, _ in lp.variables:
-        dual.add_constraint(f"d[{name}]", cols[name], EQ, sign * lp.objective.get(name, 0.0))
-    sol = solve(dual, want_duals=False)
-    if sol.status != "Optimal":
-        raise NumericalFailure(f"auxiliary dual LP is {sol.status}")
-    out = {}
-    for r, (tag, _, _, is_eq) in enumerate(rows):
-        if tag is None:
-            continue
-        con = lp.constraints[lp._con_index[tag]]
-        y = sol.values[f"y{r}"]
-        if con.relation == GE:
-            y = -y
-        out[tag] = sign * y
-    return out
-
-
-def serialize(lp: LinearProgram) -> str:
-    lines = ["lp 1", f"sense {lp.sense}"]
-    for name, lb, ub in lp.variables:
-        lo = "-inf" if lb is None else repr(lb)
-        hi = "+inf" if ub is None else repr(ub)
-        lines.append(f"var {name} {lo} {hi}")
-    for name, coeff in lp.objective.items():
-        lines.append(f"obj {name} {coeff!r}")
-    for con in lp.constraints:
-        parts = [f"con {con.name} {con.relation} {con.rhs!r} {len(con.coeffs)}"]
-        for v, coeff in con.coeffs.items():
-            parts.append(f"{v} {coeff!r}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def parse(text: str) -> LinearProgram:
-    lp = LinearProgram()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split() != ["lp", "1"]:
-        raise InvalidInstance("not an lp v1 document")
-    for ln in lines[1:]:
-        tok = ln.split()
-        if tok[0] == "sense":
-            lp.sense = tok[1]
-        elif tok[0] == "var":
-            lb = None if tok[2] == "-inf" else float(tok[2])
-            ub = None if tok[3] == "+inf" else float(tok[3])
-            lp.add_variable(tok[1], lb, ub)
-        elif tok[0] == "obj":
-            lp.set_objective(tok[1], float(tok[2]))
-        elif tok[0] == "con":
-            name, rel, rhs, k = tok[1], tok[2], float(tok[3]), int(tok[4])
-            body = tok[5:]
-            if len(body) != 2 * k:
-                raise InvalidInstance(f"constraint {name} expects {k} terms")
-            coeffs = {body[2 * i]: float(body[2 * i + 1]) for i in range(k)}
-            lp.add_constraint(name, coeffs, rel, rhs)
-        else:
-            raise InvalidInstance(f"unknown record {tok[0]!r}")
-    return lp

@@ -28,6 +28,8 @@ def _as_prob_vector(v, name: str, tol: float = PROB_TOL) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise InvalidInstance(f"{name} must be a vector")
+    if not np.isfinite(arr).all():
+        raise InvalidInstance(f"{name} has non-finite entries")
     if np.any(arr < -tol):
         raise InvalidInstance(f"{name} has negative entries")
     if abs(arr.sum() - 1.0) > tol:
@@ -62,6 +64,8 @@ class Experiment:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[1] < 1:
             raise InvalidInstance("experiment matrix must be 2-d with >= 1 signal")
+        if not (np.isfinite(m).all() and np.isfinite(self.row_mass)):
+            raise InvalidInstance("experiment has non-finite entries")
         if np.any(m < -PROB_TOL):
             raise InvalidInstance("experiment has negative entries")
         sums = m.sum(axis=1)
@@ -104,6 +108,8 @@ class Menu:
 
     def __post_init__(self):
         for ex, price in self.entries:
+            if not np.isfinite(price):
+                raise InvalidInstance(f"menu price {price} is not finite")
             if price < -PROB_TOL:
                 raise InvalidInstance(f"menu price {price} is negative")
         if self.assignment is not None:
@@ -156,10 +162,14 @@ class Environment:
             u = np.asarray(u, dtype=float)
             if u.shape != (n, m):
                 raise InvalidInstance(f"utility matrix of {tid} is not {n}x{m}")
+            if not np.isfinite(u).all():
+                raise InvalidInstance(f"utility matrix of {tid} has non-finite entries")
             if np.any(u < -PROB_TOL) or np.any(u > 1 + PROB_TOL):
                 raise InvalidInstance("utilities must lie in [0, 1]")
             self.utility[tid] = u
         total = sum(self.type_probs.get(t.id, -1.0) for t in self.types)
+        if not np.isfinite(total):
+            raise InvalidInstance("type probabilities must be finite")
         if any(self.type_probs.get(t.id, -1.0) < -PROB_TOL for t in self.types):
             raise InvalidInstance("type probabilities missing or negative")
         if abs(total - 1.0) > PROB_TOL:

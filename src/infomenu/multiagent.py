@@ -37,10 +37,12 @@ class MultiBuyer:
 
     def __post_init__(self):
         self.utility = np.asarray(self.utility, dtype=float)
+        if not np.isfinite(self.utility).all():
+            raise InvalidInstance(f"buyer {self.id}: utilities must be finite")
         if np.any(self.utility < -PROB_TOL) or np.any(self.utility > 1 + PROB_TOL):
             raise InvalidInstance(f"buyer {self.id}: utilities must lie in [0, 1]")
         total = sum(self.type_probs.get(t.id, -1.0) for t in self.types)
-        if abs(total - 1.0) > PROB_TOL:
+        if not np.isfinite(total) or abs(total - 1.0) > PROB_TOL:
             raise InvalidInstance(f"buyer {self.id}: type probabilities sum to {total}")
         for t in self.types:
             if self.type_probs.get(t.id, 0.0) <= 0.0:
@@ -278,7 +280,7 @@ def audit_reduced_form(env: MultiEnvironment, rf: ReducedForm) -> tuple[float, f
         for s, t in enumerate(b.types):
             key = (b.id, t.id)
             truthful = (
-                float(np.sum(rf.pi_hat[key] * t.prior[:, None] * _diag_utils(b)))
+                float(np.sum(rf.pi_hat[key] * t.prior[:, None] * b.utility))
                 + (1.0 - rf.p_hat[key]) * base[i][s]
                 - rf.t_hat[key]
             )
@@ -294,12 +296,6 @@ def audit_reduced_form(env: MultiEnvironment, rf: ReducedForm) -> tuple[float, f
                 )
                 max_bic = max(max_bic, dev - truthful)
     return max_bic, max_iir
-
-
-def _diag_utils(b: MultiBuyer) -> np.ndarray:
-    """Utility of following each signal's recommendation: entry (w, j) is
-    u[w, a_j]."""
-    return b.utility
 
 
 @dataclass
@@ -337,7 +333,6 @@ def solve_reduced_lp(
     *,
     max_rounds: int = 500,
     pricing_tol: float = 1e-8,
-    use_backend_duals: bool = True,
 ) -> MultiResult:
     """Revenue-optimal mechanism via the interim LP with generated vertices.
 
@@ -453,12 +448,10 @@ def solve_reduced_lp(
         rounds += 1
         if rounds > max_rounds:
             raise NonConvergence(f"pricing did not settle in {max_rounds} rounds")
-        sol = lpmod.solve(prog, want_duals=use_backend_duals)
+        sol = lpmod.solve(prog)
         if sol.status != "Optimal":
             raise NumericalFailure(f"reduced-form master LP is {sol.status}")
         duals = sol.duals
-        if duals is None:
-            duals = lpmod.dual_values_via_auxiliary(prog)
         y = np.array([duals.get(name, 0.0) for name in couple_names])
         sigma = duals.get("convex", 0.0)
         candidate = coords.weights(y)

@@ -25,6 +25,13 @@ SAT_BRUTE_FORCE_VARS = 24
 _STREAM_VARS = 20          # cache per-state utility vectors up to this many vars
 
 
+def _finite_beliefs(beliefs) -> np.ndarray:
+    arr = np.asarray(beliefs, dtype=float)
+    if not np.isfinite(arr).all():
+        raise InvalidInstance("beliefs must be finite")
+    return arr
+
+
 class BROracle:
     """Base class handling the query counter; subclasses implement _respond
     and utility_of.  The counter update is lock-protected so oracles can be
@@ -44,14 +51,16 @@ class BROracle:
             self._queries += k
 
     def respond(self, belief) -> tuple[object, float]:
+        belief = _finite_beliefs(belief)
         self._count()
-        return self._respond(np.asarray(belief, dtype=float))
+        return self._respond(belief)
 
     def respond_many(self, beliefs: np.ndarray) -> tuple[list[object], np.ndarray]:
         """Batched respond; equivalent to a loop but lets subclasses vectorize."""
+        beliefs = _finite_beliefs(beliefs)
         self._count(len(beliefs))
         actions, utilities = [], np.empty(len(beliefs))
-        for r, b in enumerate(np.asarray(beliefs, dtype=float)):
+        for r, b in enumerate(beliefs):
             a, u = self._respond(b)
             actions.append(a)
             utilities[r] = u
@@ -73,7 +82,7 @@ class MatrixOracle(BROracle):
         u = np.asarray(utility, dtype=float)
         if u.ndim != 2:
             raise InvalidInstance("utility matrix must be 2-d")
-        if np.any(u < 0) or np.any(u > 1):
+        if not np.isfinite(u).all() or np.any(u < 0) or np.any(u > 1):
             raise InvalidInstance("utilities must lie in [0, 1]")
         self.utility = u
 
@@ -87,7 +96,7 @@ class MatrixOracle(BROracle):
         return a, float(scores[a])
 
     def respond_many(self, beliefs: np.ndarray) -> tuple[list[int], np.ndarray]:
-        beliefs = np.asarray(beliefs, dtype=float)
+        beliefs = _finite_beliefs(beliefs)
         self._count(len(beliefs))
         scores = beliefs @ self.utility
         actions = np.argmax(scores, axis=1)

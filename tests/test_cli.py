@@ -10,7 +10,7 @@ import pytest
 from infomenu import audit_menu
 from infomenu import io as iomod
 from infomenu.audit import matching_environment
-from infomenu.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_TOO_LARGE, dispatch
+from infomenu.cli import EXIT_INVALID, EXIT_OK, EXIT_TOO_LARGE, dispatch
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -83,7 +83,7 @@ def test_respond_never_prints_nan(instance_file):
         ["oracle", "respond", "--kind", "matrix", "--instance", instance_file,
          "--belief", "nan,0.5"]
     )
-    assert code == EXIT_NUMERICAL
+    assert code == EXIT_INVALID
     assert "NaN" not in text
 
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infomenu import (
     Environment,
@@ -12,34 +15,220 @@ from infomenu import (
     build_menu_lp,
     solve_explicit,
 )
+from infomenu import lp as lpmod
 from infomenu.audit import brute_force_menu_search, matching_environment
+from infomenu.explicit import optimal_prices
+
+
+# --- name-keyed reference construction ------------------------------------------
+
+def named_menu_lp(env: Environment) -> lpmod.LinearProgram:
+    """The menu LP built constraint by constraint with named variables, as the
+    array builder must reproduce it."""
+    n, m, k = env.n_states, env.n_actions, len(env.types)
+    prog = lpmod.LinearProgram(sense="max")
+    for t in range(k):
+        for w in range(n):
+            for i in range(m):
+                prog.add_variable(f"pi[{t},{w},{i}]", 0.0, 1.0)
+    for t in range(k):
+        prog.add_variable(f"t[{t}]", None, None)
+        prog.set_objective(f"t[{t}]", env.prob(env.types[t].id))
+    for i in range(m):
+        for t in range(k):
+            for t2 in range(k):
+                prog.add_variable(f"z[{i},{t},{t2}]", 0.0, None)
+    utils = [env.utility[bt.id] for bt in env.types]
+    priors = [bt.prior for bt in env.types]
+
+    def own(t):
+        return {
+            f"pi[{t},{w},{i}]": priors[t][w] * utils[t][w, i]
+            for w in range(n)
+            for i in range(m)
+            if priors[t][w] * utils[t][w, i] != 0.0
+        }
+
+    for t in range(k):
+        for t2 in range(k):
+            coeffs = own(t)
+            coeffs[f"t[{t}]"] = coeffs.get(f"t[{t}]", 0.0) - 1.0
+            for i in range(m):
+                coeffs[f"z[{i},{t},{t2}]"] = -1.0
+            coeffs[f"t[{t2}]"] = coeffs.get(f"t[{t2}]", 0.0) + 1.0
+            prog.add_constraint(f"ic[{t},{t2}]", coeffs, lpmod.GE, 0.0)
+    for t in range(k):
+        for t2 in range(k):
+            for i in range(m):
+                for j in range(m):
+                    coeffs = {f"z[{i},{t},{t2}]": 1.0}
+                    for w in range(n):
+                        c = priors[t][w] * utils[t][w, j]
+                        if c != 0.0:
+                            coeffs[f"pi[{t2},{w},{i}]"] = -c
+                    prog.add_constraint(f"zlb[{i},{j},{t},{t2}]", coeffs, lpmod.GE, 0.0)
+    for t in range(k):
+        coeffs = own(t)
+        coeffs[f"t[{t}]"] = -1.0
+        prog.add_constraint(f"ir[{t}]", coeffs, lpmod.GE, base_utility(env, env.types[t].id))
+    for t in range(k):
+        for w in range(n):
+            prog.add_constraint(
+                f"rowsum[{t},{w}]", {f"pi[{t},{w},{i}]": 1.0 for i in range(m)}, lpmod.EQ, 1.0
+            )
+    return prog
+
+
+def named_price_lp(values, base, probs) -> lpmod.LinearProgram:
+    k = len(base)
+    prog = lpmod.LinearProgram(sense="max")
+    for t in range(k):
+        prog.add_variable(f"t[{t}]", None, None)
+        prog.set_objective(f"t[{t}]", float(probs[t]))
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                prog.add_constraint(
+                    f"ic[{i},{j}]", {f"t[{i}]": -1.0, f"t[{j}]": 1.0}, lpmod.GE,
+                    float(values[i, j] - values[i, i]),
+                )
+        prog.add_constraint(f"ir[{i}]", {f"t[{i}]": -1.0}, lpmod.GE, float(base[i] - values[i, i]))
+    return prog
+
+
+def rows_to_csr(prog: lpmod.LinearProgram, equality: bool) -> sp.csr_matrix:
+    """Row-by-row CSR of a named program's equality or (GE-negated) inequality rows."""
+    data, ri, ci = [], [], []
+    rows = [con for con in prog.constraints if (con.relation == lpmod.EQ) == equality]
+    for r, con in enumerate(rows):
+        sign = -1.0 if con.relation == lpmod.GE else 1.0
+        for v, coeff in con.coeffs.items():
+            ri.append(r)
+            ci.append(prog._var_index[v])
+            data.append(sign * coeff)
+    return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), prog.n_variables()))
+
+
+def canonical(A: sp.csr_matrix) -> sp.csr_matrix:
+    A = sp.csr_matrix(A, copy=True)
+    A.eliminate_zeros()
+    A.sort_indices()
+    return A
+
+
+def assert_same_csr(A, B):
+    A, B = canonical(A), canonical(B)
+    assert A.shape == B.shape
+    np.testing.assert_array_equal(A.indptr, B.indptr)
+    np.testing.assert_array_equal(A.indices, B.indices)
+    np.testing.assert_array_equal(A.data, B.data)
+
+
+def assert_same_lp(arrays: lpmod.ArrayLP, named: lpmod.LinearProgram):
+    ref, _, _ = named.compile()
+    assert arrays.sense == ref.sense
+    for field in ("c", "b_ub", "b_eq", "bounds"):
+        np.testing.assert_array_equal(getattr(arrays, field), getattr(ref, field))
+    assert_same_csr(arrays.A_ub, ref.A_ub)
+    assert_same_csr(arrays.A_eq, ref.A_eq)
+
+
+def random_market(rng, k: int, n: int, m: int, *, zero_prior: bool, duplicate: bool,
+                  per_type: bool) -> Environment:
+    priors = rng.dirichlet(np.ones(n), size=k)
+    if zero_prior and n > 1:
+        priors[:, 0] = 0.0
+        priors /= priors.sum(axis=1, keepdims=True)
+    u = rng.uniform(size=(k if per_type else 1, n, m)).round(1)
+    if duplicate and m > 1:
+        u[:, :, -1] = u[:, :, 0]
+    probs = rng.dirichlet(np.ones(k))
+    utility = {f"t{i}": u[i] for i in range(k)} if per_type else u[0]
+    return Environment.build(
+        range(n), range(m), utility,
+        [(f"t{i}", priors[i]) for i in range(k)],
+        {f"t{i}": float(p) for i, p in enumerate(probs)},
+    )
+
+
+MARKET_SHAPES = [
+    (k, n, m, zero_prior, duplicate, per_type)
+    for k in (1, 2, 5)
+    for n, m in ((1, 3), (2, 2), (3, 4))
+    for zero_prior, duplicate, per_type in ((False, False, False), (True, True, False),
+                                            (False, True, True), (True, False, True))
+]
+
+
+@pytest.mark.parametrize("shape", MARKET_SHAPES)
+def test_array_builders_match_named_reference(shape, monkeypatch):
+    k, n, m, zero_prior, duplicate, per_type = shape
+    rng = np.random.default_rng([k, n, m, zero_prior, duplicate, per_type])
+    env = random_market(rng, k, n, m, zero_prior=zero_prior, duplicate=duplicate,
+                        per_type=per_type)
+    assert_same_lp(build_menu_lp(env), named_menu_lp(env))
+
+    seen = []
+    real_solve = lpmod.solve
+    monkeypatch.setattr(lpmod, "solve", lambda prog, **kw: seen.append(prog) or real_solve(prog, **kw))
+    values = rng.uniform(size=(k, k))
+    np.fill_diagonal(values, values.max(axis=1) + 0.1)     # zero prices are feasible
+    base = rng.uniform(size=k) * np.diag(values)
+    probs = rng.dirichlet(np.ones(k))
+    optimal_prices(values, base, probs)
+    assert_same_lp(seen[0], named_price_lp(values, base, probs))
+
+
+def test_named_program_compiles_to_row_by_row_csr():
+    env = matching_environment([("t0", [0.5, 0.5]), ("t1", [0.9, 0.1])])
+    prog = named_menu_lp(env)
+    arrays, ub, eq = prog.compile()
+    for compiled, equality in ((arrays.A_ub, False), (arrays.A_eq, True)):
+        ref = rows_to_csr(prog, equality)
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(compiled, attr), getattr(ref, attr))
+    # The IC(t, t) rows keep their explicit zero price coefficient.
+    assert (arrays.A_ub.data == 0.0).sum() == 2
+    assert [con.name for con in ub][:4] == ["ic[0,0]", "ic[0,1]", "ic[1,0]", "ic[1,1]"]
+    assert [con.name for con in eq] == ["rowsum[0,0]", "rowsum[0,1]", "rowsum[1,0]", "rowsum[1,1]"]
+
+
+def row_blocks(prog: lpmod.ArrayLP, k: int, n: int, m: int):
+    """The IC, helper-bound and IR blocks of the inequality rows, the row sums,
+    and the z columns, from the documented layout."""
+    A = prog.A_ub.toarray()
+    ic, zlb = k * k, k * k * m * m
+    assert A.shape[0] == ic + zlb + k and prog.A_eq.shape[0] == k * n
+    z_cols = slice(k * n * m + k, None)
+    return A[:ic], A[ic:ic + zlb], A[ic + zlb:], prog.A_eq.toarray(), z_cols
+
+
+def assert_blocks(k: int, n: int, m: int, prog: lpmod.ArrayLP):
+    ic, zlb, ir, rowsum, z_cols = row_blocks(prog, k, n, m)
+    assert len(ic) == k * k and len(zlb) == k * k * m * m and len(ir) == k and len(rowsum) == k * n
+    assert ((ic[:, z_cols] == 1.0).sum(axis=1) == m).all()
+    assert ((zlb[:, z_cols] == -1.0).sum(axis=1) == 1).all()
+    assert (ir[:, z_cols] == 0.0).all()
+    assert (ir[:, k * n * m:k * n * m + k] == np.eye(k)).all()
+    assert (rowsum.sum(axis=1) == m).all()
 
 
 def test_lp_counts_single_type():
-    prog, _ = build_menu_lp(matching_environment([("t0", [0.5, 0.5])]))
-    names = [c.name for c in prog.constraints]
-    assert sum(n.startswith("ic[") for n in names) == 1
-    assert sum(n.startswith("zlb[") for n in names) == 4
-    assert sum(n.startswith("ir[") for n in names) == 1
-    assert sum(n.startswith("rowsum[") for n in names) == 2
+    assert_blocks(1, 2, 2, build_menu_lp(matching_environment([("t0", [0.5, 0.5])])))
 
 
 def test_lp_counts_two_types():
     env = matching_environment([("t0", [0.5, 0.5]), ("t1", [0.9, 0.1])])
-    prog, _ = build_menu_lp(env)
-    names = [c.name for c in prog.constraints]
-    assert sum(n.startswith("ic[") for n in names) == 4
-    assert sum(n.startswith("zlb[") for n in names) == 16
-    assert sum(n.startswith("ir[") for n in names) == 2
-    assert sum(n.startswith("rowsum[") for n in names) == 4
+    assert_blocks(2, 2, 2, build_menu_lp(env))
 
 
 def test_lp_variable_bounds():
-    prog, ix = build_menu_lp(matching_environment([("t0", [0.5, 0.5])]))
-    bounds = {name: (lb, ub) for name, lb, ub in prog.variables}
-    assert bounds[ix.pi(0, 0, 0)] == (0.0, 1.0)
-    assert bounds[ix.price(0)][1] is None
-    assert bounds[ix.z(0, 0, 0)][1] is None
+    prog = build_menu_lp(matching_environment([("t0", [0.5, 0.5])]))
+    k, n, m = 1, 2, 2
+    pi0, price0, z0 = 0, k * n * m, k * n * m + k
+    assert tuple(prog.bounds[pi0]) == (0.0, 1.0)
+    assert tuple(prog.bounds[price0]) == (-np.inf, np.inf)
+    assert tuple(prog.bounds[z0]) == (0.0, np.inf)
 
 
 def test_single_type_closed_forms():
@@ -175,3 +364,49 @@ def test_lp_dust_below_feasibility_tolerance_is_cleaned():
     menu, rev, rep = solve_explicit(env)
     assert rep.max_ic_violation <= 1e-9 and rep.max_ir_violation <= 1e-9
     assert audit_menu(env, menu).revenue == pytest.approx(rev, abs=1e-12)
+
+
+# --- degenerate shapes against the grid-search bracket ------------------------------
+
+QUARTERS = st.integers(0, 4).map(lambda i: i / 4)
+
+
+@st.composite
+def tiny_markets(draw) -> Environment:
+    """Two-state markets with at most two types and three actions, drawn to
+    hit point-mass priors, duplicate and zero-probability types, tied or
+    constant utilities, and a single action after deduplication."""
+    m = draw(st.integers(1, 3))
+    u = np.array(draw(st.lists(QUARTERS, min_size=2 * m, max_size=2 * m))).reshape(2, m)
+    if draw(st.booleans()):
+        u[:, 1:] = u[:, :1]                     # every action alike: one left after dedupe
+    k = draw(st.integers(1, 2))
+    first = draw(st.integers(0, 20)) / 20
+    priors = [[first, 1.0 - first]]
+    if k == 2:
+        second = first if draw(st.booleans()) else draw(st.integers(0, 20)) / 20
+        priors.append([second, 1.0 - second])
+    weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    return Environment.build(
+        range(2), range(m), u,
+        [(f"t{i}", p) for i, p in enumerate(priors)],
+        {f"t{i}": w / sum(weights) for i, w in enumerate(weights)},
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(tiny_markets())
+def test_degenerate_markets_match_grid_bracket(env):
+    menu, rev, rep = solve_explicit(env)
+    audit = audit_menu(env, menu)
+    assert audit.max_ic_violation <= 1e-9 and audit.max_ir_violation <= 1e-9
+    assert audit.revenue == pytest.approx(rev, abs=1e-12)
+    bracket = brute_force_menu_search(env, 0.25, upper=rev)
+    assert bracket.lower <= rev + 1e-9
+    # Nobody pays more than full revelation is worth to them over the prior.
+    surplus = sum(
+        env.prob(tid) * (float((env.prior(tid)[:, None] * env.utility[tid]).max(axis=1).sum())
+                         - base_utility(env, tid))
+        for tid in env.type_ids()
+    )
+    assert rev <= surplus + 1e-9

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from infomenu import (
-    BackendUnavailable,
     BuyerType,
     Environment,
     NumericalFailure,
@@ -15,7 +14,6 @@ from infomenu import (
 )
 from infomenu import io as iomod
 from infomenu.audit import matching_environment
-from infomenu.lp import LinearProgram, solve
 from infomenu.multiagent import MultiBuyer, MultiEnvironment
 from infomenu.oracles import CNF, IPSATInstance
 
@@ -107,12 +105,3 @@ def test_dumps_refuses_non_finite_floats():
     for bad in (float("nan"), float("inf"), np.float64("-inf")):
         with pytest.raises(NumericalFailure):
             iomod.dumps({"x": [1.0, bad]})
-
-
-def test_unknown_backend_raises():
-    lp = LinearProgram()
-    lp.add_variable("x", 0.0, 1.0)
-    lp.set_objective("x", 1.0)
-    with pytest.raises(BackendUnavailable):
-        solve(lp, backend="simplex9000")
-

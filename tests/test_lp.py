@@ -1,4 +1,4 @@
-"""LP container, HiGHS adapter, duals, and the text round trip."""
+"""LP container, its array form, the HiGHS adapter, and duals."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,6 @@ from infomenu.lp import (
     LE,
     LinearProgram,
     check_feasibility,
-    dual_values_via_auxiliary,
-    parse,
-    serialize,
     solve,
 )
 
@@ -107,21 +104,6 @@ def test_duals_sign_convention():
     assert sol.duals["cap"] == pytest.approx(1.0)
 
 
-def test_auxiliary_duals_match_backend():
-    lp = LinearProgram(sense="max")
-    lp.add_variable("x", 0.0, None)
-    lp.add_variable("y", 0.0, None)
-    lp.set_objective("x", 3.0)
-    lp.set_objective("y", 2.0)
-    lp.add_constraint("c1", {"x": 1.0, "y": 1.0}, LE, 4.0)
-    lp.add_constraint("c2", {"x": 1.0}, LE, 2.0)
-    lp.add_constraint("c3", {"x": 1.0, "y": -1.0}, GE, -10.0)
-    backend = solve(lp).duals
-    aux = dual_values_via_auxiliary(lp)
-    for name in ("c1", "c2", "c3"):
-        assert aux[name] == pytest.approx(backend[name], abs=1e-8)
-
-
 def test_equality_duals():
     lp = LinearProgram(sense="max")
     lp.add_variable("x", None, None)
@@ -130,25 +112,3 @@ def test_equality_duals():
     sol = solve(lp)
     assert sol.objective_value == pytest.approx(6.0)
     assert sol.duals["pin"] == pytest.approx(2.0)
-    aux = dual_values_via_auxiliary(lp)
-    assert aux["pin"] == pytest.approx(2.0, abs=1e-8)
-
-
-def test_serialize_round_trip():
-    lp = LinearProgram(sense="max")
-    lp.add_variable("x", 0.0, 1.5)
-    lp.add_variable("price", None, None)
-    lp.set_objective("x", 0.3333333333333333)
-    lp.set_objective("price", -1.0)
-    lp.add_constraint("c1", {"x": 2.0, "price": -0.1}, LE, 0.7)
-    lp.add_constraint("c2", {"x": 1.0}, EQ, 1.0)
-    lp.add_constraint("c3", {"price": 1.0}, GE, -2.25)
-    text = serialize(lp)
-    back = parse(text)
-    assert back.sense == lp.sense
-    assert back.variables == lp.variables
-    assert back.objective == lp.objective
-    assert [(c.name, c.coeffs, c.relation, c.rhs) for c in back.constraints] == [
-        (c.name, c.coeffs, c.relation, c.rhs) for c in lp.constraints
-    ]
-    assert serialize(back) == text

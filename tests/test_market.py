@@ -275,3 +275,24 @@ def test_environment_rejects_bad_probabilities():
         Environment.build(
             range(2), range(2), np.eye(2), [("t0", [0.5, 0.5])], {"t0": 0.7}
         )
+
+
+def test_menu_rejects_non_finite_price():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidInstance):
+            Menu(entries=[(Experiment.null(2), bad)], assignment={"t0": 0})
+
+
+def test_environment_rejects_non_finite_inputs():
+    with pytest.raises(InvalidInstance):
+        Environment.build(range(2), range(2), np.eye(2), [("t0", [np.inf, 0.5])])
+    with pytest.raises(InvalidInstance):
+        Environment.build(range(2), range(2), [[np.nan, 0.0], [0.0, 1.0]], [("t0", [0.5, 0.5])])
+    with pytest.raises(InvalidInstance):
+        Environment.build(
+            range(2), range(2), np.eye(2), [("t0", [0.5, 0.5]), ("t1", [0.2, 0.8])],
+            {"t0": np.nan, "t1": 1.0},
+        )
+    with pytest.raises(InvalidInstance):
+        Experiment(np.array([[np.nan, 1.0], [0.5, 0.5]]))
+

@@ -7,6 +7,7 @@ import pytest
 
 from infomenu import (
     BuyerType,
+    InvalidInstance,
     MultiBuyer,
     MultiEnvironment,
     TooLarge,
@@ -277,11 +278,12 @@ def test_blueprint_decomposition_and_size():
     assert max_bic <= 1e-6 and max_iir <= 1e-6
 
 
-def test_auxiliary_dual_path_matches_backend_duals():
-    env = two_buyers([[0.5, 0.5]], [[0.4, 0.6]])
-    rev_fast = solve_reduced_lp(env, use_backend_duals=True).revenue
-    rev_slow = solve_reduced_lp(env, use_backend_duals=False).revenue
-    assert rev_slow == pytest.approx(rev_fast, abs=1e-8)
+def test_multi_buyer_rejects_non_finite_inputs():
+    tl = [BuyerType("t0", [0.5, 0.5]), BuyerType("t1", [0.2, 0.8])]
+    with pytest.raises(InvalidInstance):
+        MultiBuyer("b0", np.array([[np.nan, 0.0], [0.0, 1.0]]), tl, {"t0": 0.5, "t1": 0.5})
+    with pytest.raises(InvalidInstance):
+        MultiBuyer("b0", np.eye(2), tl, {"t0": np.inf, "t1": 0.5})
 
 
 # --- execution --------------------------------------------------------------------

@@ -257,3 +257,17 @@ def test_query_count_increments():
 def test_traffic_rejects_non_binary_state_belief():
     with pytest.raises(InvalidInstance):
         two_edge_oracle().respond([0.5, 0.3, 0.2])
+
+
+def test_oracles_reject_non_finite_beliefs():
+    oracle = MatrixOracle(np.eye(2))
+    with pytest.raises(InvalidInstance):
+        oracle.respond([np.nan, 0.5])
+    with pytest.raises(InvalidInstance):
+        oracle.respond_many(np.array([[0.5, 0.5], [np.inf, 0.0]]))
+    with pytest.raises(InvalidInstance):
+        two_edge_oracle().respond_many(np.array([[np.nan, 0.5]]))
+    assert oracle.query_count == 0
+    with pytest.raises(InvalidInstance):
+        MatrixOracle(np.array([[np.nan, 1.0]]))
+
