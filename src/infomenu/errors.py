@@ -21,10 +21,6 @@ class DuplicateVariable(InfoMenuError):
     """A variable name was declared twice in one linear program."""
 
 
-class UnknownConstraint(InfoMenuError):
-    """A column references a constraint that does not exist."""
-
-
 class NoPath(InfoMenuError):
     """The traffic network has no source-sink path."""
 

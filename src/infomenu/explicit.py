@@ -21,17 +21,6 @@ ENTRY_TOL = 1e-7             # HiGHS primal feasibility tolerance
 AUDIT_TOL = 1e-6
 
 
-def _csr(blocks, shape: tuple[int, int]) -> sp.csr_matrix:
-    """CSR matrix from COO blocks ``(rows, cols, vals, keep)``: arrays that
-    broadcast to one shape, entries where ``keep`` is False left out."""
-    triplets = []
-    for block in blocks:
-        r, c, v, keep = np.broadcast_arrays(*block)
-        triplets.append((r[keep], c[keep], v[keep]))
-    r, c, v = (np.concatenate(part) for part in zip(*triplets))
-    return sp.csr_matrix((v, (r, c)), shape=shape)
-
-
 def build_menu_lp(env: Environment) -> lpmod.ArrayLP:
     """The full menu-design LP for an explicit environment.
 
@@ -58,7 +47,7 @@ def build_menu_lp(env: Environment) -> lpmod.ArrayLP:
     off_diagonal = ~np.eye(k, dtype=bool)
     own_dev = own.transpose(0, 2, 1)[:, None, None]     # [t, ., ., j, w]: theta_t[w] u_t[w, a_j]
 
-    A_ub = _csr(
+    A_ub = lpmod.block_csr(
         [
             # IC(t, t2): sum_i z[i, t, t2] + price[t] - price[t2] - own value of t <= 0;
             # the two price terms of IC(t, t) cancel, so that row has none.
@@ -75,7 +64,7 @@ def build_menu_lp(env: Environment) -> lpmod.ArrayLP:
         ],
         (k * k * (1 + m * m) + k, n_cols),
     )
-    A_eq = _csr([(np.arange(k * n).reshape(k, n, 1), pi, 1.0, True)], (k * n, n_cols))
+    A_eq = lpmod.block_csr([(np.arange(k * n).reshape(k, n, 1), pi, 1.0, True)], (k * n, n_cols))
     base = np.array([base_utility(env, bt.id) for bt in env.types])
     b_ub = -np.concatenate([np.zeros(k * k * (1 + m * m)), base])
 
@@ -117,7 +106,9 @@ def optimal_prices(values: np.ndarray, base: np.ndarray, probs: np.ndarray) -> n
     i, j = np.nonzero(~np.eye(k, dtype=bool))
     ic = i * k + j - (j > i)
     ir = np.arange(k) * k + k - 1
-    A_ub = _csr([(ic, i, 1.0, True), (ic, j, -1.0, True), (ir, np.arange(k), 1.0, True)], (k * k, k))
+    A_ub = lpmod.block_csr(
+        [(ic, i, 1.0, True), (ic, j, -1.0, True), (ir, np.arange(k), 1.0, True)], (k * k, k)
+    )
     b_ub = np.empty(k * k)
     b_ub[ic] = -(values[i, j] - own[i])
     b_ub[ir] = -(base - own)

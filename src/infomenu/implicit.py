@@ -434,7 +434,7 @@ def solve_implicit(
         rounds += 1
         if rounds > max_rounds:
             raise NonConvergence(f"separation did not settle in {max_rounds} rounds")
-        sol = lpmod.solve(prog, want_duals=False)
+        sol = lpmod.solve(prog)
         if sol.status != "Optimal":
             raise NumericalFailure(f"restricted menu LP is {sol.status}")
 

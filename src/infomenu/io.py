@@ -132,25 +132,6 @@ def audit_report_to_json(report: AuditReport) -> dict:
     }
 
 
-def multi_environment_to_json(env: MultiEnvironment) -> dict:
-    return {
-        "v": SCHEMA_VERSION,
-        "states": list(env.states),
-        "actions": list(env.actions),
-        "buyers": [
-            {
-                "id": b.id,
-                "utility": b.utility.tolist(),
-                "types": [
-                    {"id": t.id, "prior": t.prior.tolist(), "prob": b.type_probs[t.id]}
-                    for t in b.types
-                ],
-            }
-            for b in env.buyers
-        ],
-    }
-
-
 def multi_environment_from_json(doc: dict) -> MultiEnvironment:
     _expect_version(doc)
     try:

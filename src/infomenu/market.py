@@ -351,9 +351,3 @@ def audit_menu(view, menu: Menu) -> AuditReport:
         revenue += view.prob(tid) * (prices[entry] if entry is not None else 0.0)
         choices[tid] = (entry, own[i])
     return AuditReport(max_ic, max_ir, revenue, choices)
-
-
-def rechoose_assignment(view, menu: Menu) -> Menu:
-    """Return the menu with every type assigned its own optimal choice."""
-    assignment = {tid: choose_from_menu(view, tid, menu)[0] for tid in view.type_ids()}
-    return Menu(entries=list(menu.entries), assignment=assignment)

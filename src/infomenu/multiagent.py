@@ -17,9 +17,11 @@ own reported type.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import lp as lpmod
 from .errors import InvalidInstance, NonConvergence, NumericalFailure, TooLarge
@@ -62,6 +64,8 @@ class MultiEnvironment:
     def __post_init__(self):
         n, m = len(self.states), len(self.actions)
         ids = [b.id for b in self.buyers]
+        if not ids:
+            raise InvalidInstance("need at least one buyer")
         if len(set(ids)) != len(ids):
             raise InvalidInstance("duplicate buyer ids")
         for b in self.buyers:
@@ -226,32 +230,17 @@ class _Coords:
     """Flat indexing of reduced-form signal coordinates (slot, state, signal)."""
 
     def __init__(self, env: MultiEnvironment):
-        self.env = env
         self.slots = env.slots()
-        self.n = env.n_states
-        self.m = env.n_actions
-        self.dim = len(self.slots) * self.n * self.m
-
-    def flat(self, slot: int, w: int, j: int) -> int:
-        return (slot * self.n + w) * self.m + j
+        self.keys = [(env.buyers[i].id, env.buyers[i].types[s].id) for i, s in self.slots]
+        self.shape = (env.n_states, env.n_actions)
+        self.dim = len(self.slots) * env.n_states * env.n_actions
 
     def vector(self, rf: ReducedForm) -> np.ndarray:
-        out = np.empty(self.dim)
-        for slot, (i, s) in enumerate(self.slots):
-            b = self.env.buyers[i]
-            key = (b.id, b.types[s].id)
-            out[slot * self.n * self.m : (slot + 1) * self.n * self.m] = rf.pi_hat[
-                key
-            ].ravel()
-        return out
+        return np.concatenate([rf.pi_hat[key].ravel() for key in self.keys])
 
     def weights(self, flat: np.ndarray) -> VPMWeights:
-        x = {}
-        for slot, (i, s) in enumerate(self.slots):
-            b = self.env.buyers[i]
-            block = flat[slot * self.n * self.m : (slot + 1) * self.n * self.m]
-            x[(b.id, b.types[s].id)] = block.reshape(self.n, self.m).copy()
-        return VPMWeights(x)
+        blocks = flat.reshape(len(self.keys), *self.shape)
+        return VPMWeights({key: block.copy() for key, block in zip(self.keys, blocks)})
 
 
 def mix_reduced_forms(
@@ -305,6 +294,7 @@ class MultiResult:
     revenue: float
     vertices: list[np.ndarray]
     pricing_rounds: int
+    master_iterations: int               # HiGHS simplex iterations over all master solves
 
 
 def _initial_weight_sets(env: MultiEnvironment, coords: _Coords) -> list[VPMWeights]:
@@ -328,6 +318,102 @@ def _initial_weight_sets(env: MultiEnvironment, coords: _Coords) -> list[VPMWeig
     return out
 
 
+def _slot_columns(n_slots: int, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns of per-slot blocks of width n*m + 2: the signaling
+    probabilities pi[slot, w, j], then the win probability p[slot] and the
+    price t[slot]."""
+    p = np.arange(n_slots) * (n * m + 2) + n * m
+    return p[:, None, None] - n * m + np.arange(n * m).reshape(n, m), p, p + 1
+
+
+def _slot_bounds(t: np.ndarray, n_slot_cols: int, n_cols: int) -> np.ndarray:
+    """pi and p in [0, 1], t free, and every column past the slots >= 0."""
+    bounds = np.zeros((n_cols, 2))
+    bounds[:n_slot_cols, 1] = 1.0
+    bounds[t] = (-np.inf, np.inf)
+    bounds[n_slot_cols:, 1] = np.inf
+    return bounds
+
+
+def _incentive_blocks(b: MultiBuyer, base: np.ndarray, slots: np.ndarray, fo: np.ndarray,
+                      cols: tuple, z: np.ndarray, rows: tuple) -> list:
+    """COO blocks of buyer ``b``'s IIR, BIC and deviation-bound rows, each a
+    ">=" row negated into "<=".  Type s's interim terms sum, with weight
+    fo[rest], over its slots slots[s, rest]: one per profile of the other
+    buyers in the ex-post LP, a single one of weight 1 in the reduced form.
+    ``cols`` holds the (pi, p, t) columns of every slot, ``z`` the bound
+    columns [s, s2, rest, j], and ``rows`` the row indices (iir[s],
+    bic[s, s2], zlb[s, s2, j, a]).
+    """
+    pi, p, t = (c[slots] for c in cols)
+    iir, bic, zlb = rows
+    theta = np.array([bt.prior for bt in b.types])
+    coef = (fo[None, :, None] * theta[:, None, :])[..., None] * b.utility   # [s, rest, w, a]
+    dev = coef.transpose(0, 1, 3, 2)[:, None, :, None]                     # [s, ., rest, ., a, w]
+    fo_base = fo[None, :] * base[:, None]                                  # [s, rest]
+    off = ~np.eye(len(b.types), dtype=bool)[:, :, None]
+    return [
+        # IIR(s): sum over rest of fo (base_s p + t - own value) <= 0
+        (iir[:, None, None, None], pi, -coef, coef != 0.0),
+        (iir[:, None], p, fo_base, True),
+        (iir[:, None], t, fo[None, :], True),
+        # BIC(s, s2): IIR(s)'s terms plus, over rest, fo (sum_j z[s, s2, rest, j]
+        # - base_s p[s2] - t[s2]); the p, t terms of BIC(s, s) cancel.
+        (bic[:, :, None, None, None], pi[:, None], -coef[:, None], coef[:, None] != 0.0),
+        (bic[:, :, None, None], z, fo[:, None], True),
+        (bic[:, :, None], p[:, None], fo_base[:, None], off),
+        (bic[:, :, None], t[:, None], fo[None, None, :], off),
+        (bic[:, :, None], p[None, :], -fo_base[:, None], off),
+        (bic[:, :, None], t[None, :], -fo[None, None, :], off),
+        # zlb(s, s2, j, a): over rest, fo (sum_w theta_s[w] u[w, a] pi[s2, w, j]
+        # - z[s, s2, rest, j]) <= 0
+        (zlb[:, :, None], z[..., None], -fo[:, None, None], True),
+        (zlb[:, :, None, :, :, None], pi.transpose(0, 1, 3, 2)[None, :, :, :, None],
+         dev, dev != 0.0),
+    ]
+
+
+def _master_lp(env: MultiEnvironment) -> lpmod.ArrayLP:
+    """The column-generation master before any vertex column.
+
+    Columns: the pi, p, t of every slot (a buyer-major (buyer, type) pair),
+    then per buyer i the deviation bounds z[i, s, s2, j]; the vertex weights
+    lam[k] follow.  Inequality rows: per buyer and type s in slot order, the
+    BIC row of each report s2, the IIR row, then zlb[s, s2, j, a] in
+    (s2, j, a) order.  Equality rows: alloc per (slot, state), couple per
+    coordinate (slot, w, j), then convex.
+    """
+    n, m = env.n_states, env.n_actions
+    n_slots = len(env.slots())
+    cols = pi, p, t = _slot_columns(n_slots, n, m)
+    base = env.base_utilities()
+    blocks, slot0, col0, row0 = [], 0, n_slots * (n * m + 2), 0
+    for i, b in enumerate(env.buyers):
+        k = len(b.types)
+        start = row0 + np.arange(k) * (k + 1 + k * m * m)
+        zlb = (start + k + 1)[:, None, None, None] + np.arange(k * m * m).reshape(k, m, m)
+        z = col0 + np.arange(k * k * m).reshape(k, k, 1, m)
+        slots = slot0 + np.arange(k)[:, None]
+        rows = (start + k, start[:, None] + np.arange(k), zlb)
+        blocks += _incentive_blocks(b, base[i], slots, np.ones(1), cols, z, rows)
+        slot0, col0, row0 = slot0 + k, col0 + k * k * m, row0 + k * (k + 1 + k * m * m)
+
+    dim = n_slots * n * m
+    alloc = np.arange(n_slots * n).reshape(n_slots, n)
+    couple = n_slots * n + np.arange(dim).reshape(n_slots, n, m)
+    A_eq = lpmod.block_csr(
+        [(alloc[:, :, None], pi, 1.0, True), (alloc, p[:, None], -1.0, True),
+         (couple, pi, 1.0, True)],
+        (n_slots * n + dim + 1, col0),
+    )
+    b_eq = np.append(np.zeros(n_slots * n + dim), 1.0)
+    c = np.zeros(col0)
+    c[t] = [env.prob(i, s) for i, s in env.slots()]
+    A_ub = lpmod.block_csr(blocks, (row0, col0))
+    bounds = _slot_bounds(t, n_slots * (n * m + 2), col0)
+    return lpmod.ArrayLP(c, A_ub, -np.zeros(row0), A_eq, b_eq, bounds, "max")
+
+
 def solve_reduced_lp(
     env: MultiEnvironment,
     *,
@@ -344,80 +430,11 @@ def solve_reduced_lp(
     """
     coords = _Coords(env)
     n, m = env.n_states, env.n_actions
-    base = env.base_utilities()
-
-    prog = lpmod.LinearProgram(sense="max")
-    for slot, (i, s) in enumerate(coords.slots):
-        for w in range(n):
-            for j in range(m):
-                prog.add_variable(f"pi[{slot},{w},{j}]", 0.0, 1.0)
-        prog.add_variable(f"p[{slot}]", 0.0, 1.0)
-        prog.add_variable(f"t[{slot}]", None, None)
-        prog.set_objective(f"t[{slot}]", env.prob(i, s))
-    slot_of = {pair: idx for idx, pair in enumerate(coords.slots)}
-    for i, b in enumerate(env.buyers):
-        for s in range(len(b.types)):
-            for s2 in range(len(b.types)):
-                for j in range(m):
-                    prog.add_variable(f"z[{i},{s},{s2},{j}]", 0.0, None)
-
-    def truthful_coeffs(i: int, s: int) -> dict[str, float]:
-        slot = slot_of[(i, s)]
-        b = env.buyers[i]
-        theta = b.types[s].prior
-        coeffs = {
-            f"pi[{slot},{w},{j}]": theta[w] * b.utility[w, j]
-            for w in range(n)
-            for j in range(m)
-            if theta[w] * b.utility[w, j] != 0.0
-        }
-        coeffs[f"p[{slot}]"] = -base[i][s]
-        coeffs[f"t[{slot}]"] = -1.0
-        return coeffs
-
-    for i, b in enumerate(env.buyers):
-        for s in range(len(b.types)):
-            own = truthful_coeffs(i, s)
-            for s2 in range(len(b.types)):
-                slot2 = slot_of[(i, s2)]
-                coeffs = dict(own)
-                for j in range(m):
-                    coeffs[f"z[{i},{s},{s2},{j}]"] = (
-                        coeffs.get(f"z[{i},{s},{s2},{j}]", 0.0) - 1.0
-                    )
-                coeffs[f"p[{slot2}]"] = coeffs.get(f"p[{slot2}]", 0.0) + base[i][s]
-                coeffs[f"t[{slot2}]"] = coeffs.get(f"t[{slot2}]", 0.0) + 1.0
-                prog.add_constraint(f"bic[{i},{s},{s2}]", coeffs, lpmod.GE, 0.0)
-            prog.add_constraint(f"iir[{i},{s}]", truthful_coeffs(i, s), lpmod.GE, 0.0)
-            theta = b.types[s].prior
-            slot = slot_of[(i, s)]
-            for s2 in range(len(b.types)):
-                slot2 = slot_of[(i, s2)]
-                for j in range(m):
-                    for a in range(m):
-                        coeffs = {f"z[{i},{s},{s2},{j}]": 1.0}
-                        for w in range(n):
-                            c = theta[w] * b.utility[w, a]
-                            if c != 0.0:
-                                coeffs[f"pi[{slot2},{w},{j}]"] = (
-                                    coeffs.get(f"pi[{slot2},{w},{j}]", 0.0) - c
-                                )
-                        prog.add_constraint(
-                            f"zlb[{i},{s},{s2},{j},{a}]", coeffs, lpmod.GE, 0.0
-                        )
-            for w in range(n):
-                coeffs = {f"pi[{slot},{w},{j}]": 1.0 for j in range(m)}
-                coeffs[f"p[{slot}]"] = -1.0
-                prog.add_constraint(f"alloc[{slot},{w}]", coeffs, lpmod.EQ, 0.0)
-
-    couple_names = []
-    for slot in range(len(coords.slots)):
-        for w in range(n):
-            for j in range(m):
-                name = f"couple[{slot},{w},{j}]"
-                couple_names.append(name)
-                prog.add_constraint(name, {f"pi[{slot},{w},{j}]": 1.0}, lpmod.EQ, 0.0)
-    prog.add_constraint("convex", {}, lpmod.EQ, 1.0)
+    n_slots = len(coords.slots)
+    fixed = _master_lp(env)
+    master = lpmod.ColumnLP(fixed)
+    couple = fixed.A_ub.shape[0] + n_slots * n         # first couple row
+    convex = couple + coords.dim
 
     vertices: list[np.ndarray] = []
     vertex_weights: list[VPMWeights] = []
@@ -431,29 +448,25 @@ def solve_reduced_lp(
         seen.add(key)
         vertices.append(vec)
         vertex_weights.append(wts)
-        kidx = len(vertices) - 1
-        entries = {"convex": 1.0}
-        for c in range(coords.dim):
-            if vec[c] != 0.0:
-                entries[couple_names[c]] = -vec[c]
-        prog.add_column(f"lam[{kidx}]", 0.0, None, 0.0, entries)
+        nz = np.flatnonzero(vec)
+        master.add_column(0.0, 0.0, np.inf, (couple + nz).tolist() + [convex],
+                          (-vec[nz]).tolist() + [1.0])
         return True
 
     for wts in _initial_weight_sets(env, coords):
         add_vertex(wts)
 
-    sol = None
-    rounds = 0
+    rounds = iterations = 0
     while True:
         rounds += 1
         if rounds > max_rounds:
             raise NonConvergence(f"pricing did not settle in {max_rounds} rounds")
-        sol = lpmod.solve(prog)
+        sol = lpmod.solve(master)
+        iterations += sol.iterations
         if sol.status != "Optimal":
             raise NumericalFailure(f"reduced-form master LP is {sol.status}")
-        duals = sol.duals
-        y = np.array([duals.get(name, 0.0) for name in couple_names])
-        sigma = duals.get("convex", 0.0)
+        y = sol.row_duals[couple:convex]
+        sigma = float(sol.row_duals[convex])
         candidate = coords.weights(y)
         vec = coords.vector(rvpm(env, candidate))
         score = float(y @ vec)
@@ -464,22 +477,15 @@ def solve_reduced_lp(
             # be nonpositive, so the duals are inconsistent.
             raise NumericalFailure("pricing returned an existing vertex as improving")
 
-    pi_star = np.array(
-        [
-            sol.values[f"pi[{slot},{w},{j}]"]
-            for slot in range(len(coords.slots))
-            for w in range(n)
-            for j in range(m)
-        ]
-    )
+    slot_x = sol.x[: n_slots * (n * m + 2)].reshape(n_slots, n * m + 2)   # [slot, (pi, p, t)]
+    pi_star = slot_x[:, : n * m].ravel()
     rf = ReducedForm({}, {}, {})
-    for slot, (i, s) in enumerate(coords.slots):
-        b = env.buyers[i]
-        key = (b.id, b.types[s].id)
-        block = pi_star[slot * n * m : (slot + 1) * n * m].reshape(n, m)
-        rf.pi_hat[key] = np.clip(block, 0.0, None)
-        rf.p_hat[key] = float(np.clip(sol.values[f"p[{slot}]"], 0.0, 1.0))
-        rf.t_hat[key] = float(sol.values[f"t[{slot}]"])
+    for key, (*pi, p, t) in zip(coords.keys, slot_x.tolist()):
+        rf.pi_hat[key] = np.clip(np.reshape(pi, (n, m)), 0.0, None)
+        rf.p_hat[key] = float(np.clip(p, 0.0, 1.0))
+        rf.t_hat[key] = t
+    # The objective as a left-to-right sum in slot order, not a dot product.
+    revenue = float(sum(env.prob(*slot) * t for slot, t in zip(coords.slots, rf.t_hat.values())))
 
     max_bic, max_iir = audit_reduced_form(env, rf)
     if max_bic > 1e-6 or max_iir > 1e-6:
@@ -488,9 +494,7 @@ def solve_reduced_lp(
     lam, kept = _caratheodory(vertices, pi_star)
     mixture = [(float(lam[idx]), vertex_weights[kept[idx]]) for idx in range(len(kept))]
     blueprint = MechanismBlueprint(mixture=mixture, t_hat=dict(rf.t_hat))
-    mixed = sum(
-        w * vertices[kept[idx]] for idx, (w, _) in enumerate(mixture)
-    )
+    mixed = sum(w * vertices[kept[idx]] for idx, (w, _) in enumerate(mixture))
     gap = float(np.max(np.abs(mixed - pi_star)))
     if gap > DECOMP_TOL:
         raise NumericalFailure(f"mixture misses the reduced form by {gap}")
@@ -499,9 +503,10 @@ def solve_reduced_lp(
     return MultiResult(
         reduced_form=rf,
         blueprint=blueprint,
-        revenue=sol.objective_value,
+        revenue=revenue,
         vertices=[vertices[i] for i in kept],
         pricing_rounds=rounds,
+        master_iterations=iterations,
     )
 
 
@@ -511,25 +516,16 @@ def _caratheodory(vertices: list[np.ndarray], target: np.ndarray) -> tuple[np.nd
     A basic solution of the feasibility LP {V lam = target, sum lam = 1,
     lam >= 0} has at most (#rows) positive entries, which is the bound.
     """
-    prog = lpmod.LinearProgram(sense="max")
-    for kidx in range(len(vertices)):
-        prog.add_variable(f"lam[{kidx}]", 0.0, None)
-    dim = len(target)
-    for c in range(dim):
-        coeffs = {
-            f"lam[{kidx}]": float(vertices[kidx][c])
-            for kidx in range(len(vertices))
-            if vertices[kidx][c] != 0.0
-        }
-        prog.add_constraint(f"coord[{c}]", coeffs, lpmod.EQ, float(target[c]))
-    prog.add_constraint(
-        "convex", {f"lam[{kidx}]": 1.0 for kidx in range(len(vertices))}, lpmod.EQ, 1.0
-    )
-    sol = lpmod.solve(prog, want_duals=False)
+    k = len(vertices)
+    A_eq = sp.csr_matrix(np.vstack((np.array(vertices).T, np.ones(k))))
+    bounds = np.tile([0.0, np.inf], (k, 1))
+    prog = lpmod.ArrayLP(np.zeros(k), sp.csr_matrix((0, k)), np.zeros(0), A_eq,
+                         np.append(target, 1.0), bounds, "max")
+    sol = lpmod.solve(prog)
     if sol.status != "Optimal":
         raise NumericalFailure(f"decomposition LP is {sol.status}")
-    lam = np.array([sol.values[f"lam[{k}]"] for k in range(len(vertices))])
-    kept = [k for k in range(len(vertices)) if lam[k] > 1e-12]
+    lam = sol.x
+    kept = [idx for idx in range(k) if lam[idx] > 1e-12]
     out = lam[kept]
     return out / out.sum(), kept
 
@@ -540,130 +536,60 @@ def brute_force_multi(env: MultiEnvironment, profile_cap: int = 256) -> float:
     Exponential in the buyer count; refuses above ``profile_cap`` profiles.
     Deviation bounds are interim-aggregated (the deviator maps a signal to
     one action without seeing the others' types), matching the reduced form.
-    """
-    import itertools
 
+    Profiles r are in itertools.product order of the buyers' type indices;
+    slot i*R + r is buyer i at profile r.  Columns: the pi, p, t of every
+    slot, then per buyer i the deviation bounds z[i, s, s2, rest, j], where
+    rest indexes the other buyers' profiles.  Inequality rows: per buyer and
+    type s, the IIR row, then per report s2 its BIC row and its
+    zlb[s, s2, j, a] rows; then one capacity row per profile.  Equality
+    rows: alloc per (slot, state).
+    """
     counts = [len(b.types) for b in env.buyers]
     n_prof = int(np.prod(counts))
     if n_prof > profile_cap:
         raise TooLarge(f"{n_prof} profiles exceed cap {profile_cap}")
-    n, m = env.n_states, env.n_actions
-    nb = len(env.buyers)
+    n, m, nb = env.n_states, env.n_actions, len(env.buyers)
+    n_slots = nb * n_prof
+    cols = pi, p, t = _slot_columns(n_slots, n, m)
+    profiles = np.array(list(itertools.product(*[range(c) for c in counts])))
+    probs = [np.array([env.prob(i, s) for s in range(c)]) for i, c in enumerate(counts)]
     base = env.base_utilities()
-    profiles = list(itertools.product(*[range(c) for c in counts]))
-    prof_index = {p: r for r, p in enumerate(profiles)}
-
-    def fprob(prof: tuple[int, ...]) -> float:
-        out = 1.0
-        for i, s in enumerate(prof):
-            out *= env.prob(i, s)
-        return out
-
-    def others(i: int) -> list[tuple[int, ...]]:
-        ranges = [range(c) for l, c in enumerate(counts) if l != i]
-        return list(itertools.product(*ranges))
-
-    def fprob_others(i: int, rest: tuple[int, ...]) -> float:
-        out = 1.0
-        pos = 0
-        for l in range(nb):
-            if l == i:
-                continue
-            out *= env.prob(l, rest[pos])
-            pos += 1
-        return out
-
-    def merge(i: int, s: int, rest: tuple[int, ...]) -> tuple[int, ...]:
-        lst = list(rest)
-        lst.insert(i, s)
-        return tuple(lst)
-
-    prog = lpmod.LinearProgram(sense="max")
-    for i in range(nb):
-        for r in range(n_prof):
-            for w in range(n):
-                for j in range(m):
-                    prog.add_variable(f"pi[{i},{r},{w},{j}]", 0.0, 1.0)
-            prog.add_variable(f"p[{i},{r}]", 0.0, 1.0)
-            prog.add_variable(f"t[{i},{r}]", None, None)
-            prog.set_objective(f"t[{i},{r}]", fprob(profiles[r]))
-    for i in range(nb):
-        for s in range(counts[i]):
-            for s2 in range(counts[i]):
-                for rest_idx in range(len(others(i))):
-                    for j in range(m):
-                        prog.add_variable(f"z[{i},{s},{s2},{rest_idx},{j}]", 0.0, None)
-
+    blocks, col0, row0 = [], n_slots * (n * m + 2), 0
     for i, b in enumerate(env.buyers):
-        rest_list = others(i)
-        for s in range(counts[i]):
-            theta = b.types[s].prior
+        k, rest = counts[i], n_prof // counts[i]
+        others = [l for l in range(nb) if l != i]
+        rest_of = np.ravel_multi_index(tuple(profiles[:, others].T), [counts[l] for l in others])
+        prof = np.empty((k, rest), dtype=int)                  # [s, rest] -> profile
+        prof[profiles[:, i], rest_of] = np.arange(n_prof)
+        fo = np.ones(rest)                    # the others' probability, in buyer order
+        for l in others:
+            fo = fo * probs[l][profiles[prof[0], l]]
+        start = row0 + np.arange(k) * (1 + k * (1 + m * m))
+        bic = start[:, None] + 1 + np.arange(k) * (1 + m * m)
+        rows = (start, bic, (bic + 1)[:, :, None, None] + np.arange(m * m).reshape(m, m))
+        z = col0 + np.arange(k * k * rest * m).reshape(k, k, rest, m)
+        blocks += _incentive_blocks(b, base[i], i * n_prof + prof, fo, cols, z, rows)
+        col0, row0 = col0 + k * k * rest * m, row0 + k * (1 + k * (1 + m * m))
+    blocks.append((row0 + np.arange(n_prof), p.reshape(nb, n_prof), 1.0, True))   # capacity
 
-            def truthful(s_report: int, sign: float, coeffs: dict[str, float]):
-                for rest in rest_list:
-                    fo = fprob_others(i, rest)
-                    r = prof_index[merge(i, s_report, rest)]
-                    for w in range(n):
-                        for j in range(m):
-                            c = sign * fo * theta[w] * b.utility[w, j]
-                            if c != 0.0:
-                                key = f"pi[{i},{r},{w},{j}]"
-                                coeffs[key] = coeffs.get(key, 0.0) + c
-                    coeffs[f"p[{i},{r}]"] = (
-                        coeffs.get(f"p[{i},{r}]", 0.0) - sign * fo * base[i][s]
-                    )
-                    coeffs[f"t[{i},{r}]"] = coeffs.get(f"t[{i},{r}]", 0.0) - sign * fo
-
-            # IIR: truthful interim utility >= base utility.
-            coeffs: dict[str, float] = {}
-            truthful(s, 1.0, coeffs)
-            prog.add_constraint(f"iir[{i},{s}]", coeffs, lpmod.GE, 0.0)
-
-            for s2 in range(counts[i]):
-                coeffs = {}
-                truthful(s, 1.0, coeffs)
-                # minus the deviation payoff of reporting s2
-                for rest_idx, rest in enumerate(rest_list):
-                    fo = fprob_others(i, rest)
-                    r2 = prof_index[merge(i, s2, rest)]
-                    for j in range(m):
-                        key = f"z[{i},{s},{s2},{rest_idx},{j}]"
-                        coeffs[key] = coeffs.get(key, 0.0) - fo
-                    coeffs[f"p[{i},{r2}]"] = coeffs.get(f"p[{i},{r2}]", 0.0) + fo * base[i][s]
-                    coeffs[f"t[{i},{r2}]"] = coeffs.get(f"t[{i},{r2}]", 0.0) + fo
-                prog.add_constraint(f"bic[{i},{s},{s2}]", coeffs, lpmod.GE, 0.0)
-
-                for j in range(m):
-                    for a in range(m):
-                        coeffs = {}
-                        for rest_idx, rest in enumerate(rest_list):
-                            fo = fprob_others(i, rest)
-                            r2 = prof_index[merge(i, s2, rest)]
-                            coeffs[f"z[{i},{s},{s2},{rest_idx},{j}]"] = fo
-                            for w in range(n):
-                                c = fo * theta[w] * b.utility[w, a]
-                                if c != 0.0:
-                                    key = f"pi[{i},{r2},{w},{j}]"
-                                    coeffs[key] = coeffs.get(key, 0.0) - c
-                        prog.add_constraint(
-                            f"zlb[{i},{s},{s2},{j},{a}]", coeffs, lpmod.GE, 0.0
-                        )
-
+    alloc = np.arange(n_slots * n).reshape(n_slots, n)
+    A_eq = lpmod.block_csr(
+        [(alloc[:, :, None], pi, 1.0, True), (alloc, p[:, None], -1.0, True)], (n_slots * n, col0)
+    )
+    fprob = np.ones(n_prof)
     for i in range(nb):
-        for r in range(n_prof):
-            for w in range(n):
-                coeffs = {f"pi[{i},{r},{w},{j}]": 1.0 for j in range(m)}
-                coeffs[f"p[{i},{r}]"] = -1.0
-                prog.add_constraint(f"alloc[{i},{r},{w}]", coeffs, lpmod.EQ, 0.0)
-    for r in range(n_prof):
-        prog.add_constraint(
-            f"cap[{r}]", {f"p[{i},{r}]": 1.0 for i in range(nb)}, lpmod.LE, 1.0
-        )
-
-    sol = lpmod.solve(prog, want_duals=False)
+        fprob = fprob * probs[i][profiles[:, i]]
+    c = np.zeros(col0)
+    c[t] = np.tile(fprob, nb)
+    A_ub = lpmod.block_csr(blocks, (row0 + n_prof, col0))
+    b_ub = np.concatenate((-np.zeros(row0), np.ones(n_prof)))
+    bounds = _slot_bounds(t, n_slots * (n * m + 2), col0)
+    sol = lpmod.solve(lpmod.ArrayLP(c, A_ub, b_ub, A_eq, np.zeros(n_slots * n), bounds, "max"))
     if sol.status != "Optimal":
         raise NumericalFailure(f"full ex-post LP is {sol.status}")
-    return sol.objective_value
+    # The objective as a left-to-right sum in (buyer, profile) order.
+    return float(sum(coeff * x for coeff, x in zip(c[t].tolist(), sol.x[t].tolist())))
 
 
 @dataclass

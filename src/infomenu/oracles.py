@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInstance, NoPath, TooLarge
-from .market import BuyerType, Environment
+from .market import BuyerType, Environment, _as_prob_vector
 
 SAT_BRUTE_FORCE_VARS = 24
 _STREAM_VARS = 20          # cache per-state utility vectors up to this many vars
@@ -86,10 +86,6 @@ class MatrixOracle(BROracle):
             raise InvalidInstance("utilities must lie in [0, 1]")
         self.utility = u
 
-    @classmethod
-    def for_type(cls, env: Environment, type_id: str) -> "MatrixOracle":
-        return cls(env.utility[type_id])
-
     def _respond(self, belief: np.ndarray) -> tuple[int, float]:
         scores = belief @ self.utility
         a = int(np.argmax(scores))
@@ -121,13 +117,13 @@ class TrafficInstance:
     horizon: float
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise InvalidInstance("horizon H must be positive")
+        if not (np.isfinite(self.horizon) and self.horizon > 0):
+            raise InvalidInstance("horizon H must be positive and finite")
         for u, v, t0, t1 in self.edges:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise InvalidInstance("edge endpoint out of range")
-            if t0 < 0 or t1 < 0:
-                raise InvalidInstance("travel times must be nonnegative")
+            if not (np.isfinite([t0, t1]).all() and t0 >= 0 and t1 >= 0):
+                raise InvalidInstance("travel times must be nonnegative and finite")
 
     @property
     def times(self) -> np.ndarray:
@@ -301,10 +297,6 @@ def satisfied_counts(cnf: CNF, assignment_ids: np.ndarray) -> np.ndarray:
     return counts
 
 
-def assignment_bits(cnf_vars: int, action_id: int) -> list[bool]:
-    return [bool((action_id >> (cnf_vars - j)) & 1) for j in range(1, cnf_vars + 1)]
-
-
 def max_satisfiable(cnf: CNF, cap: int = _STREAM_VARS) -> int:
     """max_a (#satisfied clauses) by exhaustive enumeration."""
     if cnf.num_vars > cap:
@@ -329,6 +321,9 @@ class IPSATInstance:
         self.num_vars = self.formulas[0].num_vars
         if self.type_prior is None:
             self.type_prior = np.full(len(self.formulas), 1.0 / len(self.formulas))
+        self.type_prior = _as_prob_vector(self.type_prior, "type prior")
+        if len(self.type_prior) != len(self.formulas):
+            raise InvalidInstance("type prior length does not match the state count")
 
     @property
     def n_states(self) -> int:

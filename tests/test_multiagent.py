@@ -4,7 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from infomenu import lp as lpmod
 from infomenu import (
     BuyerType,
     InvalidInstance,
@@ -23,6 +27,8 @@ from infomenu import (
     vpm_allocate,
 )
 from infomenu.audit import matching_environment
+from infomenu.io import blueprint_to_json
+from infomenu.multiagent import _Coords, _initial_weight_sets
 
 
 def one_buyer(types, probs=None) -> MultiEnvironment:
@@ -278,6 +284,11 @@ def test_blueprint_decomposition_and_size():
     assert max_bic <= 1e-6 and max_iir <= 1e-6
 
 
+def test_environment_needs_a_buyer():
+    with pytest.raises(InvalidInstance):
+        MultiEnvironment(states=["w0"], actions=["a0"], buyers=[])
+
+
 def test_multi_buyer_rejects_non_finite_inputs():
     tl = [BuyerType("t0", [0.5, 0.5]), BuyerType("t1", [0.2, 0.8])]
     with pytest.raises(InvalidInstance):
@@ -326,3 +337,359 @@ def test_monte_carlo_reproduces_interim_matrices():
         n = counts[key]
         sigma = np.sqrt(np.clip(expect * (1 - expect), 0.0, None) / max(n, 1))
         assert np.all(np.abs(emp[key] - expect) <= 3 * sigma + 1e-9)
+
+
+# --- the master LP against the name-keyed construction ---------------------------
+
+def named_master_lp(env: MultiEnvironment, vectors: list[np.ndarray]) -> lpmod.LinearProgram:
+    """The master as the name-keyed builder made it, with one lam column per
+    vertex vector: the test-only reference for the index arithmetic."""
+    coords = _Coords(env)
+    n, m = env.n_states, env.n_actions
+    base = env.base_utilities()
+    prog = lpmod.LinearProgram(sense="max")
+    for slot, (i, s) in enumerate(coords.slots):
+        for w in range(n):
+            for j in range(m):
+                prog.add_variable(f"pi[{slot},{w},{j}]", 0.0, 1.0)
+        prog.add_variable(f"p[{slot}]", 0.0, 1.0)
+        prog.add_variable(f"t[{slot}]", None, None)
+        prog.set_objective(f"t[{slot}]", env.prob(i, s))
+    slot_of = {pair: idx for idx, pair in enumerate(coords.slots)}
+    for i, b in enumerate(env.buyers):
+        for s in range(len(b.types)):
+            for s2 in range(len(b.types)):
+                for j in range(m):
+                    prog.add_variable(f"z[{i},{s},{s2},{j}]", 0.0, None)
+    for k in range(len(vectors)):
+        prog.add_variable(f"lam[{k}]", 0.0, None)
+
+    def truthful_coeffs(i: int, s: int) -> dict[str, float]:
+        slot = slot_of[(i, s)]
+        b = env.buyers[i]
+        theta = b.types[s].prior
+        coeffs = {
+            f"pi[{slot},{w},{j}]": theta[w] * b.utility[w, j]
+            for w in range(n)
+            for j in range(m)
+            if theta[w] * b.utility[w, j] != 0.0
+        }
+        coeffs[f"p[{slot}]"] = -base[i][s]
+        coeffs[f"t[{slot}]"] = -1.0
+        return coeffs
+
+    for i, b in enumerate(env.buyers):
+        for s in range(len(b.types)):
+            own = truthful_coeffs(i, s)
+            for s2 in range(len(b.types)):
+                slot2 = slot_of[(i, s2)]
+                coeffs = dict(own)
+                for j in range(m):
+                    coeffs[f"z[{i},{s},{s2},{j}]"] = coeffs.get(f"z[{i},{s},{s2},{j}]", 0.0) - 1.0
+                coeffs[f"p[{slot2}]"] = coeffs.get(f"p[{slot2}]", 0.0) + base[i][s]
+                coeffs[f"t[{slot2}]"] = coeffs.get(f"t[{slot2}]", 0.0) + 1.0
+                prog.add_constraint(f"bic[{i},{s},{s2}]", coeffs, lpmod.GE, 0.0)
+            prog.add_constraint(f"iir[{i},{s}]", truthful_coeffs(i, s), lpmod.GE, 0.0)
+            theta = b.types[s].prior
+            slot = slot_of[(i, s)]
+            for s2 in range(len(b.types)):
+                slot2 = slot_of[(i, s2)]
+                for j in range(m):
+                    for a in range(m):
+                        coeffs = {f"z[{i},{s},{s2},{j}]": 1.0}
+                        for w in range(n):
+                            c = theta[w] * b.utility[w, a]
+                            if c != 0.0:
+                                coeffs[f"pi[{slot2},{w},{j}]"] = (
+                                    coeffs.get(f"pi[{slot2},{w},{j}]", 0.0) - c
+                                )
+                        prog.add_constraint(f"zlb[{i},{s},{s2},{j},{a}]", coeffs, lpmod.GE, 0.0)
+            for w in range(n):
+                coeffs = {f"pi[{slot},{w},{j}]": 1.0 for j in range(m)}
+                coeffs[f"p[{slot}]"] = -1.0
+                prog.add_constraint(f"alloc[{slot},{w}]", coeffs, lpmod.EQ, 0.0)
+
+    for slot in range(len(coords.slots)):
+        for w in range(n):
+            for j in range(m):
+                c = (slot * n + w) * m + j
+                coeffs = {f"pi[{slot},{w},{j}]": 1.0}
+                for k, vec in enumerate(vectors):
+                    if vec[c] != 0.0:
+                        coeffs[f"lam[{k}]"] = float(-vec[c])
+                prog.add_constraint(f"couple[{slot},{w},{j}]", coeffs, lpmod.EQ, 0.0)
+    prog.add_constraint("convex", {f"lam[{k}]": 1.0 for k in range(len(vectors))}, lpmod.EQ, 1.0)
+    return prog
+
+
+def random_multi(rng, type_counts, n: int, m: int, zero_utility: bool) -> MultiEnvironment:
+    buyers = []
+    for i, k in enumerate(type_counts):
+        priors = rng.dirichlet(np.ones(n), size=k)
+        utility = rng.uniform(size=(n, m)).round(1)
+        if zero_utility and i == 0:
+            utility[:] = 0.0
+        types = [BuyerType(f"t{s}", priors[s]) for s in range(k)]
+        probs = rng.dirichlet(np.ones(k))
+        buyers.append(MultiBuyer(f"b{i}", utility, types,
+                                 {t.id: float(p) for t, p in zip(types, probs)}))
+    return MultiEnvironment([f"w{w}" for w in range(n)], [f"a{j}" for j in range(m)], buyers)
+
+
+MASTER_SHAPES = [
+    ((1,), 1, 1, False),
+    ((3,), 2, 2, True),
+    ((2, 1), 1, 3, False),
+    ((1, 3), 3, 1, True),
+    ((2, 2), 3, 2, False),
+    ((2, 3, 1), 2, 2, False),
+    ((3, 2, 2), 2, 3, True),
+]
+
+
+class _FirstSolve(Exception):
+    pass
+
+
+def canonical(A) -> sp.csr_matrix:
+    A = sp.csr_matrix(A, copy=True)
+    A.eliminate_zeros()
+    A.sort_indices()
+    return A
+
+
+def assert_same_arrays(arrays: lpmod.ArrayLP, ref: lpmod.ArrayLP):
+    """Equal LPs, explicit zeros and entry order within a row aside."""
+    assert arrays.sense == ref.sense
+    for field in ("c", "b_ub", "b_eq", "bounds"):
+        np.testing.assert_array_equal(getattr(arrays, field), getattr(ref, field))
+    for A, B in ((arrays.A_ub, ref.A_ub), (arrays.A_eq, ref.A_eq)):
+        A, B = canonical(A), canonical(B)
+        assert A.shape == B.shape
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(A, attr), getattr(B, attr))
+
+
+@pytest.mark.parametrize("shape", MASTER_SHAPES)
+def test_master_arrays_match_named_reference(shape, monkeypatch):
+    type_counts, n, m, zero_utility = shape
+    rng = np.random.default_rng([len(type_counts), *type_counts, n, m])
+    env = random_multi(rng, type_counts, n, m, zero_utility)
+    seen = []
+
+    def first_solve(master):
+        seen.append(master.arrays())
+        raise _FirstSolve
+
+    monkeypatch.setattr(lpmod, "solve", first_solve)
+    with pytest.raises(_FirstSolve):
+        solve_reduced_lp(env)
+    coords = _Coords(env)
+    vectors, keys = [], set()
+    for wts in _initial_weight_sets(env, coords):
+        vec = coords.vector(rvpm(env, wts))
+        if np.round(vec, 12).tobytes() not in keys:
+            keys.add(np.round(vec, 12).tobytes())
+            vectors.append(vec)
+    assert_same_arrays(seen[0], named_master_lp(env, vectors).compile()[0])
+
+
+def test_fallback_without_the_binding_gives_the_same_mechanism(monkeypatch):
+    env = random_multi(np.random.default_rng(83), (2, 2), 2, 2, False)
+    direct = solve_reduced_lp(env)
+    calls = []
+    real_linprog = lpmod.linprog
+    monkeypatch.setattr(lpmod, "_highs", None)
+    monkeypatch.setattr(lpmod, "linprog", lambda *a, **k: calls.append(1) or real_linprog(*a, **k))
+    fallback = solve_reduced_lp(env)
+    # Every master round and the decomposition LP went through linprog.
+    assert len(calls) == fallback.pricing_rounds + 1
+    assert repr(fallback.revenue) == repr(direct.revenue)
+    assert fallback.pricing_rounds == direct.pricing_rounds
+    assert blueprint_to_json(env, fallback.blueprint, fallback.reduced_form) == blueprint_to_json(
+        env, direct.blueprint, direct.reduced_form
+    )
+    assert fallback.master_iterations == direct.master_iterations
+
+
+def test_master_iterations_are_deterministic():
+    env = random_multi(np.random.default_rng(89), (2, 3), 2, 2, False)
+    first, again = solve_reduced_lp(env), solve_reduced_lp(env)
+    assert first.master_iterations > 0
+    assert again.master_iterations == first.master_iterations
+    assert again.pricing_rounds == first.pricing_rounds
+
+
+def named_ex_post_lp(env: MultiEnvironment) -> lpmod.LinearProgram:
+    """The full ex-post LP as the name-keyed builder made it: the test-only
+    reference for brute_force_multi's index arithmetic."""
+    counts = [len(b.types) for b in env.buyers]
+    n_prof = int(np.prod(counts))
+    n, m = env.n_states, env.n_actions
+    nb = len(env.buyers)
+    base = env.base_utilities()
+    profiles = list(itertools.product(*[range(c) for c in counts]))
+    prof_index = {p: r for r, p in enumerate(profiles)}
+
+    def fprob(prof: tuple[int, ...]) -> float:
+        out = 1.0
+        for i, s in enumerate(prof):
+            out *= env.prob(i, s)
+        return out
+
+    def others(i: int) -> list[tuple[int, ...]]:
+        ranges = [range(c) for l, c in enumerate(counts) if l != i]
+        return list(itertools.product(*ranges))
+
+    def fprob_others(i: int, rest: tuple[int, ...]) -> float:
+        out = 1.0
+        pos = 0
+        for l in range(nb):
+            if l == i:
+                continue
+            out *= env.prob(l, rest[pos])
+            pos += 1
+        return out
+
+    def merge(i: int, s: int, rest: tuple[int, ...]) -> tuple[int, ...]:
+        lst = list(rest)
+        lst.insert(i, s)
+        return tuple(lst)
+
+    prog = lpmod.LinearProgram(sense="max")
+    for i in range(nb):
+        for r in range(n_prof):
+            for w in range(n):
+                for j in range(m):
+                    prog.add_variable(f"pi[{i},{r},{w},{j}]", 0.0, 1.0)
+            prog.add_variable(f"p[{i},{r}]", 0.0, 1.0)
+            prog.add_variable(f"t[{i},{r}]", None, None)
+            prog.set_objective(f"t[{i},{r}]", fprob(profiles[r]))
+    for i in range(nb):
+        for s in range(counts[i]):
+            for s2 in range(counts[i]):
+                for rest_idx in range(len(others(i))):
+                    for j in range(m):
+                        prog.add_variable(f"z[{i},{s},{s2},{rest_idx},{j}]", 0.0, None)
+
+    for i, b in enumerate(env.buyers):
+        rest_list = others(i)
+        for s in range(counts[i]):
+            theta = b.types[s].prior
+
+            def truthful(s_report: int, sign: float, coeffs: dict[str, float]):
+                for rest in rest_list:
+                    fo = fprob_others(i, rest)
+                    r = prof_index[merge(i, s_report, rest)]
+                    for w in range(n):
+                        for j in range(m):
+                            c = sign * fo * theta[w] * b.utility[w, j]
+                            if c != 0.0:
+                                key = f"pi[{i},{r},{w},{j}]"
+                                coeffs[key] = coeffs.get(key, 0.0) + c
+                    coeffs[f"p[{i},{r}]"] = (
+                        coeffs.get(f"p[{i},{r}]", 0.0) - sign * fo * base[i][s]
+                    )
+                    coeffs[f"t[{i},{r}]"] = coeffs.get(f"t[{i},{r}]", 0.0) - sign * fo
+
+            # IIR: truthful interim utility >= base utility.
+            coeffs: dict[str, float] = {}
+            truthful(s, 1.0, coeffs)
+            prog.add_constraint(f"iir[{i},{s}]", coeffs, lpmod.GE, 0.0)
+
+            for s2 in range(counts[i]):
+                coeffs = {}
+                truthful(s, 1.0, coeffs)
+                # minus the deviation payoff of reporting s2
+                for rest_idx, rest in enumerate(rest_list):
+                    fo = fprob_others(i, rest)
+                    r2 = prof_index[merge(i, s2, rest)]
+                    for j in range(m):
+                        key = f"z[{i},{s},{s2},{rest_idx},{j}]"
+                        coeffs[key] = coeffs.get(key, 0.0) - fo
+                    coeffs[f"p[{i},{r2}]"] = coeffs.get(f"p[{i},{r2}]", 0.0) + fo * base[i][s]
+                    coeffs[f"t[{i},{r2}]"] = coeffs.get(f"t[{i},{r2}]", 0.0) + fo
+                prog.add_constraint(f"bic[{i},{s},{s2}]", coeffs, lpmod.GE, 0.0)
+
+                for j in range(m):
+                    for a in range(m):
+                        coeffs = {}
+                        for rest_idx, rest in enumerate(rest_list):
+                            fo = fprob_others(i, rest)
+                            r2 = prof_index[merge(i, s2, rest)]
+                            coeffs[f"z[{i},{s},{s2},{rest_idx},{j}]"] = fo
+                            for w in range(n):
+                                c = fo * theta[w] * b.utility[w, a]
+                                if c != 0.0:
+                                    key = f"pi[{i},{r2},{w},{j}]"
+                                    coeffs[key] = coeffs.get(key, 0.0) - c
+                        prog.add_constraint(
+                            f"zlb[{i},{s},{s2},{j},{a}]", coeffs, lpmod.GE, 0.0
+                        )
+
+    for i in range(nb):
+        for r in range(n_prof):
+            for w in range(n):
+                coeffs = {f"pi[{i},{r},{w},{j}]": 1.0 for j in range(m)}
+                coeffs[f"p[{i},{r}]"] = -1.0
+                prog.add_constraint(f"alloc[{i},{r},{w}]", coeffs, lpmod.EQ, 0.0)
+    for r in range(n_prof):
+        prog.add_constraint(
+            f"cap[{r}]", {f"p[{i},{r}]": 1.0 for i in range(nb)}, lpmod.LE, 1.0
+        )
+    return prog
+
+
+@pytest.mark.parametrize("shape", MASTER_SHAPES)
+def test_ex_post_arrays_match_named_reference(shape, monkeypatch):
+    type_counts, n, m, zero_utility = shape
+    rng = np.random.default_rng([7, len(type_counts), *type_counts, n, m])
+    env = random_multi(rng, type_counts, n, m, zero_utility)
+    seen = []
+
+    def first_solve(prog):
+        seen.append(prog)
+        raise _FirstSolve
+
+    monkeypatch.setattr(lpmod, "solve", first_solve)
+    with pytest.raises(_FirstSolve):
+        brute_force_multi(env)
+    assert_same_arrays(seen[0], named_ex_post_lp(env).compile()[0])
+
+
+# --- differential: column generation against the ex-post LP ------------------------
+
+HALVES = st.integers(0, 2).map(lambda i: i / 2)
+
+
+@st.composite
+def tiny_multi_markets(draw) -> MultiEnvironment:
+    """One to three buyers with one or two types each, one or two states and
+    actions, drawn to hit point-mass priors, duplicate types, tied or
+    constant utilities and a single action."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    buyers = []
+    for i in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            u = np.full((n, m), draw(HALVES))                  # constant utilities
+        else:
+            u = np.array(draw(st.lists(HALVES, min_size=n * m, max_size=n * m))).reshape(n, m)
+        priors = []
+        for s in range(draw(st.integers(1, 2))):
+            if priors and draw(st.booleans()):
+                priors.append(priors[-1])                       # duplicate type
+            else:
+                q = draw(st.integers(0, 4)) / 4 if n == 2 else 1.0   # 0 and 1: point masses
+                priors.append([q, 1.0 - q][:n])
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(priors), max_size=len(priors)))
+        types = [BuyerType(f"t{s}", p) for s, p in enumerate(priors)]
+        buyers.append(MultiBuyer(f"b{i}", u, types,
+                                 {t.id: w / sum(weights) for t, w in zip(types, weights)}))
+    return MultiEnvironment([f"w{w}" for w in range(n)], [f"a{j}" for j in range(m)], buyers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_multi_markets())
+def test_column_generation_matches_ex_post_lp(env):
+    result = solve_reduced_lp(env)
+    assert result.revenue == pytest.approx(brute_force_multi(env), abs=1e-9)

@@ -62,6 +62,16 @@ def test_traffic_no_path():
         TrafficOracle(inst).respond([0.5, 0.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_traffic_rejects_non_finite_times_and_horizon(bad):
+    with pytest.raises(InvalidInstance):
+        TrafficInstance(2, [(0, 1, bad, 1.0)], 0, 1, 10.0)
+    with pytest.raises(InvalidInstance):
+        TrafficInstance(2, [(0, 1, 1.0, bad)], 0, 1, 10.0)
+    with pytest.raises(InvalidInstance):
+        TrafficInstance(2, [(0, 1, 1.0, 1.0)], 0, 1, bad)
+
+
 def test_traffic_utility_of_matches_respond():
     oracle = two_edge_oracle()
     rng = np.random.default_rng(2)
@@ -212,6 +222,23 @@ def test_sat_single_clause_both_states():
     oracle = SATOracle(inst)
     a, u = oracle.respond([0.4, 0.6])
     assert a == 1 and u == pytest.approx(1.0)   # x1 = True satisfies everything
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [[np.nan, 0.5], [np.inf, 0.0], [1.5, -0.5], [0.5, 0.6], [0.5, 0.5 + 1e-6], [1.0],
+     [0.5, 0.25, 0.25]],
+)
+def test_sat_rejects_bad_type_prior(prior):
+    cnf = CNF(1, [[1]])
+    with pytest.raises(InvalidInstance):
+        IPSATInstance([cnf, cnf], np.array(prior))
+
+
+def test_sat_type_prior_within_tolerance_is_kept():
+    cnf = CNF(1, [[1]])
+    inst = IPSATInstance([cnf, cnf], [0.25, 0.75 + 1e-12])
+    np.testing.assert_array_equal(inst.type_prior, [0.25, 0.75 + 1e-12])
 
 
 def test_sat_cap_raises():
