@@ -10,7 +10,6 @@ force, statistical replay) ship alongside the solvers.
 """
 
 from .errors import (
-    DuplicateVariable,
     GridTooLarge,
     InfoMenuError,
     InvalidInstance,

@@ -17,10 +17,6 @@ class NumericalFailure(InfoMenuError):
     """An LP backend failed to converge or produced an unusable solution."""
 
 
-class DuplicateVariable(InfoMenuError):
-    """A variable name was declared twice in one linear program."""
-
-
 class NoPath(InfoMenuError):
     """The traffic network has no source-sink path."""
 

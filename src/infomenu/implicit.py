@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import lp as lpmod
 from .errors import (
@@ -354,6 +355,42 @@ class ImplicitResult:
     grid: SignalGrid
     lp_objective: float
     separation_rounds: int
+    lp_iterations: int                       # HiGHS simplex iterations over the rounds
+
+
+def _restricted_lp(sizes: list[int], utils: list[np.ndarray], priors: list[np.ndarray],
+                   base: np.ndarray, probs: list[float]) -> lpmod.ArrayLP:
+    """The restricted menu LP before any deviation bound (layout in README).
+
+    Columns: ``pi[t, w, i]`` at ``n*first[t] + w*|A_t| + i`` (``first`` the
+    prefix sums of the action-set sizes), the k prices, then ``z[i, t, t2]``
+    at ``n*S + k + t*S + first[t2] + i`` with ``S`` the total size.  Rows,
+    every ">=" row negated into "<=": per type t, ``ic[t, 0..k-1]`` then
+    ``ir[t]``; the separation rows go after these; equality rows
+    ``rowsum[t, w]`` at ``t*n + w``.
+    """
+    k, n, total = len(sizes), len(priors[0]), sum(sizes)
+    first = np.cumsum([0] + sizes[:-1])
+    price = n * total
+    n_cols = price + k + k * total
+    ub, eq = [], []
+    for t in range(k):
+        rows = t * (k + 1) + np.arange(k + 1)            # ic[t, 0..k-1], ir[t]
+        pi = n * first[t] + np.arange(n * sizes[t]).reshape(n, sizes[t])
+        own = priors[t][:, None] * utils[t].T           # (n, |A_t|)
+        ub.append((rows[:, None, None], pi, -own, own != 0.0))
+        ub.append((rows, price + t, 1.0, rows != rows[t]))       # ic[t, t] nets to 0
+        ub.append((rows[:k], price + np.arange(k), -1.0, np.arange(k) != t))
+        ub.append((np.repeat(rows[:k], sizes), price + k + t * total + np.arange(total), 1.0, True))
+        eq.append((t * n + np.arange(n)[:, None], pi, 1.0, True))
+    rhs = np.zeros((k, k + 1))
+    rhs[:, k] = base
+    c = np.zeros(n_cols)
+    c[price:price + k] = probs
+    bounds = np.repeat([(0.0, 1.0), (-np.inf, np.inf), (0.0, np.inf)],
+                       [price, k, k * total], axis=0)
+    return lpmod.ArrayLP(c, lpmod.block_csr(ub, (k * (k + 1), n_cols)), -rhs.ravel(),
+                         lpmod.block_csr(eq, (k * n, n_cols)), np.ones(k * n), bounds, "max")
 
 
 def solve_implicit(
@@ -386,64 +423,40 @@ def solve_implicit(
     utils = [action_sets.utilities[t.id] for t in types]     # (|A_t|, n_states)
     priors = [t.prior for t in types]
     base = np.array([market.base(t.id) for t in types])
+    probs = [float(type_probs[t.id]) for t in types]
 
-    prog = lpmod.LinearProgram(sense="max")
-    for t in range(k):
-        for w in range(n):
-            for i in range(sizes[t]):
-                prog.add_variable(f"pi[{t},{w},{i}]", 0.0, 1.0)
-    for t in range(k):
-        prog.add_variable(f"t[{t}]", None, None)
-        prog.set_objective(f"t[{t}]", type_probs[types[t].id])
-    for t in range(k):
-        for t2 in range(k):
-            for i in range(sizes[t2]):
-                prog.add_variable(f"z[{i},{t},{t2}]", 0.0, None)
+    fixed = _restricted_lp(sizes, utils, priors, base, probs)
+    total = sum(sizes)
+    first = np.cumsum([0] + sizes[:-1]).tolist()
+    price = n * total
+    fixed_rows = fixed.A_ub.shape[0]
+    # The inequality rows as CSR lists; separation appends the deviation bound
+    # z[i, t, t2] >= sum_w theta_t(w) u(w, a) pi[t2, w, i] of each new (t, t2,
+    # i, a), negated into "<=" like every ">=" row (its rhs is -0.0).
+    A = fixed.A_ub
+    indptr, indices, data = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
 
-    def own_coeffs(t: int) -> dict[str, float]:
-        return {
-            f"pi[{t},{w},{i}]": priors[t][w] * utils[t][i, w]
-            for w in range(n)
-            for i in range(sizes[t])
-            if priors[t][w] * utils[t][i, w] != 0.0
-        }
-
-    for t in range(k):
-        own = own_coeffs(t)
-        for t2 in range(k):
-            coeffs = dict(own)
-            coeffs[f"t[{t}]"] = coeffs.get(f"t[{t}]", 0.0) - 1.0
-            for i in range(sizes[t2]):
-                coeffs[f"z[{i},{t},{t2}]"] = -1.0
-            coeffs[f"t[{t2}]"] = coeffs.get(f"t[{t2}]", 0.0) + 1.0
-            prog.add_constraint(f"ic[{t},{t2}]", coeffs, lpmod.GE, 0.0)
-        coeffs = own_coeffs(t)
-        coeffs[f"t[{t}]"] = coeffs.get(f"t[{t}]", 0.0) - 1.0
-        prog.add_constraint(f"ir[{t}]", coeffs, lpmod.GE, float(base[t]))
-    for t in range(k):
-        for w in range(n):
-            prog.add_constraint(
-                f"rowsum[{t},{w}]", {f"pi[{t},{w},{i}]": 1.0 for i in range(sizes[t])},
-                lpmod.EQ, 1.0,
-            )
+    def pis(x: np.ndarray, t: int) -> np.ndarray:
+        return x[n * first[t]:n * (first[t] + sizes[t])].reshape(n, sizes[t])
 
     added: set[tuple] = set()
-    sol = None
-    rounds = 0
+    rounds = iterations = 0
     while True:
         rounds += 1
         if rounds > max_rounds:
             raise NonConvergence(f"separation did not settle in {max_rounds} rounds")
-        sol = lpmod.solve(prog)
+        n_rows = len(indptr) - 1
+        A_ub = sp.csr_matrix((data, indices, indptr), shape=(n_rows, fixed.n_variables()))
+        b_ub = np.concatenate((fixed.b_ub, np.full(n_rows - fixed_rows, -0.0)))
+        sol = lpmod.solve(lpmod.ArrayLP(fixed.c, A_ub, b_ub, fixed.A_eq, fixed.b_eq,
+                                        fixed.bounds, "max"))
+        iterations += sol.iterations
         if sol.status != "Optimal":
             raise NumericalFailure(f"restricted menu LP is {sol.status}")
 
         queries: list[tuple[int, int, int, float, np.ndarray]] = []
         for t2 in range(k):
-            mat = np.array(
-                [[sol.values[f"pi[{t2},{w},{i}]"] for i in range(sizes[t2])] for w in range(n)]
-            )
-            mat = np.clip(mat, 0.0, None)
+            mat = np.clip(pis(sol.x, t2), 0.0, None)
             for t in range(k):
                 weighted = mat * priors[t][:, None]
                 masses = weighted.sum(axis=0)
@@ -457,7 +470,8 @@ def solve_implicit(
             beliefs = np.array([q[4] for q in queries])
             tokens, eus = oracle.respond_many(beliefs)
             for (t, t2, i, mass, _), tok, eu in zip(queries, tokens, eus):
-                zval = sol.values[f"z[{i},{t},{t2}]"]
+                z = price + k + t * total + first[t2] + i
+                zval = sol.x[z]
                 if mass * eu - zval <= separation_tol:
                     continue
                 key = (t, t2, i, tok)
@@ -466,12 +480,11 @@ def solve_implicit(
                     continue
                 added.add(key)
                 new_rows += 1
-                coeffs = {f"z[{i},{t},{t2}]": 1.0}
-                for w in range(n):
-                    c = priors[t][w] * oracle.utility_of(tok, w)
-                    if c != 0.0:
-                        coeffs[f"pi[{t2},{w},{i}]"] = coeffs.get(f"pi[{t2},{w},{i}]", 0.0) - c
-                prog.add_constraint(f"zlb[{len(added)}]", coeffs, lpmod.GE, 0.0)
+                coeffs = priors[t] * np.array([oracle.utility_of(tok, w) for w in range(n)])
+                w = np.flatnonzero(coeffs)
+                indices.extend((n * first[t2] + w * sizes[t2] + i).tolist() + [z])
+                data.extend(coeffs[w].tolist() + [-1.0])
+                indptr.append(len(indices))
         if new_rows == 0:
             if stale_violation > 10 * separation_tol:
                 raise NumericalFailure(
@@ -480,17 +493,11 @@ def solve_implicit(
             break
     assert rounds <= len(added) + 1, "each non-final round must add a constraint"
 
-    entries: list[tuple[Experiment, float]] = []
-    for t in range(k):
-        raw = np.array(
-            [[sol.values[f"pi[{t},{w},{i}]"] for i in range(sizes[t])] for w in range(n)]
-        )
-        entries.append((Experiment(clean_experiment_matrix(raw)), 0.0))
+    entries = [(Experiment(clean_experiment_matrix(pis(sol.x, t))), 0.0) for t in range(k)]
     values = np.array(
         [[market.value(types[t].id, entries[t2][0]) for t2 in range(k)] for t in range(k)]
     )
-    probs = np.array([type_probs[t.id] for t in types])
-    prices = optimal_prices(values, base, probs)
+    prices = optimal_prices(values, base, np.array(probs))
     prices = np.clip(prices, 0.0, None)
     menu = Menu(
         entries=[(ex, float(p)) for (ex, _), p in zip(entries, prices)],
@@ -498,14 +505,17 @@ def solve_implicit(
     )
     repaired = eps_ic_to_ic(market, menu, 4.0 * epsilon)
     report = audit_menu(market, repaired)
+    # The LP objective as a left-to-right sum in type order, not a dot product.
+    lp_objective = float(sum(p * x for p, x in zip(probs, sol.x[price:price + k].tolist())))
     return ImplicitResult(
         menu=repaired,
         revenue=report.revenue,
         report=report,
         action_sets=action_sets,
         grid=grid,
-        lp_objective=sol.objective_value,
+        lp_objective=lp_objective,
         separation_rounds=rounds,
+        lp_iterations=iterations,
     )
 
 

@@ -2,40 +2,40 @@
 
 ``ArrayLP`` is the one-shot form: an objective vector, CSR inequality rows
 ``A_ub x <= b_ub``, CSR equality rows ``A_eq x == b_eq`` and per-variable
-bounds, solved by ``linprog``.  LPs of fixed shape (the explicit menu LP,
-the price LP, the master's fixed block) are built straight into it by index
-arithmetic.  ``LinearProgram`` is the named form for LPs that grow row by
-row (separation rounds) or are written by name; it compiles to an
-``ArrayLP``, and its solutions carry values by name.
+bounds.  Every LP of the library is built straight into it by index
+arithmetic; an LP that grows by rows (the separation rounds) is rebuilt from
+its fixed block and the rows appended since.  ``ColumnLP`` grows by whole
+columns (the column-generation master).
 
-``ColumnLP`` grows by whole columns (the column-generation master).  Each
-solve passes it straight to HiGHS through scipy's bundled binding: the one
-model and the options ``linprog`` would pass, without ``linprog``'s
-per-call wrapper.  Where the binding is missing, its arrays go through
-``linprog``.  Solutions of array and column LPs carry row duals in the sign
-convention of the *declared* objective sense (for a maximization problem
-the dual of a binding "<=" row is the nonnegative marginal revenue of its
-rhs).
+``solve`` passes either form straight to HiGHS through scipy's bundled
+binding: the one model and the options ``linprog`` would pass, without
+``linprog``'s per-call wrapper.  An array LP goes by rows (its CSR arrays,
+``A_ub`` then ``A_eq``), a column LP by columns.  Where the binding is
+missing, the same arrays go through ``linprog``.  Solutions carry row duals
+in the sign convention of the *declared* objective sense (for a
+maximization problem the dual of a binding "<=" row is the nonnegative
+marginal revenue of its rhs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .errors import DuplicateVariable, InvalidInstance, NumericalFailure
+from .errors import InvalidInstance, NumericalFailure
 
-LE, EQ, GE = "le", "eq", "ge"
 # linprog's check of an optimum's constraint residuals: sqrt(1e-9) * 10.
 _LINPROG_CHECK_TOL = np.sqrt(1e-9) * 10
 # What _solve_direct uses of scipy's bundled HiGHS binding.
 _BINDING_NAMES = (
     "HighsLp", "HighsOptions", "HighsStatus.kError", "HighsModelStatus.kOptimal",
-    "HighsDebugLevel.kHighsDebugLevelNone", "MatrixFormat.kColwise", "kHighsInf",
+    "HighsDebugLevel.kHighsDebugLevelNone", "MatrixFormat.kColwise",
+    "MatrixFormat.kRowwise", "kHighsInf",
     "simplex_constants.SimplexStrategy.kSimplexStrategyDual", "_Highs.passOptions",
     "_Highs.passModel", "_Highs.run", "_Highs.getModelStatus", "_Highs.getInfo",
     "_Highs.getSolution", "_Highs.modelStatusToString",
@@ -61,81 +61,21 @@ def _highs_inf(values) -> list[float]:
     return np.clip(values, -_INF, _INF).tolist()
 
 
-@dataclass
-class Constraint:
-    name: str
-    coeffs: dict[str, float]
-    relation: str
-    rhs: float
+class _Model(NamedTuple):
+    """An LP as HiGHS takes it: ``row_lower <= A x <= row_upper`` and
+    ``lower <= x <= upper``, costs in the declared ``sense``, and ``A``
+    compressed by rows or by columns into ``start``/``index``/``value``."""
 
-
-@dataclass
-class LinearProgram:
-    """Sparse LP: named bounded variables, a sense, and named constraints."""
-
-    sense: str = "max"
-    variables: list[tuple[str, float | None, float | None]] = field(default_factory=list)
-    objective: dict[str, float] = field(default_factory=dict)
-    constraints: list[Constraint] = field(default_factory=list)
-    _var_index: dict[str, int] = field(default_factory=dict, repr=False)
-    _con_index: dict[str, int] = field(default_factory=dict, repr=False)
-
-    def add_variable(self, name: str, lb: float | None = 0.0, ub: float | None = None) -> None:
-        if name in self._var_index:
-            raise DuplicateVariable(name)
-        if lb is not None and ub is not None and lb > ub:
-            raise InvalidInstance(f"variable {name}: lb {lb} > ub {ub}")
-        self._var_index[name] = len(self.variables)
-        self.variables.append((name, lb, ub))
-
-    def set_objective(self, name: str, coeff: float) -> None:
-        if name not in self._var_index:
-            raise InvalidInstance(f"objective references unknown variable {name}")
-        self.objective[name] = float(coeff)
-
-    def add_constraint(self, name: str, coeffs: dict[str, float], relation: str, rhs: float) -> None:
-        if name in self._con_index:
-            raise InvalidInstance(f"duplicate constraint name {name}")
-        if relation not in (LE, EQ, GE):
-            raise InvalidInstance(f"bad relation {relation}")
-        for v in coeffs:
-            if v not in self._var_index:
-                raise InvalidInstance(f"constraint {name} references unknown variable {v}")
-        self._con_index[name] = len(self.constraints)
-        self.constraints.append(Constraint(name, dict(coeffs), relation, float(rhs)))
-
-    def n_variables(self) -> int:
-        return len(self.variables)
-
-    def n_constraints(self) -> int:
-        return len(self.constraints)
-
-    def compile(self) -> tuple[ArrayLP, list[Constraint], list[Constraint]]:
-        """The array form, with the constraints behind its inequality rows
-        and its equality rows, in row order."""
-        c = np.zeros(self.n_variables())
-        for v, coeff in self.objective.items():
-            c[self._var_index[v]] = coeff
-        ub = [con for con in self.constraints if con.relation != EQ]
-        eq = [con for con in self.constraints if con.relation == EQ]
-        bounds = np.array(
-            [(-np.inf if lo is None else lo, np.inf if hi is None else hi)
-             for _, lo, hi in self.variables],
-            dtype=float,
-        ).reshape(-1, 2)
-        return ArrayLP(c, *self._rows(ub), *self._rows(eq), bounds, self.sense), ub, eq
-
-    def _rows(self, cons: list[Constraint]) -> tuple[sp.csr_matrix, np.ndarray]:
-        """CSR rows and right-hand sides of ``cons``, GE rows negated into LE."""
-        data, rows, cols, rhs = [], [], [], []
-        for r, con in enumerate(cons):
-            s = -1.0 if con.relation == GE else 1.0
-            data.extend(s * v for v in con.coeffs.values())
-            cols.extend(self._var_index[v] for v in con.coeffs)
-            rows.extend([r] * len(con.coeffs))
-            rhs.append(s * con.rhs)
-        shape = (len(cons), self.n_variables())
-        return sp.csr_matrix((data, (rows, cols)), shape=shape), np.array(rhs)
+    sense: str
+    cost: list[float]
+    lower: list[float]
+    upper: list[float]
+    row_lower: list[float]
+    row_upper: list[float]
+    rowwise: bool
+    start: list[int]
+    index: list[int]
+    value: list[float]
 
 
 def block_csr(blocks, shape: tuple[int, int]) -> sp.csr_matrix:
@@ -168,6 +108,21 @@ class ArrayLP:
 
     def n_constraints(self) -> int:
         return self.A_ub.shape[0] + self.A_eq.shape[0]
+
+    def model(self) -> _Model:
+        """The rows ``linprog`` stacks (``A_ub``, then ``A_eq``), by rows."""
+        ub, eq = self.A_ub, self.A_eq
+        n_ub = ub.shape[0]
+        return _Model(
+            self.sense, self.c.tolist(),
+            _highs_inf(self.bounds[:, 0]), _highs_inf(self.bounds[:, 1]),
+            _highs_inf(np.concatenate((np.full(n_ub, -np.inf), self.b_eq))),
+            _highs_inf(np.concatenate((self.b_ub, self.b_eq))),
+            True,
+            np.concatenate((ub.indptr, eq.indptr[1:] + ub.indptr[-1])).tolist(),
+            np.concatenate((ub.indices, eq.indices)).tolist(),
+            np.concatenate((ub.data, eq.data)).tolist(),
+        )
 
 
 class ColumnLP:
@@ -209,6 +164,11 @@ class ColumnLP:
     def n_constraints(self) -> int:
         return len(self.row_upper)
 
+    def model(self) -> _Model:
+        """The fixed rows and every column, by columns."""
+        return _Model(self.sense, self.cost, self.lower, self.upper, self.row_lower,
+                      self.row_upper, False, self.indptr, self.indices, self.data)
+
     def arrays(self) -> ArrayLP:
         """The same LP as one ``ArrayLP``."""
         k, b = self.n_ub, np.array(self.row_upper)
@@ -220,31 +180,22 @@ class ColumnLP:
 @dataclass
 class LPSolution:
     status: str                                  # Optimal | Infeasible | Unbounded
-    values: dict[str, float]                     # named programs only
     objective_value: float
     x: np.ndarray | None = None
-    row_duals: np.ndarray | None = None          # array and column LPs; A_ub rows, then A_eq
+    row_duals: np.ndarray | None = None          # A_ub rows, then A_eq
     iterations: int = 0                          # simplex iterations
 
-    def __getitem__(self, name: str) -> float:
-        return self.values[name]
 
-
-def solve(lp: LinearProgram | ArrayLP | ColumnLP) -> LPSolution:
+def solve(lp: ArrayLP | ColumnLP) -> LPSolution:
     """Solve the LP with HiGHS; Optimal solutions respect all constraints
     within 1e-7.
 
-    Named programs compile to the array form first, and their solutions
-    carry values by name.  Solutions of array and column LPs carry row
-    duals instead.  A column LP goes straight to HiGHS; without the binding
-    its arrays go through ``linprog`` like the rest.
+    Either form goes straight to HiGHS; without the binding its arrays go
+    through ``linprog``, which hands HiGHS the same model.
     """
-    if isinstance(lp, ColumnLP):
-        if _highs is not None:
-            return _solve_direct(lp)
-        lp = lp.arrays()
-    named = isinstance(lp, LinearProgram)
-    arrays = lp.compile()[0] if named else lp
+    if _highs is not None:
+        return _solve_direct(lp.model())
+    arrays = lp if isinstance(lp, ArrayLP) else lp.arrays()
     sign = -1.0 if arrays.sense == "max" else 1.0
     kwargs = {}
     if arrays.A_ub.shape[0]:
@@ -252,47 +203,43 @@ def solve(lp: LinearProgram | ArrayLP | ColumnLP) -> LPSolution:
     if arrays.A_eq.shape[0]:
         kwargs["A_eq"], kwargs["b_eq"] = arrays.A_eq, arrays.b_eq
     res = linprog(sign * arrays.c, bounds=arrays.bounds, method="highs", **kwargs)
-
     if res.status != 0:
         return _not_optimal(res.status, res.message, arrays.sense, res.nit)
-    if named:
-        values = dict(zip(lp._var_index, res.x.tolist()))
-        objective = float(sum(coeff * values[v] for v, coeff in lp.objective.items()))
-        return LPSolution("Optimal", values, objective, res.x, iterations=res.nit)
     # linprog minimizes sign * c; its marginals are d(min-obj)/d(rhs).
     duals = sign * np.concatenate((res.ineqlin.marginals, res.eqlin.marginals))
-    return LPSolution("Optimal", {}, float(arrays.c @ res.x), res.x, duals, res.nit)
+    return LPSolution("Optimal", float(arrays.c @ res.x), res.x, duals, res.nit)
 
 
 def _not_optimal(code: int, message: str, sense: str, iterations: int) -> LPSolution:
     """The solution for linprog status 2 (infeasible) or 3 (unbounded);
     any other status is a NumericalFailure."""
     if code == 2:
-        return LPSolution("Infeasible", {}, float("nan"), iterations=iterations)
+        return LPSolution("Infeasible", float("nan"), iterations=iterations)
     if code == 3:
         unbounded = float("inf") if sense == "max" else float("-inf")
-        return LPSolution("Unbounded", {}, unbounded, iterations=iterations)
+        return LPSolution("Unbounded", unbounded, iterations=iterations)
     raise NumericalFailure(f"LP backend stopped with status {code}: {message}")
 
 
-def _solve_direct(lp: ColumnLP) -> LPSolution:
-    """One fresh HiGHS solve of the column LP as ``linprog`` runs it: the
-    same model, the same options, the same reading of the result.
+def _solve_direct(lp: _Model) -> LPSolution:
+    """One fresh HiGHS solve of the model as ``linprog`` runs it: the same
+    options and the same reading of the result.
 
     A fresh ``_Highs`` per solve matters: a reused one keeps solver state
     from the previous model, and the vertex HiGHS returns may change.
     """
     sign = -1.0 if lp.sense == "max" else 1.0
     model = _highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = lp.n_variables()
-    model.num_row_ = model.a_matrix_.num_row_ = lp.n_constraints()
-    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    model.num_col_ = model.a_matrix_.num_col_ = len(lp.cost)
+    model.num_row_ = model.a_matrix_.num_row_ = len(lp.row_upper)
+    fmt = _highs.MatrixFormat
+    model.a_matrix_.format_ = fmt.kRowwise if lp.rowwise else fmt.kColwise
     model.col_cost_ = [sign * v for v in lp.cost]
     model.col_lower_, model.col_upper_ = lp.lower, lp.upper
     model.row_lower_, model.row_upper_ = lp.row_lower, lp.row_upper
-    model.a_matrix_.start_ = lp.indptr
-    model.a_matrix_.index_ = lp.indices
-    model.a_matrix_.value_ = lp.data
+    model.a_matrix_.start_ = lp.start
+    model.a_matrix_.index_ = lp.index
+    model.a_matrix_.value_ = lp.value
 
     options = _highs.HighsOptions()
     options.presolve = "on"
@@ -323,4 +270,4 @@ def _solve_direct(lp: ColumnLP) -> LPSolution:
     if not worst <= _LINPROG_CHECK_TOL:
         raise NumericalFailure(f"LP backend optimum misses its constraints by {worst}")
     duals = sign * np.array(sol.row_dual)
-    return LPSolution("Optimal", {}, float(np.dot(lp.cost, x)), x, duals, iterations)
+    return LPSolution("Optimal", float(np.dot(lp.cost, x)), x, duals, iterations)

@@ -440,8 +440,7 @@ def solve_reduced_lp(
     vertex_weights: list[VPMWeights] = []
     seen: set[bytes] = set()
 
-    def add_vertex(wts: VPMWeights) -> bool:
-        vec = coords.vector(rvpm(env, wts))
+    def add_vertex(wts: VPMWeights, vec: np.ndarray) -> bool:
         key = np.round(vec, 12).tobytes()
         if key in seen:
             return False
@@ -454,7 +453,7 @@ def solve_reduced_lp(
         return True
 
     for wts in _initial_weight_sets(env, coords):
-        add_vertex(wts)
+        add_vertex(wts, coords.vector(rvpm(env, wts)))
 
     rounds = iterations = 0
     while True:
@@ -472,7 +471,7 @@ def solve_reduced_lp(
         score = float(y @ vec)
         if score <= sigma + pricing_tol:
             break
-        if not add_vertex(candidate):
+        if not add_vertex(candidate, vec):
             # The improving vertex is already a column; its reduced cost must
             # be nonpositive, so the duals are inconsistent.
             raise NumericalFailure("pricing returned an existing vertex as improving")

@@ -377,6 +377,8 @@ class SATOracle(BROracle):
         return best_a, best_u
 
     def utility_of(self, action_id: int, state: int) -> float:
+        if self._cache is not None:
+            return float(self._cache[state][action_id])
         f = self.instance.formulas[state]
         return float(satisfied_counts(f, np.array([action_id]))[0]) / len(f.clauses)
 
@@ -454,6 +456,7 @@ class OracleMarket:
         self.types = list(types)
         self.type_probs = dict(type_probs)
         self._base: dict[str, float] = {}
+        self._value: dict[tuple, float] = {}
 
     def type_ids(self) -> list[str]:
         return [t.id for t in self.types]
@@ -474,4 +477,9 @@ class OracleMarket:
         return self._base[type_id]
 
     def value(self, type_id: str, experiment) -> float:
-        return oracle_value(self.oracle, self.prior(type_id), experiment.matrix)
+        # Keyed by the matrix's contents: an Experiment is mutable.
+        m = experiment.matrix
+        key = (type_id, m.dtype.str, m.shape, m.tobytes())
+        if key not in self._value:
+            self._value[key] = oracle_value(self.oracle, self.prior(type_id), m)
+        return self._value[key]

@@ -18,15 +18,16 @@ from infomenu import (
 from infomenu import lp as lpmod
 from infomenu.audit import brute_force_menu_search, matching_environment
 from infomenu.explicit import optimal_prices
+from named_lp import EQ, GE, NamedLP, assert_same_arrays
 
 
 # --- name-keyed reference construction ------------------------------------------
 
-def named_menu_lp(env: Environment) -> lpmod.LinearProgram:
+def named_menu_lp(env: Environment) -> NamedLP:
     """The menu LP built constraint by constraint with named variables, as the
     array builder must reproduce it."""
     n, m, k = env.n_states, env.n_actions, len(env.types)
-    prog = lpmod.LinearProgram(sense="max")
+    prog = NamedLP(sense="max")
     for t in range(k):
         for w in range(n):
             for i in range(m):
@@ -56,7 +57,7 @@ def named_menu_lp(env: Environment) -> lpmod.LinearProgram:
             for i in range(m):
                 coeffs[f"z[{i},{t},{t2}]"] = -1.0
             coeffs[f"t[{t2}]"] = coeffs.get(f"t[{t2}]", 0.0) + 1.0
-            prog.add_constraint(f"ic[{t},{t2}]", coeffs, lpmod.GE, 0.0)
+            prog.add_constraint(f"ic[{t},{t2}]", coeffs, GE, 0.0)
     for t in range(k):
         for t2 in range(k):
             for i in range(m):
@@ -66,22 +67,22 @@ def named_menu_lp(env: Environment) -> lpmod.LinearProgram:
                         c = priors[t][w] * utils[t][w, j]
                         if c != 0.0:
                             coeffs[f"pi[{t2},{w},{i}]"] = -c
-                    prog.add_constraint(f"zlb[{i},{j},{t},{t2}]", coeffs, lpmod.GE, 0.0)
+                    prog.add_constraint(f"zlb[{i},{j},{t},{t2}]", coeffs, GE, 0.0)
     for t in range(k):
         coeffs = own(t)
         coeffs[f"t[{t}]"] = -1.0
-        prog.add_constraint(f"ir[{t}]", coeffs, lpmod.GE, base_utility(env, env.types[t].id))
+        prog.add_constraint(f"ir[{t}]", coeffs, GE, base_utility(env, env.types[t].id))
     for t in range(k):
         for w in range(n):
             prog.add_constraint(
-                f"rowsum[{t},{w}]", {f"pi[{t},{w},{i}]": 1.0 for i in range(m)}, lpmod.EQ, 1.0
+                f"rowsum[{t},{w}]", {f"pi[{t},{w},{i}]": 1.0 for i in range(m)}, EQ, 1.0
             )
     return prog
 
 
-def named_price_lp(values, base, probs) -> lpmod.LinearProgram:
+def named_price_lp(values, base, probs) -> NamedLP:
     k = len(base)
-    prog = lpmod.LinearProgram(sense="max")
+    prog = NamedLP(sense="max")
     for t in range(k):
         prog.add_variable(f"t[{t}]", None, None)
         prog.set_objective(f"t[{t}]", float(probs[t]))
@@ -89,48 +90,28 @@ def named_price_lp(values, base, probs) -> lpmod.LinearProgram:
         for j in range(k):
             if i != j:
                 prog.add_constraint(
-                    f"ic[{i},{j}]", {f"t[{i}]": -1.0, f"t[{j}]": 1.0}, lpmod.GE,
+                    f"ic[{i},{j}]", {f"t[{i}]": -1.0, f"t[{j}]": 1.0}, GE,
                     float(values[i, j] - values[i, i]),
                 )
-        prog.add_constraint(f"ir[{i}]", {f"t[{i}]": -1.0}, lpmod.GE, float(base[i] - values[i, i]))
+        prog.add_constraint(f"ir[{i}]", {f"t[{i}]": -1.0}, GE, float(base[i] - values[i, i]))
     return prog
 
 
-def rows_to_csr(prog: lpmod.LinearProgram, equality: bool) -> sp.csr_matrix:
+def rows_to_csr(prog: NamedLP, equality: bool) -> sp.csr_matrix:
     """Row-by-row CSR of a named program's equality or (GE-negated) inequality rows."""
     data, ri, ci = [], [], []
-    rows = [con for con in prog.constraints if (con.relation == lpmod.EQ) == equality]
+    rows = [con for con in prog.constraints if (con.relation == EQ) == equality]
     for r, con in enumerate(rows):
-        sign = -1.0 if con.relation == lpmod.GE else 1.0
+        sign = -1.0 if con.relation == GE else 1.0
         for v, coeff in con.coeffs.items():
             ri.append(r)
-            ci.append(prog._var_index[v])
+            ci.append(prog.index[v])
             data.append(sign * coeff)
     return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), prog.n_variables()))
 
 
-def canonical(A: sp.csr_matrix) -> sp.csr_matrix:
-    A = sp.csr_matrix(A, copy=True)
-    A.eliminate_zeros()
-    A.sort_indices()
-    return A
-
-
-def assert_same_csr(A, B):
-    A, B = canonical(A), canonical(B)
-    assert A.shape == B.shape
-    np.testing.assert_array_equal(A.indptr, B.indptr)
-    np.testing.assert_array_equal(A.indices, B.indices)
-    np.testing.assert_array_equal(A.data, B.data)
-
-
-def assert_same_lp(arrays: lpmod.ArrayLP, named: lpmod.LinearProgram):
-    ref, _, _ = named.compile()
-    assert arrays.sense == ref.sense
-    for field in ("c", "b_ub", "b_eq", "bounds"):
-        np.testing.assert_array_equal(getattr(arrays, field), getattr(ref, field))
-    assert_same_csr(arrays.A_ub, ref.A_ub)
-    assert_same_csr(arrays.A_eq, ref.A_eq)
+def assert_same_lp(arrays: lpmod.ArrayLP, named: NamedLP):
+    assert_same_arrays(arrays, named.compile()[0])
 
 
 def random_market(rng, k: int, n: int, m: int, *, zero_prior: bool, duplicate: bool,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infomenu import (
     BuyerType,
@@ -25,6 +27,7 @@ from infomenu import (
     solve_implicit,
     tv_distance,
 )
+from infomenu import lp as lpmod
 from infomenu.audit import benchmark_experiment, matching_environment
 from infomenu.implicit import _cell_vertices, schedule_delta, simplex_lattice
 from infomenu.oracles import (
@@ -36,6 +39,9 @@ from infomenu.oracles import (
     build_sat_reduction,
     parse_traffic,
 )
+from named_lp import EQ, GE, NamedLP, assert_same_arrays
+
+QUARTERS = st.integers(0, 4).map(lambda i: i / 4)
 
 
 def uniform_env(priors=((0.5, 0.5),)):
@@ -405,6 +411,208 @@ def test_implicit_sat_reduction_hits_closed_form():
     res = solve_implicit(oracle, types, {"t0": 1.0}, 0.1)
     m = len(cnf.clauses)
     assert res.revenue == pytest.approx(1 / (2 * m + 4), abs=1e-6)   # satisfiable
+
+
+# --- the separation LP against the name-keyed construction --------------------------
+
+def named_implicit_lps(oracle, types, type_probs, epsilon) -> list:
+    """The restricted LP of every separation round as the name-keyed builder
+    made it, running the same separation loop: the test-only reference for
+    the index arithmetic of ``solve_implicit``."""
+    market = OracleMarket(oracle, types, type_probs)
+    action_sets, grid = build_action_sets(oracle, types, epsilon)
+    k, n = len(types), grid.n_states
+    sizes = [action_sets.size(t.id) for t in types]
+    utils = [action_sets.utilities[t.id] for t in types]
+    priors = [t.prior for t in types]
+    base = [market.base(t.id) for t in types]
+    prog = NamedLP(sense="max")
+    for t in range(k):
+        for w in range(n):
+            for i in range(sizes[t]):
+                prog.add_variable(f"pi[{t},{w},{i}]", 0.0, 1.0)
+    for t in range(k):
+        prog.add_variable(f"t[{t}]", None, None)
+        prog.set_objective(f"t[{t}]", type_probs[types[t].id])
+    for t in range(k):
+        for t2 in range(k):
+            for i in range(sizes[t2]):
+                prog.add_variable(f"z[{i},{t},{t2}]", 0.0, None)
+
+    def own(t):
+        return {
+            f"pi[{t},{w},{i}]": priors[t][w] * utils[t][i, w]
+            for w in range(n)
+            for i in range(sizes[t])
+            if priors[t][w] * utils[t][i, w] != 0.0
+        }
+
+    for t in range(k):
+        for t2 in range(k):
+            coeffs = own(t)
+            coeffs[f"t[{t}]"] = coeffs.get(f"t[{t}]", 0.0) - 1.0
+            for i in range(sizes[t2]):
+                coeffs[f"z[{i},{t},{t2}]"] = -1.0
+            coeffs[f"t[{t2}]"] = coeffs.get(f"t[{t2}]", 0.0) + 1.0
+            prog.add_constraint(f"ic[{t},{t2}]", coeffs, GE, 0.0)
+        coeffs = own(t)
+        coeffs[f"t[{t}]"] = -1.0
+        prog.add_constraint(f"ir[{t}]", coeffs, GE, float(base[t]))
+    for t in range(k):
+        for w in range(n):
+            prog.add_constraint(
+                f"rowsum[{t},{w}]", {f"pi[{t},{w},{i}]": 1.0 for i in range(sizes[t])}, EQ, 1.0
+            )
+
+    lps, added = [], set()
+    while True:
+        lps.append(prog.compile()[0])
+        values = dict(zip(prog.index, lpmod.solve(lps[-1]).x.tolist()))
+        new_rows = 0
+        for t2 in range(k):
+            mat = np.clip([[values[f"pi[{t2},{w},{i}]"] for i in range(sizes[t2])]
+                           for w in range(n)], 0.0, None)
+            for t in range(k):
+                weighted = mat * priors[t][:, None]
+                masses = weighted.sum(axis=0)
+                for i in range(sizes[t2]):
+                    if masses[i] <= 1e-15:
+                        continue
+                    tok, eu = oracle.respond(weighted[:, i] / masses[i])
+                    key = (t, t2, i, tok)
+                    if masses[i] * eu - values[f"z[{i},{t},{t2}]"] <= 1e-8 or key in added:
+                        continue
+                    added.add(key)
+                    new_rows += 1
+                    coeffs = {f"z[{i},{t},{t2}]": 1.0}
+                    for w in range(n):
+                        c = priors[t][w] * oracle.utility_of(tok, w)
+                        if c != 0.0:
+                            coeffs[f"pi[{t2},{w},{i}]"] = -c
+                    prog.add_constraint(f"zlb[{len(added)}]", coeffs, GE, 0.0)
+        if new_rows == 0:
+            return lps
+
+
+def random_matrix_market(rng, k: int, n: int, m: int, zero_prior: bool):
+    priors = rng.dirichlet(np.ones(n), size=k)
+    if zero_prior and n > 1:
+        priors[:, 0] = 0.0
+        priors /= priors.sum(axis=1, keepdims=True)
+    # Actions on a concave front, so that each is the best response somewhere.
+    angles = np.sort(rng.uniform(0.0, np.pi / 2, size=m))
+    u = np.vstack([np.sin(angles), np.cos(angles), rng.uniform(size=m)])[:n].round(2)
+    types = [BuyerType(f"t{i}", priors[i]) for i in range(k)]
+    probs = rng.dirichlet(np.ones(k))
+    return u, types, {t.id: float(p) for t, p in zip(types, probs)}
+
+
+IMPLICIT_SHAPES = [
+    (k, n, m, zero_prior)
+    for k in (1, 2, 3)
+    for n, m, zero_prior in ((1, 3, False), (2, 1, False), (2, 4, False), (2, 4, True),
+                             (3, 3, False), (3, 3, True))
+]
+
+
+def test_separation_lps_match_named_reference(monkeypatch):
+    rounds_seen = []
+    for shape in IMPLICIT_SHAPES:
+        k, n, m, zero_prior = shape
+        u, types, probs = random_matrix_market(np.random.default_rng(shape), k, n, m, zero_prior)
+        epsilon = 0.1 if n < 3 else 0.3
+        ref = named_implicit_lps(MatrixOracle(u), types, probs, epsilon)
+        seen = []
+        with monkeypatch.context() as patch:
+            real_solve = lpmod.solve
+            patch.setattr(lpmod, "solve", lambda lp: seen.append(lp) or real_solve(lp))
+            res = solve_implicit(MatrixOracle(u), types, probs, epsilon)
+        separation = [lp for lp in seen if lp.A_eq.shape[0]]      # not the price LP
+        assert len(separation) == len(ref) == res.separation_rounds, shape
+        for arrays, named in zip(separation, ref):
+            assert_same_arrays(arrays, named)
+        rounds_seen.append(res.separation_rounds)
+    # The first LP of each solve has no deviation rows; the later ones do.
+    assert max(rounds_seen) >= 3, rounds_seen
+
+
+def implicit_outputs(res) -> tuple:
+    return (repr(res.revenue), repr(res.lp_objective), res.separation_rounds, res.lp_iterations,
+            [(ex.matrix.tobytes(), repr(p)) for ex, p in res.menu.entries])
+
+
+def test_fallback_without_the_binding_gives_the_same_menus(monkeypatch):
+    u = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.55]])
+    env = Environment.build(range(2), range(3), u,
+                            [("t0", [0.5, 0.5]), ("t1", [0.9, 0.1]), ("t2", [0.3, 0.7])])
+
+    def outputs():
+        res = solve_implicit(MatrixOracle(u), env.types, env.type_probs, 0.04)
+        menu = solve_explicit(env)[0]
+        return (implicit_outputs(res),
+                [(ex.matrix.tobytes(), repr(p)) for ex, p in menu.entries])
+
+    direct = outputs()
+    calls = []
+    real_linprog = lpmod.linprog
+    monkeypatch.setattr(lpmod, "_highs", None)
+    monkeypatch.setattr(lpmod, "linprog",
+                        lambda *a, **kw: calls.append(1) or real_linprog(*a, **kw))
+    assert outputs() == direct
+    # Every separation round, both price LPs and the menu LP went through linprog.
+    assert len(calls) == direct[0][2] + 3
+
+
+def test_lp_iterations_are_deterministic():
+    env = uniform_env([(0.5, 0.5), (0.9, 0.1), (0.3, 0.7)])
+    runs = [solve_implicit(MatrixOracle(np.eye(2)), env.types, env.type_probs, 0.04)
+            for _ in range(2)]
+    assert runs[0].lp_iterations > 0
+    assert runs[0].lp_iterations == runs[1].lp_iterations
+    assert runs[0].separation_rounds == runs[1].separation_rounds
+
+
+# --- implicit against explicit on degenerate markets ---------------------------------
+
+@st.composite
+def matrix_markets(draw):
+    """Markets of one or two states, one to three types and actions, drawn
+    to hit point-mass priors, duplicate and zero-probability types, tied
+    actions and constant utilities."""
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 3))
+    u = np.array(draw(st.lists(QUARTERS, min_size=n * m, max_size=n * m))).reshape(n, m)
+    if draw(st.booleans()):
+        u[:, 1:] = u[:, :1]                     # tied actions
+    if draw(st.booleans()):
+        u[:] = u[0, 0]                          # constant utilities
+    k = draw(st.integers(1, 3))
+    priors = []
+    for _ in range(k):
+        if priors and draw(st.booleans()):
+            priors.append(priors[-1])           # duplicate type
+        else:
+            first = draw(st.integers(0, 20)) / 20       # 0 and 20 are point masses
+            priors.append([first, 1.0 - first] if n == 2 else [1.0])
+    weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    epsilon = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    env = Environment.build(
+        range(n), range(m), u,
+        [(f"t{i}", p) for i, p in enumerate(priors)],
+        {f"t{i}": w / sum(weights) for i, w in enumerate(weights)},
+    )
+    return env, u, epsilon
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_markets())
+def test_implicit_within_the_epsilon_sandwich_of_explicit(market):
+    env, u, epsilon = market
+    _, rev_exp, _ = solve_explicit(env)
+    res = solve_implicit(MatrixOracle(u), env.types, env.type_probs, epsilon)
+    assert rev_exp - (2 * math.sqrt(epsilon) + 5 * epsilon) <= res.revenue <= rev_exp + 1e-9
+    assert res.report.max_ic_violation <= 1e-9
+    assert res.report.max_ir_violation <= 1e-9
 
 
 # --- compression -------------------------------------------------------------------

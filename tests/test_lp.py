@@ -1,116 +1,91 @@
-"""LP container, its array forms, the HiGHS adapter and its direct call, and duals."""
+"""The array and column forms of an LP, the direct HiGHS call, its linprog
+fallback, and duals."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from infomenu import lp as lpmod
-from infomenu.errors import DuplicateVariable, InvalidInstance
-from infomenu.lp import (
-    EQ,
-    GE,
-    LE,
-    ArrayLP,
-    ColumnLP,
-    LinearProgram,
-    solve,
-)
+from infomenu.errors import InvalidInstance
+from infomenu.lp import ArrayLP, ColumnLP, solve
 
 
-def simple_max() -> LinearProgram:
-    lp = LinearProgram(sense="max")
-    lp.add_variable("x", 0.0, None)
-    lp.set_objective("x", 1.0)
-    lp.add_constraint("cap", {"x": 1.0}, LE, 1.0)
-    return lp
+def array_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=(), bounds=None, sense="max") -> ArrayLP:
+    """An ArrayLP from dense rows; variables are >= 0 unless ``bounds`` says otherwise."""
+    n = len(c)
+    if bounds is None:
+        bounds = [(0.0, np.inf)] * n
+    rows = lambda A: sp.csr_matrix(np.array(A, dtype=float).reshape(-1, n))  # noqa: E731
+    return ArrayLP(np.array(c, dtype=float), rows(A_ub), np.array(b_ub, dtype=float),
+                   rows(A_eq), np.array(b_eq, dtype=float), np.array(bounds, dtype=float), sense)
 
 
-def max_violation(lp: LinearProgram, values: dict[str, float]) -> float:
-    """Largest constraint or bound violation of ``values``."""
-    worst = 0.0
-    for name, lb, ub in lp.variables:
-        if lb is not None:
-            worst = max(worst, lb - values[name])
-        if ub is not None:
-            worst = max(worst, values[name] - ub)
-    for con in lp.constraints:
-        lhs = sum(coeff * values[v] for v, coeff in con.coeffs.items())
-        gap = {LE: lhs - con.rhs, GE: con.rhs - lhs, EQ: abs(lhs - con.rhs)}[con.relation]
-        worst = max(worst, gap)
-    return worst
+def simple_max() -> ArrayLP:
+    """max x subject to x <= 1, x >= 0."""
+    return array_lp([1.0], [[1.0]], [1.0])
+
+
+def max_violation(lp: ArrayLP, x: np.ndarray) -> float:
+    """Largest constraint or bound violation of ``x``."""
+    return float(np.concatenate((
+        lp.bounds[:, 0] - x, x - lp.bounds[:, 1],
+        lp.A_ub @ x - lp.b_ub, np.abs(lp.A_eq @ x - lp.b_eq),
+    )).max(initial=0.0))
 
 
 def test_solve_simple_bound():
     sol = solve(simple_max())
     assert sol.status == "Optimal"
-    assert sol["x"] == pytest.approx(1.0)
+    assert sol.x[0] == pytest.approx(1.0)
     assert sol.objective_value == pytest.approx(1.0)
 
 
 def test_solve_degenerate_optimum():
-    lp = LinearProgram(sense="max")
-    lp.add_variable("x", 0.0, None)
-    lp.add_variable("y", 0.0, None)
-    lp.set_objective("x", 1.0)
-    lp.set_objective("y", 1.0)
-    lp.add_constraint("cap", {"x": 1.0, "y": 1.0}, LE, 1.0)
-    sol = solve(lp)
+    sol = solve(array_lp([1.0, 1.0], [[1.0, 1.0]], [1.0]))
     assert sol.objective_value == pytest.approx(1.0)
 
 
+def test_solve_minimization():
+    # min x + 2y subject to x + y >= 1 (as -x - y <= -1).
+    sol = solve(array_lp([1.0, 2.0], [[-1.0, -1.0]], [-1.0], sense="min"))
+    assert sol.objective_value == pytest.approx(1.0)
+    np.testing.assert_allclose(sol.x, [1.0, 0.0])
+
+
 def test_solve_infeasible():
-    lp = LinearProgram(sense="max")
-    lp.add_variable("x", None, None)
-    lp.set_objective("x", 1.0)
-    lp.add_constraint("lo", {"x": 1.0}, GE, 2.0)
-    lp.add_constraint("hi", {"x": 1.0}, LE, 1.0)
+    free = [(-np.inf, np.inf)]
+    lp = array_lp([1.0], [[-1.0], [1.0]], [-2.0, 1.0], bounds=free)
     assert solve(lp).status == "Infeasible"
 
 
 def test_optimal_solutions_respect_constraints():
     rng = np.random.default_rng(5)
     for trial in range(20):
-        lp = LinearProgram(sense="max")
         n = int(rng.integers(2, 6))
-        for i in range(n):
-            lp.add_variable(f"x{i}", 0.0, 1.0)
-            lp.set_objective(f"x{i}", float(rng.normal()))
-        for c in range(int(rng.integers(1, 5))):
-            coeffs = {f"x{i}": float(rng.normal()) for i in range(n)}
-            lp.add_constraint(f"c{c}", coeffs, LE, float(rng.uniform(0.5, 2.0)))
+        n_ub = int(rng.integers(1, 5))
+        lp = array_lp(rng.normal(size=n), rng.normal(size=(n_ub, n)), rng.uniform(0.5, 2.0, n_ub),
+                      bounds=[(0.0, 1.0)] * n)
         sol = solve(lp)
         if sol.status == "Optimal":
-            assert max_violation(lp, sol.values) <= 1e-7
-
-
-def test_duplicate_variable_name():
-    lp = simple_max()
-    with pytest.raises(DuplicateVariable):
-        lp.add_variable("x", 0.0, None)
-
-
-def column_lp(lp: LinearProgram) -> ColumnLP:
-    return ColumnLP(lp.compile()[0])
+            assert max_violation(lp, sol.x) <= 1e-7
 
 
 def test_duals_sign_convention():
-    sol = solve(column_lp(simple_max()))
-    assert sol.row_duals[0] == pytest.approx(1.0)
+    for lp in (simple_max(), ColumnLP(simple_max())):
+        assert solve(lp).row_duals[0] == pytest.approx(1.0)
 
 
 def test_equality_duals():
-    lp = LinearProgram(sense="max")
-    lp.add_variable("x", None, None)
-    lp.set_objective("x", 2.0)
-    lp.add_constraint("pin", {"x": 1.0}, EQ, 3.0)
-    sol = solve(column_lp(lp))
-    assert sol.objective_value == pytest.approx(6.0)
-    assert sol.row_duals[0] == pytest.approx(2.0)
+    lp = array_lp([2.0], A_eq=[[1.0]], b_eq=[3.0], bounds=[(-np.inf, np.inf)])
+    for form in (lp, ColumnLP(lp)):
+        sol = solve(form)
+        assert sol.objective_value == pytest.approx(6.0)
+        assert sol.row_duals[0] == pytest.approx(2.0)
 
 
 def test_appended_column_joins_the_solve():
     # One unit of capacity; the appended activity pays double per unit.
-    master = column_lp(simple_max())
+    master = ColumnLP(simple_max())
     assert solve(master).objective_value == pytest.approx(1.0)
     master.add_column(2.0, 0.0, np.inf, [0], [1.0])
     assert (master.n_variables(), master.n_constraints()) == (2, 1)
@@ -121,7 +96,7 @@ def test_appended_column_joins_the_solve():
 
 
 def test_add_column_rejects_bad_rows():
-    master = column_lp(simple_max())
+    master = ColumnLP(simple_max())
     for rows, values in (([1], [1.0]), ([0, 0], [1.0, 1.0]), ([0], [1.0, 2.0])):
         with pytest.raises(InvalidInstance):
             master.add_column(1.0, 0.0, np.inf, rows, values)
@@ -130,30 +105,35 @@ def test_add_column_rejects_bad_rows():
     assert master.n_variables() == 1
 
 
-def random_column_lp(rng) -> ColumnLP:
+def random_array_lp(rng) -> ArrayLP:
     """A feasible, bounded maximization: box-bounded columns, "<=" rows with
-    a positive rhs and "==" rows that x = 0 meets, plus appended columns."""
+    a positive rhs and "==" rows that x = 0 meets."""
     n, n_ub, n_eq = (int(v) for v in rng.integers(1, 6, size=3))
     A_ub = sp.random(n_ub, n, density=0.6, random_state=rng, format="csr")
     A_eq = sp.random(n_eq, n, density=0.6, random_state=rng, format="csr")
     bounds = np.column_stack((np.zeros(n), rng.uniform(0.5, 2.0, n)))
-    master = ColumnLP(ArrayLP(rng.normal(size=n), A_ub, rng.uniform(0.5, 2.0, n_ub),
-                              A_eq, np.zeros(n_eq), bounds, "max"))
+    return ArrayLP(rng.normal(size=n), A_ub, rng.uniform(0.5, 2.0, n_ub),
+                   A_eq, np.zeros(n_eq), bounds, "max")
+
+
+def random_column_lp(rng) -> ColumnLP:
+    """A random array LP as a column LP, plus appended columns."""
+    master = ColumnLP(random_array_lp(rng))
     for _ in range(int(rng.integers(0, 4))):
-        rows = np.flatnonzero(rng.random(n_ub + n_eq) < 0.5)
+        rows = np.flatnonzero(rng.random(master.n_constraints()) < 0.5)
         master.add_column(float(rng.normal()), 0.0, 1.0, rows.tolist(),
                           rng.normal(size=len(rows)).tolist())
     return master
 
 
-def test_direct_call_matches_linprog_bit_for_bit(monkeypatch):
+def assert_direct_call_matches_linprog(make, monkeypatch):
     rng = np.random.default_rng(11)
     for _ in range(40):
-        master = random_column_lp(rng)
-        direct = solve(master)
+        lp = make(rng)
+        direct = solve(lp)
         with monkeypatch.context() as m:
             m.setattr(lpmod, "_highs", None)
-            fallback = solve(master)
+            fallback = solve(lp)
         assert direct.status == fallback.status == "Optimal"
         assert direct.x.tobytes() == fallback.x.tobytes()
         assert direct.row_duals.tobytes() == fallback.row_duals.tobytes()
@@ -161,22 +141,31 @@ def test_direct_call_matches_linprog_bit_for_bit(monkeypatch):
         assert direct.iterations == fallback.iterations
 
 
-def test_column_lp_reports_infeasible_and_unbounded_on_both_paths(monkeypatch):
-    infeasible = LinearProgram(sense="max")
-    infeasible.add_variable("x", None, None)
-    infeasible.set_objective("x", 1.0)
-    infeasible.add_constraint("lo", {"x": 1.0}, GE, 2.0)
-    infeasible.add_constraint("hi", {"x": 1.0}, LE, 1.0)
-    unbounded = LinearProgram(sense="max")
-    unbounded.add_variable("x", None, None)
-    unbounded.add_variable("y", 0.0, None)
-    unbounded.set_objective("x", 1.0)
-    unbounded.add_constraint("c", {"x": 1.0, "y": -1.0}, LE, 1.0)
+def test_direct_call_matches_linprog_bit_for_bit(monkeypatch):
+    assert_direct_call_matches_linprog(random_column_lp, monkeypatch)
+
+
+def test_direct_rowwise_call_matches_linprog_bit_for_bit(monkeypatch):
+    assert_direct_call_matches_linprog(random_array_lp, monkeypatch)
+
+
+def assert_infeasible_and_unbounded(form, monkeypatch):
+    free = [(-np.inf, np.inf)]
+    infeasible = array_lp([1.0], [[-1.0], [1.0]], [-2.0, 1.0], bounds=free)
+    unbounded = array_lp([1.0, 0.0], [[1.0, -1.0]], [1.0], bounds=free + [(0.0, np.inf)])
     for binding in (lpmod._highs, None):
         monkeypatch.setattr(lpmod, "_highs", binding)
-        assert solve(column_lp(infeasible)).status == "Infeasible"
-        sol = solve(column_lp(unbounded))
+        assert solve(form(infeasible)).status == "Infeasible"
+        sol = solve(form(unbounded))
         assert (sol.status, sol.objective_value) == ("Unbounded", np.inf)
+
+
+def test_column_lp_reports_infeasible_and_unbounded_on_both_paths(monkeypatch):
+    assert_infeasible_and_unbounded(ColumnLP, monkeypatch)
+
+
+def test_array_lp_reports_infeasible_and_unbounded_on_both_paths(monkeypatch):
+    assert_infeasible_and_unbounded(lambda lp: lp, monkeypatch)
 
 
 def test_binding_check_needs_every_name_used(monkeypatch):
@@ -187,12 +176,8 @@ def test_binding_check_needs_every_name_used(monkeypatch):
 
 def test_iterations_are_reported():
     rng = np.random.default_rng(3)
-    master = random_column_lp(rng)
-    runs = [solve(master).iterations for _ in range(3)]
-    assert runs[0] == runs[1] == runs[2]
-    lp = LinearProgram(sense="max")
-    for i in range(3):
-        lp.add_variable(f"x{i}", 0.0, 1.0)
-        lp.set_objective(f"x{i}", 1.0 + i)
-    lp.add_constraint("cap", {f"x{i}": 1.0 for i in range(3)}, LE, 1.5)
+    for lp in (random_array_lp(rng), random_column_lp(rng)):
+        runs = [solve(lp).iterations for _ in range(3)]
+        assert runs[0] == runs[1] == runs[2]
+    lp = array_lp([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [1.5], bounds=[(0.0, 1.0)] * 3)
     assert solve(lp).iterations >= 1

@@ -4,7 +4,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +28,7 @@ from infomenu import (
 from infomenu.audit import matching_environment
 from infomenu.io import blueprint_to_json
 from infomenu.multiagent import _Coords, _initial_weight_sets
+from named_lp import EQ, GE, LE, NamedLP, assert_same_arrays
 
 
 def one_buyer(types, probs=None) -> MultiEnvironment:
@@ -341,13 +341,13 @@ def test_monte_carlo_reproduces_interim_matrices():
 
 # --- the master LP against the name-keyed construction ---------------------------
 
-def named_master_lp(env: MultiEnvironment, vectors: list[np.ndarray]) -> lpmod.LinearProgram:
+def named_master_lp(env: MultiEnvironment, vectors: list[np.ndarray]) -> NamedLP:
     """The master as the name-keyed builder made it, with one lam column per
     vertex vector: the test-only reference for the index arithmetic."""
     coords = _Coords(env)
     n, m = env.n_states, env.n_actions
     base = env.base_utilities()
-    prog = lpmod.LinearProgram(sense="max")
+    prog = NamedLP(sense="max")
     for slot, (i, s) in enumerate(coords.slots):
         for w in range(n):
             for j in range(m):
@@ -388,8 +388,8 @@ def named_master_lp(env: MultiEnvironment, vectors: list[np.ndarray]) -> lpmod.L
                     coeffs[f"z[{i},{s},{s2},{j}]"] = coeffs.get(f"z[{i},{s},{s2},{j}]", 0.0) - 1.0
                 coeffs[f"p[{slot2}]"] = coeffs.get(f"p[{slot2}]", 0.0) + base[i][s]
                 coeffs[f"t[{slot2}]"] = coeffs.get(f"t[{slot2}]", 0.0) + 1.0
-                prog.add_constraint(f"bic[{i},{s},{s2}]", coeffs, lpmod.GE, 0.0)
-            prog.add_constraint(f"iir[{i},{s}]", truthful_coeffs(i, s), lpmod.GE, 0.0)
+                prog.add_constraint(f"bic[{i},{s},{s2}]", coeffs, GE, 0.0)
+            prog.add_constraint(f"iir[{i},{s}]", truthful_coeffs(i, s), GE, 0.0)
             theta = b.types[s].prior
             slot = slot_of[(i, s)]
             for s2 in range(len(b.types)):
@@ -403,11 +403,11 @@ def named_master_lp(env: MultiEnvironment, vectors: list[np.ndarray]) -> lpmod.L
                                 coeffs[f"pi[{slot2},{w},{j}]"] = (
                                     coeffs.get(f"pi[{slot2},{w},{j}]", 0.0) - c
                                 )
-                        prog.add_constraint(f"zlb[{i},{s},{s2},{j},{a}]", coeffs, lpmod.GE, 0.0)
+                        prog.add_constraint(f"zlb[{i},{s},{s2},{j},{a}]", coeffs, GE, 0.0)
             for w in range(n):
                 coeffs = {f"pi[{slot},{w},{j}]": 1.0 for j in range(m)}
                 coeffs[f"p[{slot}]"] = -1.0
-                prog.add_constraint(f"alloc[{slot},{w}]", coeffs, lpmod.EQ, 0.0)
+                prog.add_constraint(f"alloc[{slot},{w}]", coeffs, EQ, 0.0)
 
     for slot in range(len(coords.slots)):
         for w in range(n):
@@ -417,8 +417,8 @@ def named_master_lp(env: MultiEnvironment, vectors: list[np.ndarray]) -> lpmod.L
                 for k, vec in enumerate(vectors):
                     if vec[c] != 0.0:
                         coeffs[f"lam[{k}]"] = float(-vec[c])
-                prog.add_constraint(f"couple[{slot},{w},{j}]", coeffs, lpmod.EQ, 0.0)
-    prog.add_constraint("convex", {f"lam[{k}]": 1.0 for k in range(len(vectors))}, lpmod.EQ, 1.0)
+                prog.add_constraint(f"couple[{slot},{w},{j}]", coeffs, EQ, 0.0)
+    prog.add_constraint("convex", {f"lam[{k}]": 1.0 for k in range(len(vectors))}, EQ, 1.0)
     return prog
 
 
@@ -449,25 +449,6 @@ MASTER_SHAPES = [
 
 class _FirstSolve(Exception):
     pass
-
-
-def canonical(A) -> sp.csr_matrix:
-    A = sp.csr_matrix(A, copy=True)
-    A.eliminate_zeros()
-    A.sort_indices()
-    return A
-
-
-def assert_same_arrays(arrays: lpmod.ArrayLP, ref: lpmod.ArrayLP):
-    """Equal LPs, explicit zeros and entry order within a row aside."""
-    assert arrays.sense == ref.sense
-    for field in ("c", "b_ub", "b_eq", "bounds"):
-        np.testing.assert_array_equal(getattr(arrays, field), getattr(ref, field))
-    for A, B in ((arrays.A_ub, ref.A_ub), (arrays.A_eq, ref.A_eq)):
-        A, B = canonical(A), canonical(B)
-        assert A.shape == B.shape
-        for attr in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(A, attr), getattr(B, attr))
 
 
 @pytest.mark.parametrize("shape", MASTER_SHAPES)
@@ -520,7 +501,7 @@ def test_master_iterations_are_deterministic():
     assert again.pricing_rounds == first.pricing_rounds
 
 
-def named_ex_post_lp(env: MultiEnvironment) -> lpmod.LinearProgram:
+def named_ex_post_lp(env: MultiEnvironment) -> NamedLP:
     """The full ex-post LP as the name-keyed builder made it: the test-only
     reference for brute_force_multi's index arithmetic."""
     counts = [len(b.types) for b in env.buyers]
@@ -556,7 +537,7 @@ def named_ex_post_lp(env: MultiEnvironment) -> lpmod.LinearProgram:
         lst.insert(i, s)
         return tuple(lst)
 
-    prog = lpmod.LinearProgram(sense="max")
+    prog = NamedLP(sense="max")
     for i in range(nb):
         for r in range(n_prof):
             for w in range(n):
@@ -595,7 +576,7 @@ def named_ex_post_lp(env: MultiEnvironment) -> lpmod.LinearProgram:
             # IIR: truthful interim utility >= base utility.
             coeffs: dict[str, float] = {}
             truthful(s, 1.0, coeffs)
-            prog.add_constraint(f"iir[{i},{s}]", coeffs, lpmod.GE, 0.0)
+            prog.add_constraint(f"iir[{i},{s}]", coeffs, GE, 0.0)
 
             for s2 in range(counts[i]):
                 coeffs = {}
@@ -609,7 +590,7 @@ def named_ex_post_lp(env: MultiEnvironment) -> lpmod.LinearProgram:
                         coeffs[key] = coeffs.get(key, 0.0) - fo
                     coeffs[f"p[{i},{r2}]"] = coeffs.get(f"p[{i},{r2}]", 0.0) + fo * base[i][s]
                     coeffs[f"t[{i},{r2}]"] = coeffs.get(f"t[{i},{r2}]", 0.0) + fo
-                prog.add_constraint(f"bic[{i},{s},{s2}]", coeffs, lpmod.GE, 0.0)
+                prog.add_constraint(f"bic[{i},{s},{s2}]", coeffs, GE, 0.0)
 
                 for j in range(m):
                     for a in range(m):
@@ -624,7 +605,7 @@ def named_ex_post_lp(env: MultiEnvironment) -> lpmod.LinearProgram:
                                     key = f"pi[{i},{r2},{w},{j}]"
                                     coeffs[key] = coeffs.get(key, 0.0) - c
                         prog.add_constraint(
-                            f"zlb[{i},{s},{s2},{j},{a}]", coeffs, lpmod.GE, 0.0
+                            f"zlb[{i},{s},{s2},{j},{a}]", coeffs, GE, 0.0
                         )
 
     for i in range(nb):
@@ -632,10 +613,10 @@ def named_ex_post_lp(env: MultiEnvironment) -> lpmod.LinearProgram:
             for w in range(n):
                 coeffs = {f"pi[{i},{r},{w},{j}]": 1.0 for j in range(m)}
                 coeffs[f"p[{i},{r}]"] = -1.0
-                prog.add_constraint(f"alloc[{i},{r},{w}]", coeffs, lpmod.EQ, 0.0)
+                prog.add_constraint(f"alloc[{i},{r},{w}]", coeffs, EQ, 0.0)
     for r in range(n_prof):
         prog.add_constraint(
-            f"cap[{r}]", {f"p[{i},{r}]": 1.0 for i in range(nb)}, lpmod.LE, 1.0
+            f"cap[{r}]", {f"p[{i},{r}]": 1.0 for i in range(nb)}, LE, 1.0
         )
     return prog
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from infomenu.errors import InvalidInstance, NoPath, TooLarge
+from infomenu.market import BuyerType, Experiment
 from infomenu.oracles import (
     CNF,
     IPSATInstance,
     MatrixOracle,
+    OracleMarket,
     SATOracle,
     TrafficInstance,
     TrafficOracle,
@@ -17,6 +19,7 @@ from infomenu.oracles import (
     enumerate_environment,
     format_dimacs,
     max_satisfiable,
+    oracle_value,
     parse_dimacs,
     parse_traffic,
     satisfied_counts,
@@ -298,3 +301,42 @@ def test_oracles_reject_non_finite_beliefs():
     with pytest.raises(InvalidInstance):
         MatrixOracle(np.array([[np.nan, 1.0]]))
 
+
+
+def test_sat_utility_of_cached_and_uncached_agree():
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        n_vars = int(rng.integers(2, 7))
+        def clause():
+            chosen = rng.choice(n_vars, size=int(rng.integers(1, 4)), replace=False) + 1
+            return [int(v) * (1 if rng.random() < 0.5 else -1) for v in chosen]
+
+        formulas = [CNF(n_vars, [clause() for _ in range(int(rng.integers(1, 8)))])
+                    for _ in range(int(rng.integers(1, 4)))]
+        cached = SATOracle(IPSATInstance(formulas))
+        uncached = SATOracle(IPSATInstance(formulas))
+        uncached._cache = None                  # the streaming path, as above 2^20 assignments
+        assert cached._cache is not None
+        for a in range(1 << n_vars):
+            for w in range(len(formulas)):
+                got = cached.utility_of(a, w)
+                assert type(got) is float
+                assert got == uncached.utility_of(a, w)
+
+
+def test_market_value_is_memoized_by_matrix_contents():
+    types = [BuyerType("t0", np.array([0.5, 0.5])), BuyerType("t1", np.array([0.9, 0.1]))]
+    oracle = MatrixOracle(np.eye(2))
+    market = OracleMarket(oracle, types, {"t0": 0.5, "t1": 0.5})
+    ex = Experiment(np.eye(2))
+    first = market.value("t0", ex)
+    queries = oracle.query_count
+    assert market.value("t0", Experiment(np.eye(2))) == first      # an equal matrix hits
+    assert oracle.query_count == queries
+    market.value("t1", ex)                                          # another type misses
+    assert oracle.query_count == queries + 2
+    ex.matrix[:] = 0.5                                              # a mutated matrix misses
+    fresh = MatrixOracle(np.eye(2))
+    assert market.value("t0", ex) == oracle_value(fresh, types[0].prior, ex.matrix)
+    assert market.value("t0", ex) == pytest.approx(0.5)
+    assert oracle.query_count == queries + 2 + 2
