@@ -28,7 +28,7 @@ from .errors import (
 )
 from .explicit import solve_explicit
 from .implicit import solve_implicit
-from .market import audit_menu
+from .market import BuyerType, audit_menu
 from .multiagent import solve_reduced_lp
 from .oracles import (
     MatrixOracle,
@@ -67,8 +67,6 @@ def _load_types(path: str):
     doc = json.loads(_read(path))
     if "types" not in doc:
         raise InvalidInstance("instance document has no types")
-    from .market import BuyerType
-
     types = [BuyerType(t["id"], np.asarray(t["prior"], dtype=float)) for t in doc["types"]]
     probs = {t["id"]: float(t["prob"]) for t in doc["types"]}
     return types, probs
@@ -91,40 +89,40 @@ def cmd_solve_explicit(args) -> int:
     return EXIT_OK
 
 
-def _implicit_oracle(args):
-    if args.oracle == "matrix":
+def _oracle(kind: str, args):
+    """The best-response oracle of ``kind`` the arguments name, with the
+    buyer types and probabilities of its instance (None for a traffic graph,
+    which carries no types)."""
+    if kind == "matrix":
         if not args.instance:
-            raise InvalidInstance("--oracle matrix needs --instance")
+            raise InvalidInstance("matrix oracle needs --instance")
         env = iomod.environment_from_json(json.loads(_read(args.instance)))
         mats = [env.utility[t.id] for t in env.types]
         if not all(np.array_equal(mats[0], m) for m in mats):
             raise InvalidInstance("oracle-backed solving needs one shared utility matrix")
-        types = env.types
-        probs = env.type_probs
-        return MatrixOracle(mats[0]), types, probs
-    if args.oracle == "traffic":
-        if not args.graph or not args.instance:
-            raise InvalidInstance("--oracle traffic needs --graph and --instance")
-        oracle = TrafficOracle(parse_traffic(_read(args.graph)))
-        types, probs = _load_types(args.instance)
-        return oracle, types, probs
-    if args.oracle == "sat":
-        from .market import BuyerType
-
+        return MatrixOracle(mats[0]), env.types, env.type_probs
+    if kind == "traffic":
+        if not args.graph:
+            raise InvalidInstance("traffic oracle needs --graph")
+        return TrafficOracle(parse_traffic(_read(args.graph))), None, None
+    if kind == "sat":
         if args.cnf:
             inst = build_sat_reduction(parse_dimacs(_read(args.cnf)))
         elif args.instance:
             inst = iomod.ipsat_from_json(json.loads(_read(args.instance)))
         else:
-            raise InvalidInstance("--oracle sat needs --cnf or --instance")
+            raise InvalidInstance("sat oracle needs --cnf or --instance")
         types = [BuyerType("t0", np.asarray(inst.type_prior, dtype=float))]
-        probs = {"t0": 1.0}
-        return SATOracle(inst), types, probs
-    raise InvalidInstance(f"unknown oracle kind {args.oracle!r}")
+        return SATOracle(inst), types, {"t0": 1.0}
+    raise InvalidInstance(f"unknown oracle kind {kind!r}")
 
 
 def cmd_solve_implicit(args) -> int:
-    oracle, types, probs = _implicit_oracle(args)
+    oracle, types, probs = _oracle(args.oracle, args)
+    if types is None:
+        if not args.instance:
+            raise InvalidInstance("--oracle traffic needs --instance")
+        types, probs = _load_types(args.instance)
     result = solve_implicit(
         oracle,
         types,
@@ -216,25 +214,7 @@ def cmd_oracle(args) -> int:
         return EXIT_OK
     if args.oracle_cmd == "respond":
         belief = np.array([float(x) for x in args.belief.split(",")])
-        if args.kind == "matrix":
-            if not args.instance:
-                raise InvalidInstance("matrix oracle needs --instance")
-            env = iomod.environment_from_json(json.loads(_read(args.instance)))
-            mats = [env.utility[t.id] for t in env.types]
-            oracle = MatrixOracle(mats[0])
-        elif args.kind == "traffic":
-            if not args.graph:
-                raise InvalidInstance("traffic oracle needs --graph")
-            oracle = TrafficOracle(parse_traffic(_read(args.graph)))
-        elif args.kind == "sat":
-            if args.cnf:
-                oracle = SATOracle(build_sat_reduction(parse_dimacs(_read(args.cnf))))
-            elif args.instance:
-                oracle = SATOracle(iomod.ipsat_from_json(json.loads(_read(args.instance))))
-            else:
-                raise InvalidInstance("sat oracle needs --cnf or --instance")
-        else:
-            raise InvalidInstance(f"unknown oracle kind {args.kind!r}")
+        oracle, _, _ = _oracle(args.kind, args)
         action, utility = oracle.respond(belief)
         _emit({"v": 1, "action": list(action) if isinstance(action, tuple) else action,
                "expected_utility": utility})

@@ -14,7 +14,15 @@ import scipy.sparse as sp
 
 from . import lp as lpmod
 from .errors import NumericalFailure
-from .market import AuditReport, Environment, Experiment, Menu, audit_menu, base_utility
+from .market import (
+    AuditReport,
+    Environment,
+    Experiment,
+    Menu,
+    audit_menu,
+    base_utility,
+    experiment_value,
+)
 
 CLEANUP_TOL = 1e-9
 ENTRY_TOL = 1e-7             # HiGHS primal feasibility tolerance
@@ -188,18 +196,7 @@ def solve_explicit(env: Environment) -> tuple[Menu, float, AuditReport]:
         entries.append((Experiment(mat), 0.0))
 
     values = np.array(
-        [
-            [
-                float(
-                    (entries[j][0].matrix * env.prior(bt.id)[:, None]).T
-                    .dot(env.utility[bt.id])
-                    .max(axis=1)
-                    .sum()
-                )
-                for j in range(k)
-            ]
-            for bt in env.types
-        ]
+        [[experiment_value(env, bt.id, ex) for ex, _ in entries] for bt in env.types]
     )
     base = np.array([base_utility(env, bt.id) for bt in env.types])
     probs = np.array([env.prob(bt.id) for bt in env.types])

@@ -46,6 +46,7 @@ log = logging.getLogger(__name__)
 DEFAULT_GRID_CAP = 10**7
 EXACT_IC_TOL = 1e-9          # observed violations below this count as exact
 SEPARATION_TOL = 1e-8
+MAX_SEPARATION_ROUNDS = 200
 
 
 def tv_distance(p, q) -> float:
@@ -400,9 +401,6 @@ def solve_implicit(
     epsilon: float,
     *,
     grid_cap: int = DEFAULT_GRID_CAP,
-    delta: float | None = None,
-    max_rounds: int = 200,
-    separation_tol: float = SEPARATION_TOL,
 ) -> ImplicitResult:
     """Oracle-driven menu optimization within epsilon-ish of optimal.
 
@@ -414,9 +412,7 @@ def solve_implicit(
     no-op whenever the solution is already exactly IC, the usual case).
     """
     market = OracleMarket(oracle, types, type_probs)
-    action_sets, grid = build_action_sets(
-        oracle, types, epsilon, grid_cap=grid_cap, delta=delta
-    )
+    action_sets, grid = build_action_sets(oracle, types, epsilon, grid_cap=grid_cap)
     k = len(types)
     n = grid.n_states
     sizes = [action_sets.size(t.id) for t in types]
@@ -443,8 +439,8 @@ def solve_implicit(
     rounds = iterations = 0
     while True:
         rounds += 1
-        if rounds > max_rounds:
-            raise NonConvergence(f"separation did not settle in {max_rounds} rounds")
+        if rounds > MAX_SEPARATION_ROUNDS:
+            raise NonConvergence(f"separation did not settle in {MAX_SEPARATION_ROUNDS} rounds")
         n_rows = len(indptr) - 1
         A_ub = sp.csr_matrix((data, indices, indptr), shape=(n_rows, fixed.n_variables()))
         b_ub = np.concatenate((fixed.b_ub, np.full(n_rows - fixed_rows, -0.0)))
@@ -472,7 +468,7 @@ def solve_implicit(
             for (t, t2, i, mass, _), tok, eu in zip(queries, tokens, eus):
                 z = price + k + t * total + first[t2] + i
                 zval = sol.x[z]
-                if mass * eu - zval <= separation_tol:
+                if mass * eu - zval <= SEPARATION_TOL:
                     continue
                 key = (t, t2, i, tok)
                 if key in added:
@@ -486,7 +482,7 @@ def solve_implicit(
                 data.extend(coeffs[w].tolist() + [-1.0])
                 indptr.append(len(indices))
         if new_rows == 0:
-            if stale_violation > 10 * separation_tol:
+            if stale_violation > 10 * SEPARATION_TOL:
                 raise NumericalFailure(
                     f"existing deviation bound still violated by {stale_violation}"
                 )

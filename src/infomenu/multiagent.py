@@ -28,6 +28,8 @@ from .errors import InvalidInstance, NonConvergence, NumericalFailure, TooLarge
 from .market import BuyerType, Experiment, PROB_TOL
 
 DECOMP_TOL = 1e-6
+MAX_PRICING_ROUNDS = 500
+PRICING_TOL = 1e-8
 
 
 @dataclass(eq=False)
@@ -292,7 +294,6 @@ class MultiResult:
     reduced_form: ReducedForm
     blueprint: MechanismBlueprint
     revenue: float
-    vertices: list[np.ndarray]
     pricing_rounds: int
     master_iterations: int               # HiGHS simplex iterations over all master solves
 
@@ -414,12 +415,7 @@ def _master_lp(env: MultiEnvironment) -> lpmod.ArrayLP:
     return lpmod.ArrayLP(c, A_ub, -np.zeros(row0), A_eq, b_eq, bounds, "max")
 
 
-def solve_reduced_lp(
-    env: MultiEnvironment,
-    *,
-    max_rounds: int = 500,
-    pricing_tol: float = 1e-8,
-) -> MultiResult:
+def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
     """Revenue-optimal mechanism via the interim LP with generated vertices.
 
     The master couples the interim matrices to a convex combination of VPM
@@ -432,9 +428,15 @@ def solve_reduced_lp(
     n, m = env.n_states, env.n_actions
     n_slots = len(coords.slots)
     fixed = _master_lp(env)
-    master = lpmod.ColumnLP(fixed)
-    couple = fixed.A_ub.shape[0] + n_slots * n         # first couple row
+    ub = fixed.A_ub
+    n_ub = ub.shape[0]
+    couple = n_slots * n                    # first couple row of A_eq
     convex = couple + coords.dim
+    # The equality rows as CSC pieces, joined once per round; each vertex
+    # appends its column lam[k]: -vec on the couple rows and 1 on the convex
+    # row.  Arrays, not lists: converting lists costs more than the joins.
+    A = fixed.A_eq.tocsc()
+    indptr, indices, data = [A.indptr], [A.indices], [A.data]
 
     vertices: list[np.ndarray] = []
     vertex_weights: list[VPMWeights] = []
@@ -448,8 +450,9 @@ def solve_reduced_lp(
         vertices.append(vec)
         vertex_weights.append(wts)
         nz = np.flatnonzero(vec)
-        master.add_column(0.0, 0.0, np.inf, (couple + nz).tolist() + [convex],
-                          (-vec[nz]).tolist() + [1.0])
+        indices.append(np.append(couple + nz, convex))
+        data.append(np.append(-vec[nz], 1.0))
+        indptr.append(indptr[-1][-1:] + len(nz) + 1)
         return True
 
     for wts in _initial_weight_sets(env, coords):
@@ -458,18 +461,26 @@ def solve_reduced_lp(
     rounds = iterations = 0
     while True:
         rounds += 1
-        if rounds > max_rounds:
-            raise NonConvergence(f"pricing did not settle in {max_rounds} rounds")
-        sol = lpmod.solve(master)
+        if rounds > MAX_PRICING_ROUNDS:
+            raise NonConvergence(f"pricing did not settle in {MAX_PRICING_ROUNDS} rounds")
+        n_lam = len(vertices)
+        n_cols = A.shape[1] + n_lam
+        # The lam columns have no inequality entries: A_ub only widens.
+        A_ub = sp.csr_matrix((ub.data, ub.indices, ub.indptr), shape=(n_ub, n_cols))
+        csc = tuple(np.concatenate(part) for part in (data, indices, indptr))
+        A_eq = sp.csc_matrix(csc, shape=(A.shape[0], n_cols)).tocsr()
+        c = np.concatenate((fixed.c, np.zeros(n_lam)))
+        bounds = np.concatenate((fixed.bounds, np.tile([0.0, np.inf], (n_lam, 1))))
+        sol = lpmod.solve(lpmod.ArrayLP(c, A_ub, fixed.b_ub, A_eq, fixed.b_eq, bounds, "max"))
         iterations += sol.iterations
         if sol.status != "Optimal":
             raise NumericalFailure(f"reduced-form master LP is {sol.status}")
-        y = sol.row_duals[couple:convex]
-        sigma = float(sol.row_duals[convex])
+        y = sol.row_duals[n_ub + couple:n_ub + convex]
+        sigma = float(sol.row_duals[n_ub + convex])
         candidate = coords.weights(y)
         vec = coords.vector(rvpm(env, candidate))
         score = float(y @ vec)
-        if score <= sigma + pricing_tol:
+        if score <= sigma + PRICING_TOL:
             break
         if not add_vertex(candidate, vec):
             # The improving vertex is already a column; its reduced cost must
@@ -503,7 +514,6 @@ def solve_reduced_lp(
         reduced_form=rf,
         blueprint=blueprint,
         revenue=revenue,
-        vertices=[vertices[i] for i in kept],
         pricing_rounds=rounds,
         master_iterations=iterations,
     )

@@ -87,6 +87,17 @@ def test_respond_never_prints_nan(instance_file):
     assert "NaN" not in text
 
 
+def test_matrix_oracle_needs_one_shared_utility(tmp_path):
+    env = matching_environment([("t0", [0.5, 0.5]), ("t1", [0.9, 0.1])])
+    env.utility["t1"] = env.utility["t1"][:, ::-1].copy()
+    path = tmp_path / "per_type.json"
+    path.write_text(iomod.dumps(iomod.environment_to_json(env)))
+    for argv in (["oracle", "respond", "--kind", "matrix", "--belief", "0.5,0.5"],
+                 ["solve-implicit", "--oracle", "matrix", "--epsilon", "0.1"]):
+        code, text = run_cli(argv + ["--instance", str(path)])
+        assert (code, text) == (EXIT_INVALID, "")
+
+
 def test_oracle_sat_opt(cnf_file):
     code, text = run_cli(["oracle", "sat-opt", "--cnf", cnf_file])
     assert code == EXIT_OK

@@ -1,13 +1,12 @@
-"""The array and column forms of an LP, the direct HiGHS call, its linprog
-fallback, and duals."""
+"""The array form of an LP, the direct HiGHS call, its linprog fallback,
+and duals."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from infomenu import lp as lpmod
-from infomenu.errors import InvalidInstance
-from infomenu.lp import ArrayLP, ColumnLP, solve
+from infomenu.lp import ArrayLP, solve
 
 
 def array_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=(), bounds=None, sense="max") -> ArrayLP:
@@ -71,38 +70,13 @@ def test_optimal_solutions_respect_constraints():
 
 
 def test_duals_sign_convention():
-    for lp in (simple_max(), ColumnLP(simple_max())):
-        assert solve(lp).row_duals[0] == pytest.approx(1.0)
+    assert solve(simple_max()).row_duals[0] == pytest.approx(1.0)
 
 
 def test_equality_duals():
-    lp = array_lp([2.0], A_eq=[[1.0]], b_eq=[3.0], bounds=[(-np.inf, np.inf)])
-    for form in (lp, ColumnLP(lp)):
-        sol = solve(form)
-        assert sol.objective_value == pytest.approx(6.0)
-        assert sol.row_duals[0] == pytest.approx(2.0)
-
-
-def test_appended_column_joins_the_solve():
-    # One unit of capacity; the appended activity pays double per unit.
-    master = ColumnLP(simple_max())
-    assert solve(master).objective_value == pytest.approx(1.0)
-    master.add_column(2.0, 0.0, np.inf, [0], [1.0])
-    assert (master.n_variables(), master.n_constraints()) == (2, 1)
-    sol = solve(master)
-    assert sol.objective_value == pytest.approx(2.0)
-    np.testing.assert_allclose(sol.x, [0.0, 1.0])
+    sol = solve(array_lp([2.0], A_eq=[[1.0]], b_eq=[3.0], bounds=[(-np.inf, np.inf)]))
+    assert sol.objective_value == pytest.approx(6.0)
     assert sol.row_duals[0] == pytest.approx(2.0)
-
-
-def test_add_column_rejects_bad_rows():
-    master = ColumnLP(simple_max())
-    for rows, values in (([1], [1.0]), ([0, 0], [1.0, 1.0]), ([0], [1.0, 2.0])):
-        with pytest.raises(InvalidInstance):
-            master.add_column(1.0, 0.0, np.inf, rows, values)
-    with pytest.raises(InvalidInstance):
-        master.add_column(1.0, 1.0, 0.0, [0], [1.0])
-    assert master.n_variables() == 1
 
 
 def random_array_lp(rng) -> ArrayLP:
@@ -116,20 +90,10 @@ def random_array_lp(rng) -> ArrayLP:
                    A_eq, np.zeros(n_eq), bounds, "max")
 
 
-def random_column_lp(rng) -> ColumnLP:
-    """A random array LP as a column LP, plus appended columns."""
-    master = ColumnLP(random_array_lp(rng))
-    for _ in range(int(rng.integers(0, 4))):
-        rows = np.flatnonzero(rng.random(master.n_constraints()) < 0.5)
-        master.add_column(float(rng.normal()), 0.0, 1.0, rows.tolist(),
-                          rng.normal(size=len(rows)).tolist())
-    return master
-
-
-def assert_direct_call_matches_linprog(make, monkeypatch):
+def test_direct_rowwise_call_matches_linprog_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(11)
     for _ in range(40):
-        lp = make(rng)
+        lp = random_array_lp(rng)
         direct = solve(lp)
         with monkeypatch.context() as m:
             m.setattr(lpmod, "_highs", None)
@@ -141,31 +105,15 @@ def assert_direct_call_matches_linprog(make, monkeypatch):
         assert direct.iterations == fallback.iterations
 
 
-def test_direct_call_matches_linprog_bit_for_bit(monkeypatch):
-    assert_direct_call_matches_linprog(random_column_lp, monkeypatch)
-
-
-def test_direct_rowwise_call_matches_linprog_bit_for_bit(monkeypatch):
-    assert_direct_call_matches_linprog(random_array_lp, monkeypatch)
-
-
-def assert_infeasible_and_unbounded(form, monkeypatch):
+def test_array_lp_reports_infeasible_and_unbounded_on_both_paths(monkeypatch):
     free = [(-np.inf, np.inf)]
     infeasible = array_lp([1.0], [[-1.0], [1.0]], [-2.0, 1.0], bounds=free)
     unbounded = array_lp([1.0, 0.0], [[1.0, -1.0]], [1.0], bounds=free + [(0.0, np.inf)])
     for binding in (lpmod._highs, None):
         monkeypatch.setattr(lpmod, "_highs", binding)
-        assert solve(form(infeasible)).status == "Infeasible"
-        sol = solve(form(unbounded))
+        assert solve(infeasible).status == "Infeasible"
+        sol = solve(unbounded)
         assert (sol.status, sol.objective_value) == ("Unbounded", np.inf)
-
-
-def test_column_lp_reports_infeasible_and_unbounded_on_both_paths(monkeypatch):
-    assert_infeasible_and_unbounded(ColumnLP, monkeypatch)
-
-
-def test_array_lp_reports_infeasible_and_unbounded_on_both_paths(monkeypatch):
-    assert_infeasible_and_unbounded(lambda lp: lp, monkeypatch)
 
 
 def test_binding_check_needs_every_name_used(monkeypatch):
@@ -176,7 +124,7 @@ def test_binding_check_needs_every_name_used(monkeypatch):
 
 def test_iterations_are_reported():
     rng = np.random.default_rng(3)
-    for lp in (random_array_lp(rng), random_column_lp(rng)):
+    for lp in (random_array_lp(rng) for _ in range(2)):
         runs = [solve(lp).iterations for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
     lp = array_lp([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [1.5], bounds=[(0.0, 1.0)] * 3)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infomenu import lp as lpmod
+from infomenu import multiagent
 from infomenu import (
     BuyerType,
     InvalidInstance,
@@ -456,23 +457,30 @@ def test_master_arrays_match_named_reference(shape, monkeypatch):
     type_counts, n, m, zero_utility = shape
     rng = np.random.default_rng([len(type_counts), *type_counts, n, m])
     env = random_multi(rng, type_counts, n, m, zero_utility)
-    seen = []
-
-    def first_solve(master):
-        seen.append(master.arrays())
-        raise _FirstSolve
-
-    monkeypatch.setattr(lpmod, "solve", first_solve)
-    with pytest.raises(_FirstSolve):
-        solve_reduced_lp(env)
     coords = _Coords(env)
+    masters, reduced = [], []
+    real_solve, real_rvpm = lpmod.solve, multiagent.rvpm
+    monkeypatch.setattr(lpmod, "solve", lambda prog: masters.append(prog) or real_solve(prog))
+
+    def rvpm(*args):
+        reduced.append(real_rvpm(*args))
+        return reduced[-1]
+
+    monkeypatch.setattr(multiagent, "rvpm", rvpm)
+    result = solve_reduced_lp(env)
+    # rvpm runs once per starting vertex and once per round; the last
+    # round's vertex does not improve and joins no master.
+    n_start = len(_initial_weight_sets(env, coords))
+    reduced = [coords.vector(rf) for rf in reduced]
     vectors, keys = [], set()
-    for wts in _initial_weight_sets(env, coords):
-        vec = coords.vector(rvpm(env, wts))
+    for vec in reduced[:n_start]:
         if np.round(vec, 12).tobytes() not in keys:
             keys.add(np.round(vec, 12).tobytes())
             vectors.append(vec)
-    assert_same_arrays(seen[0], named_master_lp(env, vectors).compile()[0])
+    assert_same_arrays(masters[0], named_master_lp(env, vectors).compile()[0])
+    vectors += reduced[n_start:-1]
+    assert_same_arrays(masters[result.pricing_rounds - 1],
+                       named_master_lp(env, vectors).compile()[0])
 
 
 def test_fallback_without_the_binding_gives_the_same_mechanism(monkeypatch):
