@@ -4,10 +4,14 @@ The menu design problem is one big LP: per-type experiment matrices with one
 signal per action (signal i recommends action i), per-type prices, and helper
 variables bounding the value a deviating type can extract from each signal of
 another type's experiment.  Self-deviation rows (theta' = theta) force every
-experiment to be responsive for its owner.
+experiment to be responsive for its owner.  ``solve_explicit`` hands HiGHS
+the helper rows lazily, in one warm session, and checks the optimum it
+extracts against a dual bound.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,9 +28,14 @@ from .market import (
     experiment_value,
 )
 
+log = logging.getLogger(__name__)
+
 CLEANUP_TOL = 1e-9
 ENTRY_TOL = 1e-7             # HiGHS primal feasibility tolerance
 AUDIT_TOL = 1e-6
+VIOLATION_TOL = 1e-9         # helper rows violated by more join the lazy LP
+CERTIFY_TOL = 1e-9           # largest dual-bound gap accepted without a re-solve
+RESOLVE_FEASIBILITY_TOL = 1e-10
 
 
 def build_menu_lp(env: Environment) -> lpmod.ArrayLP:
@@ -172,18 +181,63 @@ def _assert_responsive(env: Environment, menu: Menu, tol: float = 1e-6) -> None:
                 )
 
 
-def solve_explicit(env: Environment) -> tuple[Menu, float, AuditReport]:
-    """Solve the menu LP and extract a verified optimal menu.
+def _lazy_solve(prog: lpmod.ArrayLP, k: int, m: int,
+                feasibility_tol: float | None) -> tuple[lpmod.Session, lpmod.LPSolution]:
+    """Solve the menu LP ``prog`` (k types, m actions) with its helper rows
+    added on demand, in one warm session.
 
-    Returns the menu (one entry per type with the identity assignment), its
-    revenue, and the audit report.  Prices are re-derived from the extracted
-    experiments so the audit is exact rather than backend-tolerance loose.
+    The session starts from the IC, IR and row-sum rows, every helper row
+    of a self pair (t2 = t) and the obedience helper rows (j = i).  After
+    each run, every group (t, t2, i) whose most violated helper row outside
+    the model exceeds ``VIOLATION_TOL`` has that row appended.  The last
+    solution meets every row of ``prog``: those in the session within
+    HiGHS's tolerance, the rest within ``VIOLATION_TOL``.
     """
-    reduced, keep = _dedupe_actions(env)
-    sol = lpmod.solve(build_menu_lp(reduced))
-    if sol.status != "Optimal":
-        raise NumericalFailure(f"menu LP is {sol.status}")
+    helpers = prog.A_ub[k * k:k * k * (1 + m * m)]
+    t, t2, i, j = np.indices((k, k, m, m))
+    in_model = ((t == t2) | (i == j)).reshape(k * k * m, m)
+    first = np.concatenate((np.arange(k * k), k * k + np.flatnonzero(in_model),
+                            k * k * (1 + m * m) + np.arange(k)))
+    session = lpmod.Session(
+        lpmod.ArrayLP(prog.c, prog.A_ub[first], prog.b_ub[first], prog.A_eq, prog.b_eq,
+                      prog.bounds, prog.sense),
+        feasibility_tol,
+    )
+    while True:
+        sol = lpmod.solve(session)
+        if sol.status != "Optimal":
+            raise NumericalFailure(f"menu LP is {sol.status}")
+        violation = (helpers @ sol.x).reshape(k * k * m, m)      # helper rhs are 0
+        violation[in_model] = -np.inf
+        worst = violation.argmax(axis=1)
+        groups = np.flatnonzero(violation[np.arange(len(worst)), worst] > VIOLATION_TOL)
+        if not len(groups):
+            return session, sol
+        rows = groups * m + worst[groups]
+        in_model.flat[rows] = True
+        session.add_rows(helpers[rows], prog.b_ub[k * k + rows])
 
+
+def _optimum_box(env: Environment) -> np.ndarray:
+    """Finite bounds per menu-LP column that keep an optimum (README, "Lazy
+    helper rows and the dual bound"): pi in [0, 1], every price in [-G, G]
+    with G the sum over types of full(t) - base(t), and z[i, t, t2] in
+    [0, full(t)], where full(t) is type t's value of full revelation."""
+    n, m, k = env.n_states, env.n_actions, len(env.types)
+    full = np.array([bt.prior @ np.maximum(env.utility[bt.id].max(axis=1), 0.0)
+                     for bt in env.types])
+    base = np.array([base_utility(env, bt.id) for bt in env.types])
+    gap = float((full - base).sum())
+    z_hi = np.tile(np.repeat(full, k), m)                 # z[i, t, t2] in (i, t, t2) order
+    upper = np.concatenate((np.ones(k * n * m), np.full(k, gap), z_hi))
+    lower = np.concatenate((np.zeros(k * n * m), np.full(k, -gap), np.zeros(m * k * k)))
+    return np.column_stack((lower, upper))
+
+
+def _extract(env: Environment, reduced: Environment, keep: list[int],
+             sol: lpmod.LPSolution) -> tuple[Menu, AuditReport]:
+    """The audited menu of a menu-LP optimum: cleaned experiments, re-expanded
+    to every action, with prices re-derived on the audited values."""
     n, m_red, k = reduced.n_states, reduced.n_actions, len(reduced.types)
     pis = sol.x[: k * n * m_red].reshape(k, n, m_red)
     entries: list[tuple[Experiment, float]] = []
@@ -216,4 +270,30 @@ def solve_explicit(env: Environment) -> tuple[Menu, float, AuditReport]:
             f"extracted menu audits IC={report.max_ic_violation} IR={report.max_ir_violation}"
         )
     _assert_responsive(env, menu)
+    return menu, report
+
+
+def solve_explicit(env: Environment) -> tuple[Menu, float, AuditReport]:
+    """Solve the menu LP and extract a verified optimal menu.
+
+    Returns the menu (one entry per type with the identity assignment), its
+    revenue, and the audit report.  Prices are re-derived from the extracted
+    experiments so the audit is exact rather than backend-tolerance loose.
+    The helper rows are added lazily (``_lazy_solve``).  The final session's
+    duals give an upper bound on the optimum of the full LP; when it exceeds
+    the audited revenue by more than ``CERTIFY_TOL``, the LP is solved once
+    more with HiGHS's feasibility tolerances at ``RESOLVE_FEASIBILITY_TOL``,
+    and that answer is returned, with a warning if its gap still shows.
+    """
+    reduced, keep = _dedupe_actions(env)
+    prog = build_menu_lp(reduced)
+    box = _optimum_box(reduced)
+    for tol in (None, RESOLVE_FEASIBILITY_TOL):
+        session, sol = _lazy_solve(prog, len(reduced.types), reduced.n_actions, tol)
+        menu, report = _extract(env, reduced, keep, sol)
+        gap = lpmod.lagrangian_bound(session.array_lp(), sol.row_duals, box) - report.revenue
+        if gap <= CERTIFY_TOL:
+            break
+    else:
+        log.warning("menu revenue %r is %.3g below the LP's dual bound", report.revenue, gap)
     return menu, report.revenue, report

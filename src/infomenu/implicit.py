@@ -405,9 +405,9 @@ def solve_implicit(
     """Oracle-driven menu optimization within epsilon-ish of optimal.
 
     Builds the restricted menu LP over each type's discovered action set and
-    grows the deviation bounds lazily: after each solve, the oracle names the
-    best deviating action against every signal of every experiment, and any
-    bound it beats becomes a new constraint.  The extracted menu is re-priced
+    grows the deviation bounds lazily in one warm ``lp.Session``: after each
+    run, the oracle names the best deviating action against every signal of
+    every experiment, and any bound it beats becomes a new row.  The extracted menu is re-priced
     on exactly audited values and passed through the 4*epsilon repair (a
     no-op whenever the solution is already exactly IC, the usual case).
     """
@@ -421,16 +421,10 @@ def solve_implicit(
     base = np.array([market.base(t.id) for t in types])
     probs = [float(type_probs[t.id]) for t in types]
 
-    fixed = _restricted_lp(sizes, utils, priors, base, probs)
+    session = lpmod.Session(_restricted_lp(sizes, utils, priors, base, probs))
     total = sum(sizes)
     first = np.cumsum([0] + sizes[:-1]).tolist()
     price = n * total
-    fixed_rows = fixed.A_ub.shape[0]
-    # The inequality rows as CSR lists; separation appends the deviation bound
-    # z[i, t, t2] >= sum_w theta_t(w) u(w, a) pi[t2, w, i] of each new (t, t2,
-    # i, a), negated into "<=" like every ">=" row (its rhs is -0.0).
-    A = fixed.A_ub
-    indptr, indices, data = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
 
     def pis(x: np.ndarray, t: int) -> np.ndarray:
         return x[n * first[t]:n * (first[t] + sizes[t])].reshape(n, sizes[t])
@@ -441,11 +435,7 @@ def solve_implicit(
         rounds += 1
         if rounds > MAX_SEPARATION_ROUNDS:
             raise NonConvergence(f"separation did not settle in {MAX_SEPARATION_ROUNDS} rounds")
-        n_rows = len(indptr) - 1
-        A_ub = sp.csr_matrix((data, indices, indptr), shape=(n_rows, fixed.n_variables()))
-        b_ub = np.concatenate((fixed.b_ub, np.full(n_rows - fixed_rows, -0.0)))
-        sol = lpmod.solve(lpmod.ArrayLP(fixed.c, A_ub, b_ub, fixed.A_eq, fixed.b_eq,
-                                        fixed.bounds, "max"))
+        sol = lpmod.solve(session)
         iterations += sol.iterations
         if sol.status != "Optimal":
             raise NumericalFailure(f"restricted menu LP is {sol.status}")
@@ -460,7 +450,10 @@ def solve_implicit(
                     if masses[i] <= 1e-15:
                         continue
                     queries.append((t, t2, i, masses[i], weighted[:, i] / masses[i]))
-        new_rows = 0
+        # Each new (t, t2, i, a) adds the deviation bound z[i, t, t2] >= sum_w
+        # theta_t(w) u(w, a) pi[t2, w, i], negated into "<=" like every ">="
+        # row (its rhs is -0.0).
+        indptr, indices, data = [0], [], []
         stale_violation = 0.0
         if queries:
             beliefs = np.array([q[4] for q in queries])
@@ -475,18 +468,20 @@ def solve_implicit(
                     stale_violation = max(stale_violation, mass * eu - zval)
                     continue
                 added.add(key)
-                new_rows += 1
                 coeffs = priors[t] * np.array([oracle.utility_of(tok, w) for w in range(n)])
                 w = np.flatnonzero(coeffs)
                 indices.extend((n * first[t2] + w * sizes[t2] + i).tolist() + [z])
                 data.extend(coeffs[w].tolist() + [-1.0])
                 indptr.append(len(indices))
+        new_rows = len(indptr) - 1
         if new_rows == 0:
             if stale_violation > 10 * SEPARATION_TOL:
                 raise NumericalFailure(
                     f"existing deviation bound still violated by {stale_violation}"
                 )
             break
+        rows = sp.csr_matrix((data, indices, indptr), shape=(new_rows, session.n_variables()))
+        session.add_rows(rows, np.full(new_rows, -0.0))
     assert rounds <= len(added) + 1, "each non-final round must add a constraint"
 
     entries = [(Experiment(clean_experiment_matrix(pis(sol.x, t))), 0.0) for t in range(k)]

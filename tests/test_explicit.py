@@ -1,5 +1,8 @@
 """Menu LP structure and the exact solver's optimality guarantees."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,10 +18,16 @@ from infomenu import (
     build_menu_lp,
     solve_explicit,
 )
+from infomenu import explicit
+from infomenu import io as iomod
 from infomenu import lp as lpmod
 from infomenu.audit import brute_force_menu_search, matching_environment
 from infomenu.explicit import optimal_prices
 from named_lp import EQ, GE, NamedLP, assert_same_arrays
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from perfbench.workloads import _random_env as random_env  # noqa: E402
 
 
 # --- name-keyed reference construction ------------------------------------------
@@ -391,3 +400,125 @@ def test_degenerate_markets_match_grid_bracket(env):
         for tid in env.type_ids()
     )
     assert rev <= surplus + 1e-9
+
+
+# --- the lazy menu LP against the full one ------------------------------------------
+
+@st.composite
+def lazy_markets(draw) -> Environment:
+    """One to four types over one to three states, drawn to hit point-mass
+    priors, zero-probability types, duplicate actions and constant
+    utilities."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    u = np.array(draw(st.lists(QUARTERS, min_size=n * m, max_size=n * m))).reshape(n, m)
+    if m > 1 and draw(st.booleans()):
+        u[:, -1] = u[:, 0]                      # a duplicate action
+    if draw(st.booleans()):
+        u[:] = u[0, 0]                          # constant utilities
+    k = draw(st.integers(1, 4))
+    priors = []
+    for _ in range(k):
+        if draw(st.booleans()):
+            prior = np.zeros(n)
+            prior[draw(st.integers(0, n - 1))] = 1.0        # a point mass
+        else:
+            prior = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), float)
+        priors.append(prior / prior.sum())
+    weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    return Environment.build(
+        range(n), range(m), u,
+        [(f"t{i}", p) for i, p in enumerate(priors)],
+        {f"t{i}": w / sum(weights) for i, w in enumerate(weights)},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(lazy_markets())
+def test_lazy_revenue_matches_the_full_lp(env):
+    menu, rev, _ = solve_explicit(env)
+    full = lpmod.solve(build_menu_lp(env))
+    assert rev == pytest.approx(full.objective_value, abs=1e-9)
+    audit = audit_menu(env, menu)
+    assert audit.max_ic_violation <= 1e-9 and audit.max_ir_violation <= 1e-9
+
+
+def record_runs(monkeypatch) -> list:
+    """(rows, iterations) of every LP run from here on."""
+    runs = []
+    real_solve = lpmod.solve
+
+    def record(lp):
+        sol = real_solve(lp)
+        runs.append((lp.n_constraints(), sol.iterations))
+        return sol
+
+    monkeypatch.setattr(lpmod, "solve", record)
+    return runs
+
+
+def test_lazy_solve_is_deterministic(monkeypatch):
+    env = random_env(np.random.default_rng([5, 12]), 3, 5, 12)
+    runs = record_runs(monkeypatch)
+    texts = []
+    for _ in range(2):
+        menu, rev, _ = solve_explicit(env)
+        texts.append((iomod.dumps(iomod.menu_to_json(menu)), repr(rev)))
+    assert texts[0] == texts[1]
+    half = len(runs) // 2
+    assert runs[:half] == runs[half:] and half >= 3          # lazy rounds, then the price LP
+
+
+def test_lazy_solve_keeps_few_helper_rows_at_forty_types(monkeypatch):
+    k, n, m = 40, 3, 5
+    env = random_env(np.random.default_rng([7, 40]), n, m, k)
+    runs = record_runs(monkeypatch)
+    _, rev, rep = solve_explicit(env)
+    assert rep.max_ic_violation <= 1e-9 and rep.max_ir_violation <= 1e-9
+    helper_rows = max(rows for rows, _ in runs) - (k * k + k + k * n)
+    assert helper_rows < k * k * m * m / 4
+    # A few lazy rounds (two on this market), then the price LP.
+    assert 2 <= len(runs) <= 5
+
+
+def test_dual_bound_certifies_the_lazy_optimum(monkeypatch):
+    env = random_env(np.random.default_rng([3, 9]), 3, 5, 9)
+    bounds = []
+    real_bound = lpmod.lagrangian_bound
+    monkeypatch.setattr(lpmod, "lagrangian_bound",
+                        lambda *a: bounds.append(real_bound(*a)) or bounds[-1])
+    _, rev, _ = solve_explicit(env)
+    full = lpmod.solve(build_menu_lp(env)).objective_value
+    assert len(bounds) == 1                                  # no re-solve
+    assert full - 1e-12 <= bounds[0] <= rev + explicit.CERTIFY_TOL
+
+
+def test_optimum_box_holds_the_full_lp_optimum():
+    rng = np.random.default_rng(41)
+    for k in (1, 3, 6):
+        env = random_env(rng, 3, 4, k)
+        prog = build_menu_lp(env)
+        box = explicit._optimum_box(env)
+        assert box.shape == prog.bounds.shape and np.isfinite(box).all()
+        assert (box[:, 0] >= prog.bounds[:, 0]).all() and (box[:, 1] <= prog.bounds[:, 1]).all()
+        # Over the box, the full LP keeps its optimum.
+        boxed = lpmod.ArrayLP(prog.c, prog.A_ub, prog.b_ub, prog.A_eq, prog.b_eq, box)
+        assert lpmod.solve(boxed).objective_value == pytest.approx(
+            lpmod.solve(prog).objective_value, abs=1e-12)
+
+
+def test_gap_above_tolerance_triggers_one_tight_resolve(monkeypatch):
+    env = random_env(np.random.default_rng([3, 9]), 3, 5, 9)
+    tolerances = []
+
+    class Session(lpmod.Session):
+        def __init__(self, lp, feasibility_tol=None):
+            if lp.A_eq.shape[0]:                             # not a price LP
+                tolerances.append(feasibility_tol)
+            super().__init__(lp, feasibility_tol)
+
+    monkeypatch.setattr(lpmod, "Session", Session)
+    real_bound = lpmod.lagrangian_bound
+    monkeypatch.setattr(lpmod, "lagrangian_bound", lambda *a: real_bound(*a) + 1e-6)
+    solve_explicit(env)
+    assert tolerances == [None, explicit.RESOLVE_FEASIBILITY_TOL]

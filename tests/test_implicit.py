@@ -415,10 +415,11 @@ def test_implicit_sat_reduction_hits_closed_form():
 
 # --- the separation LP against the name-keyed construction --------------------------
 
-def named_implicit_lps(oracle, types, type_probs, epsilon) -> list:
+def named_implicit_lps(oracle, types, type_probs, epsilon, solutions) -> list:
     """The restricted LP of every separation round as the name-keyed builder
-    made it, running the same separation loop: the test-only reference for
-    the index arithmetic of ``solve_implicit``."""
+    made it, running the same separation loop on the given per-round
+    solutions (those of ``solve_implicit``'s warm session): the test-only
+    reference for the index arithmetic of ``solve_implicit``."""
     market = OracleMarket(oracle, types, type_probs)
     action_sets, grid = build_action_sets(oracle, types, epsilon)
     k, n = len(types), grid.n_states
@@ -467,7 +468,7 @@ def named_implicit_lps(oracle, types, type_probs, epsilon) -> list:
     lps, added = [], set()
     while True:
         lps.append(prog.compile()[0])
-        values = dict(zip(prog.index, lpmod.solve(lps[-1]).x.tolist()))
+        values = dict(zip(prog.index, solutions[len(lps) - 1].tolist()))
         new_rows = 0
         for t2 in range(k):
             mat = np.clip([[values[f"pi[{t2},{w},{i}]"] for i in range(sizes[t2])]
@@ -521,16 +522,26 @@ def test_separation_lps_match_named_reference(monkeypatch):
         k, n, m, zero_prior = shape
         u, types, probs = random_matrix_market(np.random.default_rng(shape), k, n, m, zero_prior)
         epsilon = 0.1 if n < 3 else 0.3
-        ref = named_implicit_lps(MatrixOracle(u), types, probs, epsilon)
         seen = []
         with monkeypatch.context() as patch:
             real_solve = lpmod.solve
-            patch.setattr(lpmod, "solve", lambda lp: seen.append(lp) or real_solve(lp))
+
+            def record(lp):
+                # The session's rows at this run, and what the run returned.
+                seen.append((lp.array_lp() if isinstance(lp, lpmod.Session) else lp, real_solve(lp)))
+                return seen[-1][1]
+
+            patch.setattr(lpmod, "solve", record)
             res = solve_implicit(MatrixOracle(u), types, probs, epsilon)
-        separation = [lp for lp in seen if lp.A_eq.shape[0]]      # not the price LP
+        separation = [(lp, sol) for lp, sol in seen if lp.A_eq.shape[0]]      # not the price LP
+        ref = named_implicit_lps(MatrixOracle(u), types, probs, epsilon,
+                                 [sol.x for _, sol in separation])
         assert len(separation) == len(ref) == res.separation_rounds, shape
-        for arrays, named in zip(separation, ref):
+        for (arrays, sol), named in zip(separation, ref):
             assert_same_arrays(arrays, named)
+            # The warm run is optimal for the round's rows.
+            assert sol.objective_value == pytest.approx(lpmod.solve(arrays).objective_value,
+                                                        abs=1e-9)
         rounds_seen.append(res.separation_rounds)
     # The first LP of each solve has no deviation rows; the later ones do.
     assert max(rounds_seen) >= 3, rounds_seen
@@ -545,22 +556,56 @@ def test_fallback_without_the_binding_gives_the_same_menus(monkeypatch):
     u = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.55]])
     env = Environment.build(range(2), range(3), u,
                             [("t0", [0.5, 0.5]), ("t1", [0.9, 0.1]), ("t2", [0.3, 0.7])])
+    real_solve = lpmod.solve
 
-    def outputs():
-        res = solve_implicit(MatrixOracle(u), env.types, env.type_probs, 0.04)
-        menu = solve_explicit(env)[0]
-        return (implicit_outputs(res),
-                [(ex.matrix.tobytes(), repr(p)) for ex, p in menu.entries])
+    def outputs(solve):
+        """Both solvers' outputs with every LP run made by ``solve``, and
+        per solver whether each run was a menu LP (it has row sums) or the
+        price LP."""
+        runs = []
 
-    direct = outputs()
+        def record(lp):
+            runs.append((lp.array_lp() if isinstance(lp, lpmod.Session) else lp).A_eq.shape[0] > 0)
+            return solve(lp)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lpmod, "solve", record)
+            res = solve_implicit(MatrixOracle(u), env.types, env.type_probs, 0.04)
+            implicit_runs = len(runs)
+            menu = solve_explicit(env)[0]
+        out = (implicit_outputs(res), [(ex.matrix.tobytes(), repr(p)) for ex, p in menu.entries])
+        return out, (runs[:implicit_runs], runs[implicit_runs:])
+
+    def menus(out):
+        """The revenue, the LP objective and both solvers' menus."""
+        (revenue, objective, _, _, entries), explicit_menu = out
+        return revenue, objective, entries, explicit_menu
+
+    # The cold reference: every run a fresh HiGHS solve of the rows so far.
+    cold, _ = outputs(lambda lp: real_solve(lp.array_lp() if isinstance(lp, lpmod.Session) else lp))
+    direct, _ = outputs(real_solve)
     calls = []
     real_linprog = lpmod.linprog
     monkeypatch.setattr(lpmod, "_highs", None)
     monkeypatch.setattr(lpmod, "linprog",
                         lambda *a, **kw: calls.append(1) or real_linprog(*a, **kw))
-    assert outputs() == direct
-    # Every separation round, both price LPs and the menu LP went through linprog.
-    assert len(calls) == direct[0][2] + 3
+    fallback, (implicit_runs, explicit_runs) = outputs(real_solve)
+    # Without the binding every run is cold, so the fallback repeats the cold
+    # reference in full, separation rounds and iteration counts included.
+    assert fallback == cold
+    assert fallback[0][2:4] == (3, 33)
+    # The warm session passes through other optimal vertices on the way to
+    # the same menus: 4 rounds and 35 iterations on this market.
+    assert menus(direct) == menus(fallback)
+    assert direct[0][2:4] == (4, 35)
+    # Every run went through linprog once: each separation round and the
+    # price LP of solve_implicit, then each lazy round and the price LP of
+    # solve_explicit.
+    rounds = fallback[0][2]
+    assert implicit_runs == [True] * rounds + [False]
+    lazy_rounds = len(explicit_runs) - 1
+    assert explicit_runs == [True] * lazy_rounds + [False] and lazy_rounds >= 1
+    assert len(calls) == rounds + lazy_rounds + 2
 
 
 def test_lp_iterations_are_deterministic():

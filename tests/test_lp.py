@@ -1,5 +1,5 @@
-"""The array form of an LP, the direct HiGHS call, its linprog fallback,
-and duals."""
+"""The array form of an LP, the HiGHS row session, its linprog fallback,
+duals and the dual bound."""
 
 import numpy as np
 import pytest
@@ -129,3 +129,83 @@ def test_iterations_are_reported():
         assert runs[0] == runs[1] == runs[2]
     lp = array_lp([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [1.5], bounds=[(0.0, 1.0)] * 3)
     assert solve(lp).iterations >= 1
+
+
+def stacked(lp: ArrayLP, A, b) -> ArrayLP:
+    """``lp`` with the rows ``A @ x <= b`` after its inequality rows."""
+    return ArrayLP(lp.c, sp.vstack([lp.A_ub, sp.csr_matrix(A)], format="csr"),
+                   np.concatenate((lp.b_ub, b)), lp.A_eq, lp.b_eq, lp.bounds, lp.sense)
+
+
+def test_one_run_session_is_the_one_shot_solve():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        lp = random_array_lp(rng)
+        once, session = solve(lp), solve(lpmod.Session(lp))
+        assert once.x.tobytes() == session.x.tobytes()
+        assert once.row_duals.tobytes() == session.row_duals.tobytes()
+        assert once.iterations == session.iterations
+
+
+def test_appended_rows_join_the_warm_run(monkeypatch):
+    rng = np.random.default_rng(17)
+    for binding in (lpmod._highs, None):
+        monkeypatch.setattr(lpmod, "_highs", binding)
+        for _ in range(20):
+            lp = random_array_lp(rng)
+            session = lpmod.Session(lp)
+            first = solve(session)
+            # Cut off the first optimum: the rows a @ x <= a @ x* - 0.1.
+            A = sp.random(2, lp.n_variables(), density=0.8, random_state=rng, format="csr")
+            b = A @ first.x - 0.1
+            session.add_rows(A, b)
+            assert session.n_constraints() == lp.n_constraints() + 2
+            cold = solve(stacked(lp, A, b))
+            warm = solve(session)
+            assert warm.status == cold.status
+            if cold.status != "Optimal":
+                continue
+            assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+            grown = session.array_lp()
+            assert max_violation(grown, warm.x) <= 1e-7
+            # Duals follow array_lp's row order: they price the objective.
+            assert lpmod.lagrangian_bound(grown, warm.row_duals, grown.bounds) == pytest.approx(
+                warm.objective_value, abs=1e-7)
+
+
+def test_session_replays_the_same_vertex():
+    rng = np.random.default_rng(19)
+    lp = random_array_lp(rng)
+    A = sp.random(3, lp.n_variables(), density=0.8, random_state=rng, format="csr")
+
+    def grow():
+        session = lpmod.Session(lp)
+        out = [solve(session)]
+        session.add_rows(A, A @ out[0].x - 0.05)
+        out.append(solve(session))
+        return [(s.status, s.x.tobytes() if s.x is not None else None, s.iterations) for s in out]
+
+    assert grow() == grow()
+
+
+def test_lagrangian_bound_bounds_the_optimum_from_any_duals():
+    # max x + y subject to x + 2y <= 2, 3x + y <= 3 on the box [0, 1]^2; optimum 1.4.
+    lp = array_lp([1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [2.0, 3.0], bounds=[(0.0, 1.0)] * 2)
+    sol = solve(lp)
+    assert lpmod.lagrangian_bound(lp, sol.row_duals, lp.bounds) == pytest.approx(1.4)
+    rng = np.random.default_rng(23)
+    for y in rng.normal(size=(50, 2)):
+        assert lpmod.lagrangian_bound(lp, y, lp.bounds) >= 1.4 - 1e-12
+    # Negative "<=" duals are clipped to zero: then the bound is the box's.
+    assert lpmod.lagrangian_bound(lp, np.array([-1.0, -1.0]), lp.bounds) == 2.0
+
+
+def test_tight_tolerances_reach_the_fallback(monkeypatch):
+    seen = []
+    real_linprog = lpmod.linprog
+    monkeypatch.setattr(lpmod, "_highs", None)
+    monkeypatch.setattr(lpmod, "linprog",
+                        lambda *a, **kw: seen.append(kw.get("options")) or real_linprog(*a, **kw))
+    sol = solve(lpmod.Session(simple_max(), feasibility_tol=1e-10))
+    assert sol.objective_value == pytest.approx(1.0)
+    assert seen == [{"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}]
