@@ -12,30 +12,38 @@ clause maximization over CNF formulas answered by bounded brute force.
 
 from __future__ import annotations
 
-import heapq
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInstance, NoPath, TooLarge
-from .market import BuyerType, Environment, _as_prob_vector
+from .market import PROB_TOL, BuyerType, Environment, _as_prob_vector
 
 SAT_BRUTE_FORCE_VARS = 24
 _STREAM_VARS = 20          # cache per-state utility vectors up to this many vars
 
 
-def _finite_beliefs(beliefs) -> np.ndarray:
+def _as_beliefs(beliefs) -> np.ndarray:
+    """Beliefs as floats, each (along the last axis) a probability vector
+    within ``PROB_TOL``, as ``market._as_prob_vector`` requires."""
     arr = np.asarray(beliefs, dtype=float)
-    if not np.isfinite(arr).all():
-        raise InvalidInstance("beliefs must be finite")
+    # One test on the fast path; NaN fails either comparison.
+    if arr.size and not (arr.min() >= -PROB_TOL
+                         and np.abs(arr.sum(axis=-1) - 1.0).max() <= PROB_TOL):
+        if not np.isfinite(arr).all():
+            raise InvalidInstance("beliefs must be finite")
+        if np.any(arr < -PROB_TOL):
+            raise InvalidInstance("beliefs have negative entries")
+        raise InvalidInstance("beliefs must sum to 1")
     return arr
 
 
 class BROracle:
-    """Base class handling the query counter; subclasses implement _respond
-    and utility_of.  The counter update is lock-protected so oracles can be
-    shared across threads."""
+    """Base class handling belief checks and the query counter; subclasses
+    implement _respond and utility_of, and may batch _respond_many.  The
+    counter update is lock-protected so oracles can be shared across
+    threads."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -51,14 +59,17 @@ class BROracle:
             self._queries += k
 
     def respond(self, belief) -> tuple[object, float]:
-        belief = _finite_beliefs(belief)
+        belief = _as_beliefs(belief)
         self._count()
         return self._respond(belief)
 
     def respond_many(self, beliefs: np.ndarray) -> tuple[list[object], np.ndarray]:
         """Batched respond; equivalent to a loop but lets subclasses vectorize."""
-        beliefs = _finite_beliefs(beliefs)
+        beliefs = _as_beliefs(beliefs)
         self._count(len(beliefs))
+        return self._respond_many(beliefs)
+
+    def _respond_many(self, beliefs: np.ndarray) -> tuple[list[object], np.ndarray]:
         actions, utilities = [], np.empty(len(beliefs))
         for r, b in enumerate(beliefs):
             a, u = self._respond(b)
@@ -91,9 +102,7 @@ class MatrixOracle(BROracle):
         a = int(np.argmax(scores))
         return a, float(scores[a])
 
-    def respond_many(self, beliefs: np.ndarray) -> tuple[list[int], np.ndarray]:
-        beliefs = _finite_beliefs(beliefs)
-        self._count(len(beliefs))
+    def _respond_many(self, beliefs: np.ndarray) -> tuple[list[int], np.ndarray]:
         scores = beliefs @ self.utility
         actions = np.argmax(scores, axis=1)
         return [int(a) for a in actions], scores[np.arange(len(beliefs)), actions]
@@ -127,7 +136,7 @@ class TrafficInstance:
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([[t0, t1] for _, _, t0, t1 in self.edges])
+        return np.array([[t0, t1] for _, _, t0, t1 in self.edges]).reshape(len(self.edges), 2)
 
 
 def parse_traffic(text: str) -> TrafficInstance:
@@ -163,49 +172,81 @@ def format_traffic(inst: TrafficInstance) -> str:
 class TrafficOracle(BROracle):
     """Shortest-path best responses: expected congestion becomes the edge
     length.  Action ids are tuples of edge indices; among minimum-time paths
-    the lexicographically smallest edge sequence is returned."""
+    the lexicographically smallest edge sequence is returned.
+
+    A batch of beliefs is answered by one Jacobi Bellman-Ford sweep over an
+    (edges x beliefs) weight array, on the network (vertices 0..n-1, from the
+    source) beside its reverse (vertices n..2n-1, from the sink).  Weights are
+    nonnegative, so float addition is monotone and each distance is the least
+    left-to-right float sum over walks, the same bits a Dijkstra returns.
+    """
 
     def __init__(self, instance: TrafficInstance):
         super().__init__()
         self.instance = instance
-        self._out: list[list[int]] = [[] for _ in range(instance.n_vertices)]
-        self._in: list[list[int]] = [[] for _ in range(instance.n_vertices)]
-        for e, (u, v, _, _) in enumerate(instance.edges):
+        n = instance.n_vertices
+        self._out: list[list[int]] = [[] for _ in range(n)]
+        for e, (u, _, _, _) in enumerate(instance.edges):
             self._out[u].append(e)
-            self._in[v].append(e)
         self._times = instance.times
+        tails = np.array([u for u, _, _, _ in instance.edges], dtype=np.intp)
+        heads = np.array([v for _, v, _, _ in instance.edges], dtype=np.intp)
+        # Both copies' arcs sorted by head, so np.minimum.reduceat takes each
+        # head's best arrival over one contiguous run.
+        arc_tails = np.concatenate([tails, heads + n])
+        arc_heads = np.concatenate([heads, tails + n])
+        order = np.argsort(arc_heads, kind="stable")
+        self._arc_edge = np.tile(np.arange(len(instance.edges)), 2)[order]
+        self._arc_tail = arc_tails[order]
+        sorted_heads = arc_heads[order]
+        self._run_start = np.flatnonzero(np.diff(sorted_heads, prepend=-1))
+        self._run_head = sorted_heads[self._run_start]
 
-    def _dijkstra(self, weights: np.ndarray, start: int, forward: bool) -> np.ndarray:
-        n = self.instance.n_vertices
-        dist = np.full(n, np.inf)
-        dist[start] = 0.0
-        heap = [(0.0, start)]
-        adj = self._out if forward else self._in
-        edges = self.instance.edges
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for e in adj[u]:
-                v = edges[e][1] if forward else edges[e][0]
-                nd = d + weights[e]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return dist
+    def _distances(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(vertices x beliefs) distances from the source and to the sink,
+        relaxing every arc per round until none improves."""
+        inst = self.instance
+        n = inst.n_vertices
+        dist = np.full((2 * n, weights.shape[1]), np.inf)
+        dist[inst.source] = 0.0
+        dist[n + inst.sink] = 0.0
+        w = weights[self._arc_edge]
+        for _ in range(n):   # a simple path has < n edges; the last round only confirms
+            reached = np.minimum.reduceat(dist[self._arc_tail] + w, self._run_start, axis=0)
+            current = dist[self._run_head]
+            if not (reached < current).any():
+                return dist[:n], dist[n:]
+            dist[self._run_head] = np.minimum(current, reached)
+        raise InvalidInstance("shortest-path sweep did not settle within n_vertices rounds")
 
     def _respond(self, belief: np.ndarray) -> tuple[tuple[int, ...], float]:
-        if len(belief) != 2:
+        (path,), (utility,) = self._respond_many(belief[None, :])
+        return path, float(utility)
+
+    def _respond_many(self, beliefs: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        if beliefs.shape[1] != 2:
             raise InvalidInstance("traffic oracle supports exactly two states")
         inst = self.instance
-        weights = self._times @ belief
-        dist_s = self._dijkstra(weights, inst.source, True)
-        dist_t = self._dijkstra(weights, inst.sink, False)
-        total = dist_s[inst.sink]
-        if not np.isfinite(total):
+        weights = np.empty((len(inst.edges), len(beliefs)))
+        for r, b in enumerate(beliefs):
+            weights[:, r] = self._times @ b
+        dist_s, dist_t = self._distances(weights)
+        if not np.isfinite(dist_s[inst.sink]).all():
             raise NoPath("no source-sink path")
-        # Greedy walk taking the smallest edge index that stays on a shortest
-        # path; yields the lexicographically least optimal edge sequence.
+        paths, utilities = [], []
+        for ds, w, dt in zip(dist_s.T.tolist(), weights.T.tolist(), dist_t.T.tolist()):
+            paths.append(self._walk(ds, w, dt))
+            utility = (inst.horizon - ds[inst.sink]) / inst.horizon
+            if utility < -1e-12:
+                raise InvalidInstance("horizon H smaller than an optimal path time")
+            utilities.append(utility)
+        return paths, np.array(utilities)
+
+    def _walk(self, dist_s: list, weights: list, dist_t: list) -> tuple[int, ...]:
+        """Greedy walk taking the smallest edge index that stays on a shortest
+        path; yields the lexicographically least optimal edge sequence."""
+        inst = self.instance
+        total = dist_s[inst.sink]
         tol = 1e-9 * max(1.0, total)
         path: list[int] = []
         u = inst.source
@@ -222,11 +263,7 @@ class TrafficOracle(BROracle):
                     break
             else:
                 raise NoPath("shortest-path reconstruction stuck")
-        expected_time = float(total)
-        utility = (inst.horizon - expected_time) / inst.horizon
-        if utility < -1e-12:
-            raise InvalidInstance("horizon H smaller than an optimal path time")
-        return tuple(path), utility
+        return tuple(path)
 
     def utility_of(self, action_id: tuple[int, ...], state: int) -> float:
         t = float(sum(self.instance.edges[e][2 + state] for e in action_id))
@@ -297,6 +334,38 @@ def satisfied_counts(cnf: CNF, assignment_ids: np.ndarray) -> np.ndarray:
     return counts
 
 
+def satisfied_table(cnf: CNF, free_vars: int | None = None, prefix: int = 0) -> np.ndarray:
+    """``satisfied_counts`` of the 2^free_vars consecutive assignment ids
+    ``prefix << free_vars`` onward: variables 1..n-free_vars are fixed to the
+    bits of ``prefix`` and the rest run over every value (all n by default).
+
+    Every count starts at the clause count; each clause not satisfied by the
+    fixed bits then loses 1 on the subcube where its free literals are all
+    false, one strided in-place update of the table viewed as (2,) * free_vars
+    with variable j on axis j - (n - free_vars) - 1.
+    """
+    n = cnf.num_vars
+    free = n if free_vars is None else free_vars
+    fixed = n - free
+    counts = np.full(1 << free, len(cnf.clauses), dtype=np.int32)
+    cube = counts.reshape((2,) * free)
+    for cl in cnf.clauses:
+        lits = set(cl)
+        if any(-lit in lits for lit in lits):
+            continue                                  # tautology: always satisfied
+        index = [slice(None)] * free
+        for lit in lits:
+            j = abs(lit)
+            if j <= fixed:
+                if ((prefix >> (fixed - j)) & 1) == (lit > 0):
+                    break                             # a fixed literal satisfies it
+            else:
+                index[j - fixed - 1] = 0 if lit > 0 else 1
+        else:
+            cube[tuple(index)] -= 1
+    return counts
+
+
 def max_satisfiable(cnf: CNF, cap: int = _STREAM_VARS) -> int:
     """max_a (#satisfied clauses) by exhaustive enumeration."""
     if cnf.num_vars > cap:
@@ -336,7 +405,7 @@ class SATOracle(BROracle):
     Exhaustive over all assignments, capped at 24 variables; beyond the cap
     the query is refused since answering it is exactly the hard regime.
     Per-state utility vectors are cached up to 2^20 assignments and streamed
-    in chunks above that.
+    in chunks of 2^20 above that, each built by ``satisfied_table``.
     """
 
     def __init__(self, instance: IPSATInstance):
@@ -347,30 +416,39 @@ class SATOracle(BROracle):
             )
         self.instance = instance
         self._cache: list[np.ndarray] | None = None
+        self._scratch = threading.local()
         if instance.num_vars <= _STREAM_VARS:
-            total = 1 << instance.num_vars
-            ids = np.arange(total)
-            self._cache = [
-                satisfied_counts(f, ids) / len(f.clauses) for f in instance.formulas
-            ]
+            self._cache = [satisfied_table(f) / len(f.clauses) for f in instance.formulas]
+
+    def _buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """This thread's score and term arrays over the cached assignments,
+        reused across queries: fresh 2^n temporaries per query cost more in
+        page faults than the arithmetic."""
+        local = self._scratch
+        if not hasattr(local, "scores"):
+            size = 1 << self.instance.num_vars
+            local.scores, local.term = np.empty(size), np.empty(size)
+        return local.scores, local.term
 
     def _respond(self, belief: np.ndarray) -> tuple[int, float]:
         inst = self.instance
         if len(belief) != inst.n_states:
             raise InvalidInstance("belief length does not match the state count")
         if self._cache is not None:
-            scores = sum(b * u for b, u in zip(belief, self._cache))
+            scores, term = self._buffers()
+            scores.fill(0.0)
+            for b, u in zip(belief, self._cache):
+                np.multiply(b, u, out=term)
+                scores += term
             a = int(np.argmax(scores))
             return a, float(scores[a])
-        total = 1 << inst.num_vars
-        chunk = 1 << 20
         best_a, best_u = 0, -1.0
-        for lo in range(0, total, chunk):
-            ids = np.arange(lo, min(lo + chunk, total))
-            scores = np.zeros(len(ids))
+        for prefix in range(1 << (inst.num_vars - _STREAM_VARS)):
+            lo = prefix << _STREAM_VARS
+            scores = np.zeros(1 << _STREAM_VARS)
             for b, f in zip(belief, inst.formulas):
                 if b != 0.0:
-                    scores += b * (satisfied_counts(f, ids) / len(f.clauses))
+                    scores += b * (satisfied_table(f, _STREAM_VARS, prefix) / len(f.clauses))
             a = int(np.argmax(scores))
             if scores[a] > best_u + 1e-15:
                 best_a, best_u = lo + a, float(scores[a])
@@ -427,11 +505,13 @@ def enumerate_environment(
 
 def oracle_value(oracle: BROracle, prior: np.ndarray, matrix: np.ndarray) -> float:
     """Value of an experiment matrix under ``prior``, evaluated via best-
-    response queries (one per positive-mass signal)."""
+    response queries (one per positive-mass signal).  Negative entries are
+    experiment dust (at most ``PROB_TOL``) and count as 0, so that a
+    low-mass signal's posterior is still a probability vector."""
     prior = np.asarray(prior, dtype=float)
     total = 0.0
     for k in range(matrix.shape[1]):
-        weighted = prior * matrix[:, k]
+        weighted = prior * np.clip(matrix[:, k], 0.0, None)
         mass = float(weighted.sum())
         if mass <= 0.0:
             continue

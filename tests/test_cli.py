@@ -165,6 +165,20 @@ def test_gen_traffic_and_respond(tmp_path):
     assert 0.0 <= doc["expected_utility"] <= 1.0
 
 
+@pytest.mark.parametrize("graph, belief", [
+    ("0 2 100\n0 1 1 3\n1 0 1 3\n1 2 1 1\n", "-1,0.1"),     # a negative cycle
+    ("0 1 3\n0 1 2 10\n0 1 3 1\n", "1.5,-0.5"),             # a utility above 1
+    ("0 1 3\n0 1 2 10\n0 1 3 1\n", "0.5,0.6"),
+])
+def test_respond_rejects_beliefs_off_the_simplex(tmp_path, graph, belief):
+    path = tmp_path / "g.txt"
+    path.write_text(graph)
+    code, text = run_cli(
+        ["oracle", "respond", "--kind", "traffic", "--graph", str(path), f"--belief={belief}"]
+    )
+    assert (code, text) == (EXIT_INVALID, "")
+
+
 def test_gen_sat_instance(cnf_file):
     code, text = run_cli(["gen-sat-instance", "--cnf", cnf_file])
     assert code == EXIT_OK

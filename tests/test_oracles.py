@@ -302,6 +302,27 @@ def test_oracles_reject_non_finite_beliefs():
         MatrixOracle(np.array([[np.nan, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [[-0.5, 1.5], [0.5, 0.6], [0.3, 0.7 - 1e-8]])
+def test_oracles_reject_beliefs_off_the_simplex(bad):
+    sat = SATOracle(build_sat_reduction(CNF(1, [[1], [-1]])))
+    for oracle in (MatrixOracle(np.eye(2)), two_edge_oracle(), sat):
+        with pytest.raises(InvalidInstance):
+            oracle.respond(bad)
+        with pytest.raises(InvalidInstance):
+            oracle.respond_many(np.array([[0.5, 0.5], bad]))
+        assert oracle.query_count == 0
+        oracle.respond([0.3, 0.7 - 1e-10])                  # within PROB_TOL
+        oracle.respond([1.0 + 1e-10, -1e-10])
+
+
+def test_market_value_accepts_experiment_dust():
+    # Entries down to -PROB_TOL are valid experiment dust; a low-mass signal's
+    # posterior must not magnify them into a rejected belief.
+    ex = Experiment(np.array([[1.0 + 5e-10, -5e-10], [0.999, 0.001]]))
+    types = [BuyerType("t0", np.array([0.5, 0.5]))]
+    market = OracleMarket(MatrixOracle(np.eye(2)), types, {"t0": 1.0})
+    assert market.value("t0", ex) == pytest.approx(0.5005, abs=1e-9)
+
 
 def test_sat_utility_of_cached_and_uncached_agree():
     rng = np.random.default_rng(13)
