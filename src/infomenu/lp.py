@@ -1,19 +1,21 @@
 """Linear programs in the array form handed to HiGHS, and the session that
-grows one by rows.
+grows one by rows or by columns.
 
 ``ArrayLP`` is the one form: an objective vector, CSR inequality rows
 ``A_ub x <= b_ub``, CSR equality rows ``A_eq x == b_eq`` and per-variable
 bounds.  Every LP of the library is built straight into it by index
 arithmetic.
 
-A ``Session`` passes an ``ArrayLP`` to one HiGHS instance once, through
+A ``Session`` builds the HiGHS model of an ``ArrayLP`` once, through
 scipy's bundled binding: the one model and the options ``linprog`` would
 pass, without ``linprog``'s per-call wrapper, by rows (``A_ub``, then
 ``A_eq``).  ``add_rows`` then appends "<=" rows, and each
-``solve(session)`` runs HiGHS again from the basis the previous run left.
-The separation loops of the menu solvers grow their LPs this way.
+``solve(session)`` runs HiGHS again from the basis the previous run left;
+the separation loops of the menu solvers grow their LPs this way.
+``add_columns`` appends nonnegative zero-cost columns instead, and each run
+is the cold solve of the grown LP: the multi-buyer master grows this way.
 ``solve(ArrayLP)`` is a fresh session that runs once.  Where the binding is
-missing, every run hands the rows so far to ``linprog``, cold.  Solutions
+missing, every run hands the LP so far to ``linprog``, cold.  Solutions
 carry row duals in the sign convention of the *declared* objective sense
 (for a maximization problem the dual of a binding "<=" row is the
 nonnegative marginal revenue of its rhs); ``lagrangian_bound`` turns them
@@ -38,7 +40,7 @@ _BINDING_NAMES = (
     "HighsLp", "HighsOptions", "HighsStatus.kError", "HighsModelStatus.kOptimal",
     "HighsDebugLevel.kHighsDebugLevelNone", "MatrixFormat.kRowwise", "kHighsInf",
     "simplex_constants.SimplexStrategy.kSimplexStrategyDual", "_Highs.passOptions",
-    "_Highs.passModel", "_Highs.addRows", "_Highs.run", "_Highs.getModelStatus",
+    "_Highs.passModel", "_Highs.addRows", "_Highs.addCols", "_Highs.run", "_Highs.getModelStatus",
     "_Highs.getInfo", "_Highs.getSolution", "_Highs.modelStatusToString",
 )
 
@@ -104,11 +106,15 @@ class LPSolution:
 
 
 class Session:
-    """An ``ArrayLP`` held by one HiGHS instance, grown by "<=" rows.
+    """An ``ArrayLP`` held by HiGHS, grown by "<=" rows or by columns.
 
-    ``solve(session)`` runs HiGHS on the rows so far, from the basis the
-    previous run left; the solution reads as that of ``array_lp()``, so its
-    row duals list the first ``A_ub`` rows, the appended rows, then the
+    ``add_rows`` appends rows to the one HiGHS instance, and each
+    ``solve(session)`` runs from the basis the previous run left.
+    ``add_columns`` appends variables >= 0 of objective coefficient 0, and
+    the next run is the cold solve of ``array_lp()``: a fresh instance gets
+    the kept model, then every appended column.  A session grows one way,
+    not both.  The solution reads as that of ``array_lp()``, so its row
+    duals list the first ``A_ub`` rows, the appended rows, then the
     equality rows.  A session replays the same calls for the same input, so
     it returns the same vertex from run to run.  ``feasibility_tol`` sets
     HiGHS's primal and dual feasibility tolerances (default 1e-7).
@@ -117,20 +123,42 @@ class Session:
     def __init__(self, lp: ArrayLP, feasibility_tol: float | None = None):
         self._first = lp
         self._added: list[tuple[sp.csr_matrix, np.ndarray]] = []
-        self._n_rows = lp.n_constraints()
         self._tol = feasibility_tol
-        self._highs = None if _highs is None else self._pass_model()
+        # The appended columns in CSC arrays, ready for HiGHS's addCols.
+        self._col_start = self._col_index = np.zeros(0, dtype=np.int32)
+        self._col_value = np.zeros(0)
+        # Objective and bounds of every column, bounds of every row (in
+        # HiGHS's order: the first A_ub, its A_eq, then the appended rows).
+        self._c = lp.c
+        self._col_lower, self._col_upper = _highs_inf(lp.bounds[:, 0]), _highs_inf(lp.bounds[:, 1])
+        n_ub = lp.A_ub.shape[0]
+        self._row_upper = _highs_inf(np.concatenate((lp.b_ub, lp.b_eq)))
+        self._row_lower = np.full(len(self._row_upper), -_INF)
+        self._row_lower[n_ub:] = self._row_upper[n_ub:]
+        self._model = None if _highs is None else self._highs_model()
+        # Built once: they cost more than a small run, and passOptions copies them.
+        self._options = None if _highs is None else _options(feasibility_tol)
+        self._highs = None
 
     def n_variables(self) -> int:
-        return self._first.n_variables()
+        return len(self._c)
 
     def n_constraints(self) -> int:
-        return self._n_rows
+        return len(self._row_upper)
 
     def array_lp(self) -> ArrayLP:
-        """The rows so far as one ``ArrayLP``: the first ``A_ub``, then the
-        appended rows."""
+        """The LP so far as one ``ArrayLP``: the first ``A_ub``, then the
+        appended rows; the first columns, then the appended ones."""
         lp = self._first
+        k = len(self._col_start)
+        if k:
+            n_ub = lp.A_ub.shape[0]
+            cols = sp.csc_matrix((self._col_value, self._col_index,
+                                  np.append(self._col_start, len(self._col_index))),
+                                 shape=(self.n_constraints(), k)).tocsr()
+            return ArrayLP(self._c, sp.hstack([lp.A_ub, cols[:n_ub]], format="csr"), lp.b_ub,
+                           sp.hstack([lp.A_eq, cols[n_ub:]], format="csr"), lp.b_eq,
+                           np.concatenate((lp.bounds, np.tile([0.0, np.inf], (k, 1)))), lp.sense)
         if not self._added:
             return lp
         A_ub = sp.vstack([lp.A_ub] + [A for A, _ in self._added], format="csr")
@@ -140,65 +168,76 @@ class Session:
     def add_rows(self, A: sp.csr_matrix, b: np.ndarray) -> None:
         """Append the rows ``A @ x <= b``; the next run starts from the
         current basis with the new rows basic."""
+        if len(self._col_start):
+            raise ValueError("a session grows by rows or by columns, not both")
         self._added.append((A, b))
-        self._n_rows += A.shape[0]
-        if self._highs is None:
+        self._row_upper = np.concatenate((self._row_upper, _highs_inf(b)))
+        self._row_lower = np.concatenate((self._row_lower, np.full(len(b), -_INF)))
+        if self._model is None:
             return
-        self._highs.addRows(len(b), np.full(len(b), -_INF), _highs_inf(b), A.nnz,
-                            A.indptr[:-1].astype(np.int32), A.indices.astype(np.int32),
-                            A.data.astype(np.float64))
+        self._instance().addRows(len(b), np.full(len(b), -_INF), _highs_inf(b), A.nnz,
+                                 A.indptr[:-1].astype(np.int32), A.indices.astype(np.int32),
+                                 A.data.astype(np.float64))
 
-    def _pass_model(self):
-        """A fresh ``_Highs`` holding the first LP as ``linprog`` would pass
-        it: the rows it stacks (``A_ub`` then ``A_eq``, infinities as
-        HiGHS's), with its options.
+    def add_columns(self, A: sp.csc_matrix) -> None:
+        """Append the columns of ``A`` (one row per row of ``array_lp()``)
+        as variables >= 0 of objective coefficient 0; the next run is cold."""
+        if self._added:
+            raise ValueError("a session grows by rows or by columns, not both")
+        if A.shape[0] != self.n_constraints():
+            raise ValueError(f"columns over {A.shape[0]} rows for an LP of {self.n_constraints()}")
+        k = A.shape[1]
+        starts = A.indptr[:-1] + len(self._col_index)
+        self._col_start = np.concatenate((self._col_start, starts.astype(np.int32)))
+        self._col_index = np.concatenate((self._col_index, A.indices.astype(np.int32)))
+        self._col_value = np.concatenate((self._col_value, A.data.astype(np.float64)))
+        self._c = np.concatenate((self._c, np.zeros(k)))
+        self._col_lower = np.concatenate((self._col_lower, np.zeros(k)))
+        self._col_upper = np.concatenate((self._col_upper, np.full(k, _INF)))
+        self._highs = None
 
-        A fresh instance per session matters: a reused one keeps solver
-        state from the previous model, and the vertex HiGHS returns may
-        change.
-        """
+    def _highs_model(self):
+        """The first LP as ``linprog`` would pass it: the rows it stacks
+        (``A_ub`` then ``A_eq``, infinities as HiGHS's)."""
         lp = self._first
         ub, eq = lp.A_ub, lp.A_eq
-        lower, upper = _highs_inf(lp.bounds[:, 0]), _highs_inf(lp.bounds[:, 1])
-        row_lower, row_upper = self._row_bounds()
         model = _highs.HighsLp()
         model.num_col_ = model.a_matrix_.num_col_ = len(lp.c)
-        model.num_row_ = model.a_matrix_.num_row_ = len(row_upper)
+        model.num_row_ = model.a_matrix_.num_row_ = len(self._row_upper)
         model.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
         model.col_cost_ = (_sign(lp) * lp.c).tolist()
-        model.col_lower_, model.col_upper_ = lower.tolist(), upper.tolist()
-        model.row_lower_, model.row_upper_ = row_lower.tolist(), row_upper.tolist()
+        model.col_lower_, model.col_upper_ = self._col_lower.tolist(), self._col_upper.tolist()
+        model.row_lower_, model.row_upper_ = self._row_lower.tolist(), self._row_upper.tolist()
         model.a_matrix_.start_ = np.concatenate((ub.indptr, eq.indptr[1:] + ub.indptr[-1])).tolist()
         model.a_matrix_.index_ = np.concatenate((ub.indices, eq.indices)).tolist()
         model.a_matrix_.value_ = np.concatenate((ub.data, eq.data)).tolist()
+        return model
 
-        options = _highs.HighsOptions()
-        options.presolve = "on"
-        options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-        options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
-        options.output_flag = options.log_to_console = False
-        if self._tol is not None:
-            options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = self._tol
-        highs = _highs._Highs()
-        highs.passOptions(options)
-        self._model_error = highs.passModel(model) == _highs.HighsStatus.kError
-        self._col_lower, self._col_upper = lower, upper
+    def _instance(self):
+        """The HiGHS instance of the session, made when first needed: a
+        fresh ``_Highs`` with ``linprog``'s options, the kept model and the
+        appended columns.
+
+        A fresh instance matters: a reused one keeps solver state from the
+        previous model, and the vertex HiGHS returns may change.
+        """
+        if self._highs is not None:
+            return self._highs
+        highs = self._highs = _highs._Highs()
+        highs.passOptions(self._options)
+        self._model_error = highs.passModel(self._model) == _highs.HighsStatus.kError
+        k = len(self._col_start)
+        if k and not self._model_error:
+            highs.addCols(k, np.full(k, _sign(self._first) * 0.0), self._col_lower[-k:],
+                          self._col_upper[-k:], len(self._col_index), self._col_start,
+                          self._col_index, self._col_value)
         return highs
 
-    def _row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper bounds of the rows so far, in HiGHS's order: the
-        first ``A_ub``, its ``A_eq``, then the appended rows."""
-        lp = self._first
-        upper = _highs_inf(np.concatenate([lp.b_ub, lp.b_eq] + [b for _, b in self._added]))
-        lower = np.full(len(upper), -_INF)
-        lower[lp.A_ub.shape[0]:lp.n_constraints()] = upper[lp.A_ub.shape[0]:lp.n_constraints()]
-        return lower, upper
-
     def _run(self) -> LPSolution:
-        """One HiGHS run on the rows so far, read as ``linprog`` reads it."""
-        if self._highs is None:
+        """One HiGHS run on the LP so far, read as ``linprog`` reads it."""
+        if self._model is None:
             return _solve_linprog(self.array_lp(), self._tol)
-        highs, lp, status = self._highs, self._first, _highs.HighsModelStatus
+        highs, lp, status = self._instance(), self._first, _highs.HighsModelStatus
         if self._model_error:
             model_status = status.kModelError
         else:
@@ -213,10 +252,8 @@ class Session:
 
         sol = highs.getSolution()
         x, rows = np.array(sol.col_value), np.array(sol.row_value)
-        row_lower, row_upper = self._row_bounds()
-        worst = np.concatenate((
-            self._col_lower - x, x - self._col_upper, row_lower - rows, rows - row_upper,
-        )).max(initial=0.0)
+        worst = np.concatenate((self._col_lower - x, x - self._col_upper,
+                                self._row_lower - rows, rows - self._row_upper)).max(initial=0.0)
         if not worst <= _LINPROG_CHECK_TOL:
             raise NumericalFailure(f"LP backend optimum misses its constraints by {worst}")
         # HiGHS keeps appended rows after the equality rows.
@@ -224,7 +261,19 @@ class Session:
         n_ub, n_eq = lp.A_ub.shape[0], lp.A_eq.shape[0]
         if self._added:
             duals = np.concatenate((duals[:n_ub], duals[n_ub + n_eq:], duals[n_ub:n_ub + n_eq]))
-        return LPSolution("Optimal", float(np.dot(lp.c, x)), x, duals, iterations)
+        return LPSolution("Optimal", float(np.dot(self._c, x)), x, duals, iterations)
+
+
+def _options(feasibility_tol: float | None):
+    """``linprog``'s HiGHS options."""
+    options = _highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    if feasibility_tol is not None:
+        options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = feasibility_tol
+    return options
 
 
 def _sign(lp: ArrayLP) -> float:

@@ -18,7 +18,9 @@ own reported type.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -109,14 +111,6 @@ class VPMWeights:
 
     x: dict[tuple[str, str], np.ndarray]    # (buyer id, type id) -> (n_states, m)
 
-    def scaled(self, env: MultiEnvironment, i: int, s: int) -> np.ndarray:
-        b = env.buyers[i]
-        t = b.types[s]
-        mat = self.x.get((b.id, t.id))
-        if mat is None:
-            return np.zeros((env.n_states, env.n_actions))
-        return np.asarray(mat, dtype=float) / b.type_probs[t.id]
-
 
 @dataclass(eq=False)
 class ReducedForm:
@@ -151,16 +145,30 @@ class MechanismBlueprint:
             raise InvalidInstance("mixture weights must be a distribution")
 
 
-def _values(env: MultiEnvironment, weights: VPMWeights) -> list[np.ndarray]:
-    """v^i(type) = sum over states of the best per-state scaled weight."""
-    out = []
-    for i, b in enumerate(env.buyers):
-        out.append(
-            np.array(
-                [weights.scaled(env, i, s).max(axis=1).sum() for s in range(len(b.types))]
-            )
-        )
-    return out
+def _slot_starts(env: MultiEnvironment) -> np.ndarray:
+    """Each buyer's first slot: slots are (buyer, type) pairs, buyer-major."""
+    return np.array([0, *itertools.accumulate(len(b.types) for b in env.buyers[:-1])])
+
+
+def _vpm_table(env: MultiEnvironment, weights: VPMWeights,
+               pairs: list[tuple[MultiBuyer, BuyerType]] | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The VPM scheme ``weights`` at each (buyer, type) of ``pairs`` (by
+    default every slot): its value (over the states, the sum of its largest
+    weight over the type's probability) and its recommended signal in each
+    state (the first of largest weight)."""
+    if pairs is None:
+        pairs = [(b, t) for b in env.buyers for t in b.types]
+    scaled = np.zeros((len(pairs), env.n_states, env.n_actions))
+    for row, (b, t) in enumerate(pairs):
+        mat = weights.x.get((b.id, t.id))
+        if mat is None:
+            continue
+        if np.shape(mat) != scaled.shape[1:]:
+            raise InvalidInstance(f"VPM weights of {(b.id, t.id)} are not {scaled.shape[1:]}")
+        scaled[row] = mat
+    scaled /= np.array([b.type_probs[t.id] for b, t in pairs])[:, None, None]
+    return scaled.max(axis=2).sum(axis=1), scaled.argmax(axis=2)
 
 
 def _winner(values: list[float]) -> int:
@@ -172,6 +180,22 @@ def _winner(values: list[float]) -> int:
     raise AssertionError
 
 
+def _profile_pairs(env: MultiEnvironment,
+                   profile: dict[str, str]) -> list[tuple[MultiBuyer, BuyerType]]:
+    """Each buyer with its type in ``profile`` (buyer id -> type id)."""
+    unknown = set(profile) - {b.id for b in env.buyers}
+    if unknown:
+        raise InvalidInstance(f"profile names unknown buyers {sorted(map(str, unknown))}")
+    pairs = []
+    for b in env.buyers:
+        types = [t for t in b.types if t.id == profile.get(b.id)]
+        if not types:
+            raise InvalidInstance(f"profile gives buyer {b.id} no type of its own: "
+                                  f"{profile.get(b.id)!r}")
+        pairs.append((b, types[0]))
+    return pairs
+
+
 def vpm_allocate(
     env: MultiEnvironment, weights: VPMWeights, profile: dict[str, str]
 ) -> tuple[int, Experiment]:
@@ -180,18 +204,10 @@ def vpm_allocate(
     The winner's experiment puts, for each state, all mass on the signal
     with the largest scaled weight (ties to the lowest signal).
     """
-    type_index = []
-    for b in env.buyers:
-        tid = profile[b.id]
-        type_index.append([t.id for t in b.types].index(tid))
-    vals = [
-        float(weights.scaled(env, i, type_index[i]).max(axis=1).sum())
-        for i in range(len(env.buyers))
-    ]
-    winner = _winner(vals)
-    scaled = weights.scaled(env, winner, type_index[winner])
+    values, signals = _vpm_table(env, weights, _profile_pairs(env, profile))
+    winner = _winner(values.tolist())
     mat = np.zeros((env.n_states, env.n_actions))
-    mat[np.arange(env.n_states), np.argmax(scaled, axis=1)] = 1.0
+    mat[np.arange(env.n_states), signals[winner]] = 1.0
     return winner, Experiment(mat)
 
 
@@ -201,31 +217,22 @@ def rvpm(env: MultiEnvironment, weights: VPMWeights) -> ReducedForm:
     A buyer-type's win probability multiplies, over the other buyers, the
     chance their realized value loses (or ties from a higher index).
     """
-    vals = _values(env, weights)
-    pi_hat: dict[tuple[str, str], np.ndarray] = {}
-    p_hat: dict[tuple[str, str], float] = {}
-    t_hat: dict[tuple[str, str], float] = {}
-    for i, b in enumerate(env.buyers):
-        for s, t in enumerate(b.types):
-            v = vals[i][s]
-            win = 1.0
-            for l, bl in enumerate(env.buyers):
-                if l == i:
-                    continue
-                pl = np.array([bl.type_probs[tt.id] for tt in bl.types])
-                if l > i:
-                    lose = vals[l] <= v
-                else:
-                    lose = vals[l] < v
-                win *= float(pl[lose].sum())
-            scaled = weights.scaled(env, i, s)
-            mat = np.zeros((env.n_states, env.n_actions))
-            mat[np.arange(env.n_states), np.argmax(scaled, axis=1)] = win
-            key = (b.id, t.id)
-            pi_hat[key] = mat
-            p_hat[key] = win
-            t_hat[key] = 0.0
-    return ReducedForm(pi_hat, p_hat, t_hat)
+    values, signals = _vpm_table(env, weights)
+    vals = [values[a:a + len(b.types)] for a, b in zip(_slot_starts(env), env.buyers)]
+    probs = [np.array([b.type_probs[t.id] for t in b.types]) for b in env.buyers]
+    wins = []
+    for i, s in env.slots():
+        win = 1.0
+        for l in range(len(env.buyers)):
+            if l != i:
+                lose = vals[l] <= vals[i][s] if l > i else vals[l] < vals[i][s]
+                win *= float(probs[l][lose].sum())
+        wins.append(win)
+    n, m = env.n_states, env.n_actions
+    pi = np.zeros((len(wins), n, m))
+    pi[np.arange(len(wins))[:, None], np.arange(n), signals] = np.array(wins)[:, None]
+    keys = [(b.id, t.id) for b in env.buyers for t in b.types]
+    return ReducedForm(dict(zip(keys, pi)), dict(zip(keys, wins)), dict.fromkeys(keys, 0.0))
 
 
 class _Coords:
@@ -428,15 +435,10 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
     n, m = env.n_states, env.n_actions
     n_slots = len(coords.slots)
     fixed = _master_lp(env)
-    ub = fixed.A_ub
-    n_ub = ub.shape[0]
-    couple = n_slots * n                    # first couple row of A_eq
+    session = lpmod.Session(fixed)
+    # Session rows: the fixed block's A_ub rows, then alloc, couple, convex.
+    couple = fixed.A_ub.shape[0] + n_slots * n
     convex = couple + coords.dim
-    # The equality rows as CSC pieces, joined once per round; each vertex
-    # appends its column lam[k]: -vec on the couple rows and 1 on the convex
-    # row.  Arrays, not lists: converting lists costs more than the joins.
-    A = fixed.A_eq.tocsc()
-    indptr, indices, data = [A.indptr], [A.indices], [A.data]
 
     vertices: list[np.ndarray] = []
     vertex_weights: list[VPMWeights] = []
@@ -449,10 +451,10 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
         seen.add(key)
         vertices.append(vec)
         vertex_weights.append(wts)
+        # Its column lam[k]: -vec on the couple rows and 1 on the convex row.
         nz = np.flatnonzero(vec)
-        indices.append(np.append(couple + nz, convex))
-        data.append(np.append(-vec[nz], 1.0))
-        indptr.append(indptr[-1][-1:] + len(nz) + 1)
+        column = (np.append(-vec[nz], 1.0), np.append(couple + nz, convex), [0, len(nz) + 1])
+        session.add_columns(sp.csc_matrix(column, shape=(session.n_constraints(), 1)))
         return True
 
     for wts in _initial_weight_sets(env, coords):
@@ -463,20 +465,12 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
         rounds += 1
         if rounds > MAX_PRICING_ROUNDS:
             raise NonConvergence(f"pricing did not settle in {MAX_PRICING_ROUNDS} rounds")
-        n_lam = len(vertices)
-        n_cols = A.shape[1] + n_lam
-        # The lam columns have no inequality entries: A_ub only widens.
-        A_ub = sp.csr_matrix((ub.data, ub.indices, ub.indptr), shape=(n_ub, n_cols))
-        csc = tuple(np.concatenate(part) for part in (data, indices, indptr))
-        A_eq = sp.csc_matrix(csc, shape=(A.shape[0], n_cols)).tocsr()
-        c = np.concatenate((fixed.c, np.zeros(n_lam)))
-        bounds = np.concatenate((fixed.bounds, np.tile([0.0, np.inf], (n_lam, 1))))
-        sol = lpmod.solve(lpmod.ArrayLP(c, A_ub, fixed.b_ub, A_eq, fixed.b_eq, bounds, "max"))
+        sol = lpmod.solve(session)
         iterations += sol.iterations
         if sol.status != "Optimal":
             raise NumericalFailure(f"reduced-form master LP is {sol.status}")
-        y = sol.row_duals[n_ub + couple:n_ub + convex]
-        sigma = float(sol.row_duals[n_ub + convex])
+        y = sol.row_duals[couple:convex]
+        sigma = float(sol.row_duals[convex])
         candidate = coords.weights(y)
         vec = coords.vector(rvpm(env, candidate))
         score = float(y @ vec)
@@ -638,55 +632,54 @@ def simulate_interim(
 ) -> tuple[dict[tuple[str, str], np.ndarray], dict[tuple[str, str], int]]:
     """Monte-Carlo estimate of the blueprint's interim signaling matrices.
 
-    Vectorized over draws: types and the mixture component are sampled, the
-    winner and per-state recommended signal are table lookups.  Returns the
-    empirical matrices and the per-(buyer, type) draw counts.
+    ``n_draws`` mixture components, then ``n_draws`` types per buyer, are
+    sampled.  Each draw is one cell of the table component x type profile,
+    and the cells are counted at once.  Every occupied cell adds its count
+    to the winner's hits at the signal its component recommends in each
+    state.  Returns the empirical matrices (hits over the buyer-type's
+    draws) and the per-(buyer, type) draw counts.
     """
-    rng = np.random.default_rng(seed)
-    nb = len(env.buyers)
-    n, m = env.n_states, env.n_actions
-    K = len(blueprint.mixture)
+    if not isinstance(n_draws, numbers.Integral) or n_draws < 0:
+        raise InvalidInstance(f"n_draws must be a nonnegative integer, not {n_draws!r}")
     lams = np.array([w for w, _ in blueprint.mixture])
-
-    vals = np.empty((K, nb), dtype=object)
-    recs = np.empty((K, nb), dtype=object)
-    for k, (_, wts) in enumerate(blueprint.mixture):
-        per = _values(env, wts)
-        for i in range(nb):
-            vals[k, i] = per[i]
-            recs[k, i] = np.stack(
-                [
-                    np.argmax(wts.scaled(env, i, s), axis=1)
-                    for s in range(len(env.buyers[i].types))
-                ]
-            )  # (types_i, n_states)
-
-    comp = rng.choice(K, size=n_draws, p=lams / lams.sum())
+    shape = (len(lams), *(len(b.types) for b in env.buyers))
+    n_cells = math.prod(shape)
+    if n_cells > np.iinfo(np.int64).max:
+        raise TooLarge(f"{n_cells} (component, type profile) cells do not fit an int64 index")
+    rng = np.random.default_rng(seed)
+    comp = rng.choice(len(lams), size=n_draws, p=lams / lams.sum())
     draws = []
-    for i, b in enumerate(env.buyers):
+    for b in env.buyers:
         probs = np.array([b.type_probs[t.id] for t in b.types])
         draws.append(rng.choice(len(b.types), size=n_draws, p=probs / probs.sum()))
 
-    value_mat = np.empty((nb, n_draws))
-    for i in range(nb):
-        per_k = np.stack([vals[k, i] for k in range(K)])      # (K, types_i)
-        value_mat[i] = per_k[comp, draws[i]]
-    winner = np.argmax(value_mat, axis=0)                     # ties -> lowest index
+    cell = comp
+    for k, d in zip(shape[1:], draws):
+        cell = cell * k + d
+    if n_cells <= n_draws:          # a dense table costs no more memory than the draws
+        counts = np.bincount(cell, minlength=n_cells)
+        cells = np.flatnonzero(counts)
+        counts = counts[cells]
+    else:
+        cells, counts = np.unique(cell, return_counts=True)
+    k_of, *types_of = np.unravel_index(cells, shape)
+
+    n, m = env.n_states, env.n_actions
+    tables = [_vpm_table(env, wts) for _, wts in blueprint.mixture]
+    values = np.array([v for v, _ in tables])                 # [component, slot]
+    signals = np.array([r for _, r in tables])                # [component, slot, state]
+    slots = _slot_starts(env) + np.stack(types_of, axis=1)    # [cell, buyer]
+    winner = np.argmax(values[k_of[:, None], slots], axis=1)  # ties -> lowest index
+    won = slots[np.arange(len(cells)), winner]
+    hits = np.zeros((values.shape[1], n, m), dtype=np.int64)
+    np.add.at(hits, (won[:, None], np.arange(n), signals[k_of, won]), counts[:, None])
+    totals = np.zeros(values.shape[1], dtype=np.int64)
+    np.add.at(totals, slots, counts[:, None])
 
     empirical: dict[tuple[str, str], np.ndarray] = {}
-    counts: dict[tuple[str, str], int] = {}
-    for i, b in enumerate(env.buyers):
-        rec_k = np.stack([recs[k, i] for k in range(K)])      # (K, types_i, n_states)
-        for s, t in enumerate(b.types):
-            mask = draws[i] == s
-            total = int(mask.sum())
-            key = (b.id, t.id)
-            counts[key] = total
-            mat = np.zeros((n, m))
-            if total:
-                won = mask & (winner == i)
-                rec = rec_k[comp[won], s]                      # (wins, n_states)
-                for w in range(n):
-                    mat[w] = np.bincount(rec[:, w], minlength=m) / total
-            empirical[key] = mat
-    return empirical, counts
+    draw_counts: dict[tuple[str, str], int] = {}
+    for slot, (i, s) in enumerate(env.slots()):
+        key = (env.buyers[i].id, env.buyers[i].types[s].id)
+        total = draw_counts[key] = int(totals[slot])
+        empirical[key] = hits[slot] / total if total else np.zeros((n, m))
+    return empirical, draw_counts

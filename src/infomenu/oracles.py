@@ -243,26 +243,32 @@ class TrafficOracle(BROracle):
         return paths, np.array(utilities)
 
     def _walk(self, dist_s: list, weights: list, dist_t: list) -> tuple[int, ...]:
-        """Greedy walk taking the smallest edge index that stays on a shortest
-        path; yields the lexicographically least optimal edge sequence."""
+        """Depth-first search from the source over the edges on a shortest
+        path, in index order, entering no vertex twice; yields the
+        lexicographically least optimal simple path.  Where always taking
+        the first such edge reaches the sink, that is the path returned."""
         inst = self.instance
         total = dist_s[inst.sink]
         tol = 1e-9 * max(1.0, total)
         path: list[int] = []
+        pending = [iter(self._out[inst.source])]     # untried out-edges per path vertex
+        visited = {inst.source}
         u = inst.source
-        steps = 0
         while u != inst.sink:
-            steps += 1
-            if steps > len(inst.edges) + 1:
-                raise NoPath("shortest-path reconstruction cycled")
-            for e in self._out[u]:
+            for e in pending[-1]:
                 v = inst.edges[e][1]
-                if abs(dist_s[u] + weights[e] + dist_t[v] - total) <= tol:
+                if v not in visited and abs(dist_s[u] + weights[e] + dist_t[v] - total) <= tol:
+                    visited.add(v)
                     path.append(e)
+                    pending.append(iter(self._out[v]))
                     u = v
                     break
             else:
-                raise NoPath("shortest-path reconstruction stuck")
+                pending.pop()
+                if not path:
+                    raise NoPath("shortest-path reconstruction stuck")
+                path.pop()
+                u = inst.edges[path[-1]][1] if path else inst.source
         return tuple(path)
 
     def utility_of(self, action_id: tuple[int, ...], state: int) -> float:

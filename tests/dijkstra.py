@@ -4,8 +4,11 @@
 The library answers a batch of beliefs with one Bellman-Ford sweep over an
 array of edge weights.  The tests answer each belief here, one at a time,
 with two pure-Python heap Dijkstras (from the source, and backwards from the
-sink) and the same greedy walk to the lexicographically least shortest path,
-and require bitwise-equal paths and utilities.
+sink) and the greedy walk to the lexicographically least shortest path, and
+require bitwise-equal paths and utilities.  ``greedy_walk`` is the path
+reconstruction the library used before its depth-first search: it always
+takes the first edge on a shortest path, so it cannot leave a zero-time
+cycle.
 """
 
 from __future__ import annotations
@@ -47,9 +50,20 @@ def respond(inst: TrafficInstance, belief) -> tuple[tuple[int, ...], float]:
     total = dist_s[inst.sink]
     if not np.isfinite(total):
         raise NoPath("no source-sink path")
+    path = greedy_walk(inst, dist_s, weights, dist_t)
+    utility = (inst.horizon - float(total)) / inst.horizon
+    if utility < -1e-12:
+        raise InvalidInstance("horizon H smaller than an optimal path time")
+    return tuple(path), utility
+
+
+def greedy_walk(inst: TrafficInstance, dist_s, weights, dist_t) -> tuple[int, ...]:
+    """From the source, always the smallest-index edge that stays on a
+    shortest path; NoPath when that walk revisits a vertex or gets stuck."""
     out: list[list[int]] = [[] for _ in range(inst.n_vertices)]
     for e, (u, _, _, _) in enumerate(inst.edges):
         out[u].append(e)
+    total = dist_s[inst.sink]
     tol = 1e-9 * max(1.0, total)
     path: list[int] = []
     u = inst.source
@@ -64,7 +78,4 @@ def respond(inst: TrafficInstance, belief) -> tuple[tuple[int, ...], float]:
                 break
         else:
             raise NoPath("shortest-path reconstruction stuck")
-    utility = (inst.horizon - float(total)) / inst.horizon
-    if utility < -1e-12:
-        raise InvalidInstance("horizon H smaller than an optimal path time")
-    return tuple(path), utility
+    return tuple(path)

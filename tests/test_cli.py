@@ -124,24 +124,27 @@ def test_solve_implicit_too_many_variables(tmp_path):
     assert code == EXIT_TOO_LARGE
 
 
+TEST_SOLVE_MULTI_DOC = {
+    "v": 1,
+    "states": ["w0", "w1"],
+    "actions": ["a0", "a1"],
+    "buyers": [
+        {
+            "id": "b0",
+            "utility": [[1.0, 0.0], [0.0, 1.0]],
+            "types": [{"id": "t0", "prior": [0.5, 0.5], "prob": 1.0}],
+        },
+        {
+            "id": "b1",
+            "utility": [[1.0, 0.0], [0.0, 1.0]],
+            "types": [{"id": "t0", "prior": [0.8, 0.2], "prob": 1.0}],
+        },
+    ],
+}
+
+
 def test_solve_multi(tmp_path):
-    doc = {
-        "v": 1,
-        "states": ["w0", "w1"],
-        "actions": ["a0", "a1"],
-        "buyers": [
-            {
-                "id": "b0",
-                "utility": [[1.0, 0.0], [0.0, 1.0]],
-                "types": [{"id": "t0", "prior": [0.5, 0.5], "prob": 1.0}],
-            },
-            {
-                "id": "b1",
-                "utility": [[1.0, 0.0], [0.0, 1.0]],
-                "types": [{"id": "t0", "prior": [0.8, 0.2], "prob": 1.0}],
-            },
-        ],
-    }
+    doc = TEST_SOLVE_MULTI_DOC
     path = tmp_path / "multi.json"
     path.write_text(iomod.dumps(doc))
     code, text = run_cli(["solve-multi", "--instance", str(path)])
@@ -150,6 +153,49 @@ def test_solve_multi(tmp_path):
     assert out["revenue"] >= 0.0
     bp = iomod.blueprint_from_json(out["blueprint"])
     assert abs(sum(w for w, _ in bp.mixture) - 1.0) <= 1e-9
+
+
+def roadmap_multi_doc() -> dict:
+    """The ROADMAP (2,2,2,2) multi-buyer draw: from default_rng(0), per
+    buyer Dirichlet priors then uniform utilities; uniform type probabilities."""
+    rng = np.random.default_rng(0)
+    buyers = []
+    for i in range(2):
+        priors = rng.dirichlet(np.ones(2), size=2)
+        utility = rng.uniform(size=(2, 2))
+        types = [{"id": f"t{s}", "prior": priors[s].tolist(), "prob": 0.5} for s in range(2)]
+        buyers.append({"id": f"b{i}", "utility": utility.tolist(), "types": types})
+    return {"v": 1, "states": ["w0", "w1"], "actions": ["a0", "a1"], "buyers": buyers}
+
+
+# solve-multi stdout on TEST_SOLVE_MULTI_DOC and the ROADMAP draw, as printed
+# before the column session and the count-table replay; the -0.0 prices and
+# win probabilities are LP dust.
+SOLVE_MULTI_STDOUT = {
+    "two-buyers": (
+        '{"blueprint":{"mixture":[{"directions":{"b0":{"t0":[[1.0,0.0],[0.0,1.0]]},'
+        '"b1":{"t0":[[0.0,0.0],[0.0,0.0]]}},"weight":1.0}],"prices":{"b0":{"t0":0.5},'
+        '"b1":{"t0":-0.0}},"reduced_form":{"b0":{"t0":{"p":1.0,"pi":[[1.0,0.0],[0.0,1.0]]}},'
+        '"b1":{"t0":{"p":-0.0,"pi":[[0.0,0.0],[0.0,0.0]]}}},"v":1},"revenue":0.5,"v":1}\n'
+    ),
+    "roadmap-2222": (
+        '{"blueprint":{"mixture":[{"directions":{"b0":{"t0":[[0.0,0.0],[0.0,0.0]],'
+        '"t1":[[0.0,0.0],[0.0,0.0]]},"b1":{"t0":[[0.5,0.0],[0.5,0.0]],'
+        '"t1":[[0.5,0.0],[0.5,0.0]]}},"weight":1.0}],"prices":{"b0":{"t0":-0.0,"t1":-0.0},'
+        '"b1":{"t0":-0.0,"t1":-0.0}},"reduced_form":{"b0":{"t0":{"p":-0.0,'
+        '"pi":[[0.0,0.0],[0.0,0.0]]},"t1":{"p":0.0,"pi":[[0.0,0.0],[0.0,0.0]]}},'
+        '"b1":{"t0":{"p":1.0,"pi":[[1.0,0.0],[1.0,0.0]]},"t1":{"p":1.0,'
+        '"pi":[[1.0,0.0],[1.0,0.0]]}}},"v":1},"revenue":0.0,"v":1}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_MULTI_STDOUT))
+def test_solve_multi_stdout_is_pinned(tmp_path, name):
+    doc = TEST_SOLVE_MULTI_DOC if name == "two-buyers" else roadmap_multi_doc()
+    path = tmp_path / "multi.json"
+    path.write_text(iomod.dumps(doc))
+    assert run_cli(["solve-multi", "--instance", str(path)]) == (EXIT_OK, SOLVE_MULTI_STDOUT[name])
 
 
 def test_gen_traffic_and_respond(tmp_path):
@@ -163,6 +209,14 @@ def test_gen_traffic_and_respond(tmp_path):
     assert code == EXIT_OK
     doc = json.loads(text)
     assert 0.0 <= doc["expected_utility"] <= 1.0
+
+
+def test_respond_leaves_a_zero_time_self_loop(tmp_path):
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1 10\n0 0 0 0\n0 1 1 1\n")
+    code, text = run_cli(["oracle", "respond", "--kind", "traffic", "--graph", str(graph),
+                          "--belief", "0.5,0.5"])
+    assert (code, json.loads(text)) == (EXIT_OK, {"action": [1], "expected_utility": 0.9, "v": 1})
 
 
 @pytest.mark.parametrize("graph, belief", [

@@ -209,3 +209,40 @@ def test_tight_tolerances_reach_the_fallback(monkeypatch):
     sol = solve(lpmod.Session(simple_max(), feasibility_tol=1e-10))
     assert sol.objective_value == pytest.approx(1.0)
     assert seen == [{"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}]
+
+
+def test_appended_columns_give_the_cold_solve(monkeypatch):
+    rng = np.random.default_rng(29)
+    for binding in (lpmod._highs, None):
+        monkeypatch.setattr(lpmod, "_highs", binding)
+        for _ in range(20):
+            lp = random_array_lp(rng)
+            session = lpmod.Session(lp)
+            runs = [solve(session)]
+            for k in rng.integers(1, 4, size=2):
+                cols = sp.random(lp.n_constraints(), int(k), density=0.7, random_state=rng,
+                                 format="csc", data_rvs=lambda size: rng.normal(size=size))
+                session.add_columns(cols)
+                runs.append(solve(session))
+            grown = session.array_lp()
+            assert session.n_variables() == grown.n_variables() == len(runs[-1].x)
+            assert not grown.c[lp.n_variables():].any()
+            cold = solve(grown)
+            assert runs[-1].status == cold.status == "Optimal"
+            assert runs[-1].x.tobytes() == cold.x.tobytes()
+            assert runs[-1].row_duals.tobytes() == cold.row_duals.tobytes()
+            assert runs[-1].objective_value == cold.objective_value
+            assert runs[-1].iterations == cold.iterations
+            assert max_violation(grown, runs[-1].x) <= 1e-7
+            assert runs[-1].objective_value >= runs[0].objective_value - 1e-9
+
+
+def test_a_session_grows_by_rows_or_by_columns():
+    lp = simple_max()
+    by_rows, by_cols = lpmod.Session(lp), lpmod.Session(lp)
+    by_rows.add_rows(sp.csr_matrix(np.ones((1, lp.n_variables()))), np.ones(1))
+    with pytest.raises(ValueError):
+        by_rows.add_columns(sp.csc_matrix(np.ones((by_rows.n_constraints(), 1))))
+    by_cols.add_columns(sp.csc_matrix(np.ones((lp.n_constraints(), 1))))
+    with pytest.raises(ValueError):
+        by_cols.add_rows(sp.csr_matrix(np.ones((1, by_cols.n_variables()))), np.ones(1))

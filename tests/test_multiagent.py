@@ -28,8 +28,10 @@ from infomenu import (
 )
 from infomenu.audit import matching_environment
 from infomenu.io import blueprint_to_json
-from infomenu.multiagent import _Coords, _initial_weight_sets
+from infomenu.multiagent import MechanismBlueprint, _Coords, _initial_weight_sets
 from named_lp import EQ, GE, LE, NamedLP, assert_same_arrays
+
+import multi_reference as ref
 
 
 def one_buyer(types, probs=None) -> MultiEnvironment:
@@ -460,7 +462,10 @@ def test_master_arrays_match_named_reference(shape, monkeypatch):
     coords = _Coords(env)
     masters, reduced = [], []
     real_solve, real_rvpm = lpmod.solve, multiagent.rvpm
-    monkeypatch.setattr(lpmod, "solve", lambda prog: masters.append(prog) or real_solve(prog))
+    # The master of each round as its session holds it at the call; then
+    # the decomposition LP.
+    monkeypatch.setattr(lpmod, "solve", lambda prog: masters.append(
+        prog.array_lp() if isinstance(prog, lpmod.Session) else prog) or real_solve(prog))
 
     def rvpm(*args):
         reduced.append(real_rvpm(*args))
@@ -682,3 +687,159 @@ def tiny_multi_markets(draw) -> MultiEnvironment:
 def test_column_generation_matches_ex_post_lp(env):
     result = solve_reduced_lp(env)
     assert result.revenue == pytest.approx(brute_force_multi(env), abs=1e-9)
+
+
+# --- the fast path against the per-draw replay and the rebuilt master -------------
+
+def assert_same_result(result, reference) -> None:
+    """Bytes-equal revenue, reduced form, mixture and iteration counts."""
+    rf, revenue, rounds, iterations, mixture = reference
+    assert repr(result.revenue) == repr(revenue)
+    assert (result.pricing_rounds, result.master_iterations) == (rounds, iterations)
+    got = result.reduced_form
+    assert repr(got.t_hat) == repr(rf.t_hat) and repr(got.p_hat) == repr(rf.p_hat)
+    assert got.pi_hat.keys() == rf.pi_hat.keys()
+    assert all(got.pi_hat[key].tobytes() == rf.pi_hat[key].tobytes() for key in rf.pi_hat)
+    assert [repr(w) for w, _ in result.blueprint.mixture] == [repr(w) for w, _ in mixture]
+    for (_, got_w), (_, ref_w) in zip(result.blueprint.mixture, mixture):
+        assert got_w.x.keys() == ref_w.x.keys()
+        assert all(got_w.x[key].tobytes() == ref_w.x[key].tobytes() for key in ref_w.x)
+
+
+def test_column_session_master_matches_the_rebuilt_master():
+    rng = np.random.default_rng(97)
+    shapes = [((1,), 1, 3), ((3,), 2, 3), ((2, 1), 3, 2), ((2, 2), 2, 2), ((1, 3), 3, 3),
+              ((3, 2), 2, 2), ((2, 2, 1), 3, 2), ((2, 1, 2), 2, 3), ((1, 1, 1), 3, 3),
+              ((2, 2), 3, 3)]
+    for type_counts, n, m in shapes * 2:
+        env = random_multi(rng, type_counts, n, m, bool(rng.integers(2)))
+        assert_same_result(solve_reduced_lp(env), ref.solve_reduced_lp(env))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tiny_multi_markets())
+def test_column_session_master_matches_the_rebuilt_master_on_ties(env):
+    assert_same_result(solve_reduced_lp(env), ref.solve_reduced_lp(env))
+
+
+def random_blueprint(rng, env: MultiEnvironment, k: int, ties: bool) -> MechanismBlueprint:
+    """k VPM schemes that leave some (buyer, type) weights out; with
+    ``ties``, small integer weights, so that values tie within and across
+    buyers of equal type probabilities."""
+    n, m = env.n_states, env.n_actions
+    mixture = []
+    for w in rng.dirichlet(np.ones(k)):
+        x = {}
+        for b in env.buyers:
+            for t in b.types:
+                if rng.random() < 0.85:
+                    x[(b.id, t.id)] = (rng.integers(0, 3, size=(n, m)).astype(float) if ties
+                                       else rng.uniform(size=(n, m)))
+        mixture.append((float(w), VPMWeights(x)))
+    total = sum(w for w, _ in mixture)
+    mixture = [(w / total, wts) for w, wts in mixture]
+    return MechanismBlueprint(mixture, {key: 0.0 for key in _Coords(env).keys})
+
+
+def replay_cases(seed: int, count: int):
+    """Random 1-3 buyer environments with blueprints of 1-4 components;
+    half of them with uniform type probabilities and tying weights."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        ties = case % 2 == 0
+        type_counts = tuple(int(k) for k in rng.integers(1, 4, size=int(rng.integers(1, 4))))
+        n, m = (int(v) for v in rng.integers(1, 4, size=2))
+        env = random_multi(rng, type_counts, n, m, False)
+        if ties:
+            for b in env.buyers:
+                b.type_probs = {t.id: 1.0 / len(b.types) for t in b.types}
+        yield rng, env, random_blueprint(rng, env, int(rng.integers(1, 5)), ties)
+
+
+def test_count_table_replay_matches_the_per_draw_replay():
+    for rng, env, bp in replay_cases(101, 40):
+        for n_draws in (0, 1, 9, 400, 20_000):
+            seed = int(rng.integers(2**31))
+            emp, counts = simulate_interim(bp, env, n_draws, seed)
+            ref_emp, ref_counts = ref.simulate_interim(bp, env, n_draws, seed)
+            assert counts == ref_counts and sum(counts.values()) == n_draws * len(env.buyers)
+            assert emp.keys() == ref_emp.keys()
+            assert all(emp[key].tobytes() == ref_emp[key].tobytes() for key in emp)
+
+
+def test_vpm_table_matches_the_per_slot_reference():
+    for _, env, bp in replay_cases(103, 40):
+        for _, wts in bp.mixture:
+            got, want = rvpm(env, wts), ref.rvpm(env, wts)
+            assert repr(got.p_hat) == repr(want.p_hat)
+            assert all(got.pi_hat[key].tobytes() == want.pi_hat[key].tobytes()
+                       for key in want.pi_hat)
+            for types in itertools.product(*[[t.id for t in b.types] for b in env.buyers]):
+                profile = dict(zip([b.id for b in env.buyers], types))
+                winner, exp = vpm_allocate(env, wts, profile)
+                ref_winner, ref_exp = ref.vpm_allocate(env, wts, profile)
+                assert winner == ref_winner
+                assert exp.matrix.tobytes() == ref_exp.matrix.tobytes()
+
+
+def test_fast_path_matches_the_references_on_benchmark_draws():
+    """The multi-buyer benchmark's recipe, one draw per shape, replayed with
+    its 100,000 draws."""
+    rng = np.random.default_rng(107)
+    for shape in [(2, 2, 2, 2), (3, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 3), (2, 3, 3, 2)]:
+        buyers, k, n, m = shape
+        env = random_multi(rng, (k,) * buyers, n, m, False)
+        result = solve_reduced_lp(env)
+        assert_same_result(result, ref.solve_reduced_lp(env))
+        emp, counts = simulate_interim(result.blueprint, env, 100_000, 5)
+        ref_emp, ref_counts = ref.simulate_interim(result.blueprint, env, 100_000, 5)
+        assert counts == ref_counts
+        assert all(emp[key].tobytes() == ref_emp[key].tobytes() for key in emp)
+
+
+# --- input checks ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("profile", [
+    {"b0": "t0", "b1": "t0", "b2": "t0"},      # unknown buyer
+    {"b0": "t0", "b1": "t9"},                  # unknown type
+    {"b0": "t0"},                              # a buyer without a type
+    {"b0": "t1", "b1": "t0"},                  # another buyer's type
+])
+def test_profiles_with_unknown_ids_are_invalid(profile):
+    env = two_buyers([[0.5, 0.5]], [[0.3, 0.7], [0.9, 0.1]])
+    bp = MechanismBlueprint([(1.0, identity_weights(env, 0))],
+                            {key: 0.0 for key in _Coords(env).keys})
+    with pytest.raises(InvalidInstance):
+        vpm_allocate(env, bp.mixture[0][1], profile)
+    with pytest.raises(InvalidInstance):
+        run_mechanism(bp, env, profile, seed=0)
+
+
+@pytest.mark.parametrize("n_draws", [-1, 2.0, 2.5, "10", None])
+def test_replay_needs_a_nonnegative_integer_draw_count(n_draws):
+    env = one_buyer([[0.5, 0.5]])
+    bp = MechanismBlueprint([(1.0, identity_weights(env, 0))], {("b0", "t0"): 0.0})
+    with pytest.raises(InvalidInstance):
+        simulate_interim(bp, env, n_draws, seed=0)
+    emp, counts = simulate_interim(bp, env, np.int64(3), seed=0)
+    assert counts == {("b0", "t0"): 3} and emp[("b0", "t0")].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_vpm_weights_of_the_wrong_shape_are_invalid():
+    env = one_buyer([[0.5, 0.5]])
+    bp = MechanismBlueprint([(1.0, VPMWeights({("b0", "t0"): np.ones((3, 2))}))],
+                            {("b0", "t0"): 0.0})
+    with pytest.raises(InvalidInstance):
+        run_mechanism(bp, env, {"b0": "t0"}, seed=0)
+    with pytest.raises(InvalidInstance):
+        simulate_interim(bp, env, 10, seed=0)
+
+
+def test_replay_refuses_cells_beyond_an_int64_index():
+    buyers = [MultiBuyer(f"b{i}", np.eye(2), [BuyerType("t0", [0.5, 0.5]),
+                                               BuyerType("t1", [0.2, 0.8])],
+                         {"t0": 0.5, "t1": 0.5}) for i in range(64)]
+    env = MultiEnvironment(["w0", "w1"], ["a0", "a1"], buyers)
+    bp = MechanismBlueprint([(1.0, VPMWeights({}))], {key: 0.0 for key in _Coords(env).keys})
+    with pytest.raises(TooLarge):
+        simulate_interim(bp, env, 10, seed=0)

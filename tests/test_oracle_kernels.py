@@ -43,13 +43,13 @@ def gen_traffic(nodes: int, edges: int, seed: int) -> TrafficInstance:
     return parse_traffic(buf.getvalue())
 
 
-def random_digraph(rng, n: int, m: int) -> TrafficInstance:
+def random_digraph(rng, n: int, m: int, zero_cycles: bool = False) -> TrafficInstance:
     """Cycles, self-loops, parallel edges and zero times, with a planted
     source-sink path; times from a small set so that many paths tie.
 
-    Only edges u -> v with u < v may take zero time, so every cycle costs
-    time under every belief: the greedy walk cannot follow a zero-time
-    cycle, on which it would raise NoPath.
+    Unless ``zero_cycles``, only edges u -> v with u < v may take zero time,
+    so every cycle costs time under every belief: the greedy walk of the
+    reference cannot follow a zero-time cycle, on which it raises NoPath.
     """
     edges = []
     walk = [0] + rng.permutation(np.arange(1, n)).tolist()
@@ -63,7 +63,8 @@ def random_digraph(rng, n: int, m: int) -> TrafficInstance:
             edges.append((u, v))                       # parallel edge
     edges = [edges[i] for i in rng.permutation(len(edges))]
     times = rng.choice([0.0, 0.5, 1.0, 2.0, 3.25], size=(len(edges), 2))
-    times[[u >= v for u, v in edges]] += 0.25
+    if not zero_cycles:
+        times[[u >= v for u, v in edges]] += 0.25
     full = [(u, v, float(t0), float(t1)) for (u, v), (t0, t1) in zip(edges, times)]
     horizon = float(times.max(axis=1).sum()) + 1.0
     return TrafficInstance(n, full, 0, n - 1, horizon)
@@ -94,6 +95,45 @@ def test_traffic_sweep_matches_dijkstra_bitwise(inst):
     for b, p, u in zip(beliefs[::25], ref_paths[::25], ref_utils[::25]):
         assert oracle.respond(b) == (p, u)
     assert oracle.query_count == len(beliefs) + len(beliefs[::25])
+
+
+def test_traffic_walk_is_the_greedy_walk_wherever_that_reaches_the_sink():
+    """On digraphs with zero-time cycles the greedy walk of the old
+    reconstruction may cycle; the depth-first search then still returns a
+    simple optimal path, and elsewhere the greedy walk's path."""
+    rng = np.random.default_rng(31)
+    agreed = recovered = 0
+    for n, m in [(2, 4), (3, 9), (5, 16), (8, 30), (12, 48)] * 6:
+        inst = random_digraph(rng, n, m, zero_cycles=True)
+        beliefs = traffic_beliefs(rng, count=30, steps=4)
+        paths, utils = TrafficOracle(inst).respond_many(beliefs)
+        for belief, path, utility in zip(beliefs, paths, utils):
+            weights = inst.times @ belief
+            dist_s = dijkstra.dijkstra(inst, weights, inst.source, True)
+            dist_t = dijkstra.dijkstra(inst, weights, inst.sink, False)
+            try:
+                assert path == dijkstra.greedy_walk(inst, dist_s, weights, dist_t)
+                agreed += 1
+                continue
+            except NoPath:
+                recovered += 1
+            heads = [inst.edges[e][1] for e in path]
+            assert [inst.edges[e][0] for e in path] == [inst.source] + heads[:-1]
+            assert heads[-1] == inst.sink and len(set(heads)) == len(heads)
+            assert inst.source not in heads
+            assert sum(weights[list(path)]) == pytest.approx(dist_s[inst.sink], abs=1e-9)
+            assert utility == (inst.horizon - dist_s[inst.sink]) / inst.horizon
+    assert agreed > 100 and recovered > 0
+
+
+def test_traffic_walk_leaves_a_zero_time_self_loop():
+    # The self-loop 0 -> 0 is edge 0, on a shortest path under every belief.
+    inst = parse_traffic("0 1 10\n0 0 0 0\n0 1 1 1\n")
+    weights = inst.times @ np.array([0.5, 0.5])
+    dist_s = dijkstra.dijkstra(inst, weights, 0, True)
+    with pytest.raises(NoPath):
+        dijkstra.greedy_walk(inst, dist_s, weights, dijkstra.dijkstra(inst, weights, 1, False))
+    assert TrafficOracle(inst).respond([0.5, 0.5]) == ((1,), 0.9)
 
 
 def test_traffic_unreachable_sink_raises_no_path():
