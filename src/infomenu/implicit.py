@@ -257,12 +257,13 @@ def _cell_vertices(lo: tuple, hi: tuple, steps: int) -> list[tuple]:
     return list(out)
 
 
-def _discover_actions(oracle: BROracle, bt: BuyerType, steps: int) -> list:
-    """One type's distinct best responses over the posterior grid and its
-    prior, in the order a full lattice scan (then the prior) meets them.
+def _discover_actions(oracle: BROracle, priors: np.ndarray, steps: int) -> tuple[list, list]:
+    """The distinct best responses over the posterior grid of one prior
+    support, in the order a full lattice scan meets them, and the answer at
+    each row of ``priors`` (priors with that support).
 
     Grid points are the integer vectors x >= 0 with sum(x) <= steps in the
-    free coordinates of the prior's support (the last support coordinate is
+    free coordinates of the support (the last support coordinate is
     steps - sum(x)).  Cells of that set are bisected: the posterior value
     max_a q.u_a is convex, so when the oracle gives the same action at every
     vertex of a convex cell, that action is optimal on the whole cell, and
@@ -271,8 +272,11 @@ def _discover_actions(oracle: BROracle, bt: BuyerType, steps: int) -> list:
     lattice points besides its vertices.  Each token is ordered by its
     lexicographically smallest queried point, which is the full scan's
     first appearance because a convex cell's lex-min point is a vertex.
+    The lattice and the answers on it depend only on the support, so one
+    bisection serves every prior with it; the priors ride in the first
+    oracle batch.
     """
-    support = np.flatnonzero(bt.prior > 0.0)
+    support = np.flatnonzero(priors[0] > 0.0)
     free = len(support) - 1
     answers: dict[tuple, object] = {}
     cells = [((0,) * free, (steps,) * free)]
@@ -280,13 +284,12 @@ def _discover_actions(oracle: BROracle, bt: BuyerType, steps: int) -> list:
         vertices = [_cell_vertices(lo, hi, steps) for lo, hi in cells]
         new = list(dict.fromkeys(p for vs in vertices for p in vs if p not in answers))
         coords = np.array(new, dtype=np.int64).reshape(len(new), free)
-        posteriors = np.zeros((len(new), len(bt.prior)))
+        posteriors = np.zeros((len(new), priors.shape[1]))
         posteriors[:, support[:free]] = coords / steps
         posteriors[:, support[-1]] = (steps - coords.sum(axis=1)) / steps
-        if not answers:                      # first batch: the prior rides along
-            posteriors = np.vstack([posteriors, bt.prior])
-            tokens, _ = oracle.respond_many(posteriors)
-            prior_token = tokens[-1]
+        if not answers:                      # first batch: the priors ride along
+            tokens, _ = oracle.respond_many(np.vstack([posteriors, priors]))
+            prior_tokens = tokens[len(new):]
         elif new:
             tokens, _ = oracle.respond_many(posteriors)
         answers.update(zip(new, tokens))
@@ -302,10 +305,7 @@ def _discover_actions(oracle: BROracle, bt: BuyerType, steps: int) -> list:
             split.append((lo, hi[:i] + (mid,) + hi[i + 1:]))
             split.append((lo[:i] + (mid,) + lo[i + 1:], hi))
         cells = split
-    ordered = list(dict.fromkeys(answers[p] for p in sorted(answers)))
-    if prior_token not in ordered:
-        ordered.append(prior_token)
-    return ordered
+    return list(dict.fromkeys(answers[p] for p in sorted(answers))), prior_tokens
 
 
 def build_action_sets(
@@ -319,10 +319,13 @@ def build_action_sets(
     """Discover the actions each type could best-respond with.
 
     For each type, the distinct oracle answers across a posterior net of grid
-    resolution covering every posterior a grid column can induce (plus the
-    prior itself) form that type's action set.  The net is searched by
-    convex-cell bisection (``_discover_actions``), so queries go only where
-    the answer changes; the result equals a scan of every net point.
+    resolution covering every posterior a grid column can induce, in the
+    order a scan of the net meets them, then the prior's answer if it is
+    new, form that type's action set.  The net depends only on the prior's
+    support, so it is searched once per distinct support, by convex-cell
+    bisection (``_discover_actions``): queries go only where the answer
+    changes, and the result equals a scan of every net point.  Each token's
+    utility row is asked of the oracle once.
     """
     if not types:
         raise InvalidInstance("need at least one type")
@@ -336,14 +339,24 @@ def build_action_sets(
     if grid.n_columns > grid_cap:
         raise GridTooLarge(f"{grid.n_columns} grid columns exceed cap {grid_cap}")
 
+    groups: dict[tuple, list[int]] = {}
+    for i, bt in enumerate(types):
+        groups.setdefault(tuple(np.flatnonzero(bt.prior > 0.0)), []).append(i)
+    found: list[list] = [[] for _ in types]
+    for members in groups.values():
+        shared, prior_tokens = _discover_actions(
+            oracle, np.array([types[i].prior for i in members]), grid.steps)
+        for i, tok in zip(members, prior_tokens):
+            found[i] = shared + [tok] if tok not in shared else list(shared)
+    rows: dict[object, list[float]] = {}
     actions: dict[str, list] = {}
     utilities: dict[str, np.ndarray] = {}
-    for bt in types:
-        ordered = _discover_actions(oracle, bt, grid.steps)
+    for bt, ordered in zip(types, found):
+        for tok in ordered:
+            if tok not in rows:
+                rows[tok] = [oracle.utility_of(tok, w) for w in range(n_states)]
         actions[bt.id] = ordered
-        utilities[bt.id] = np.array(
-            [[oracle.utility_of(tok, w) for w in range(n_states)] for tok in ordered]
-        )
+        utilities[bt.id] = np.array([rows[tok] for tok in ordered])
     return ActionSets(actions, utilities), grid
 
 

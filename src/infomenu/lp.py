@@ -15,7 +15,9 @@ the separation loops of the menu solvers grow their LPs this way.
 ``add_columns`` appends nonnegative zero-cost columns instead, and each run
 is the cold solve of the grown LP: the multi-buyer master grows this way.
 ``solve(ArrayLP)`` is a fresh session that runs once.  Where the binding is
-missing, every run hands the LP so far to ``linprog``, cold.  Solutions
+missing, every run hands the LP so far to ``linprog``, cold.  The binding
+is loaded from its file and ``linprog`` is imported on its first call, so
+importing this module does not import ``scipy.optimize``.  Solutions
 carry row duals in the sign convention of the *declared* objective sense
 (for a maximization problem the dual of a binding "<=" row is the
 nonnegative marginal revenue of its rhs); ``lagrangian_bound`` turns them
@@ -24,12 +26,16 @@ into an upper bound on a maximization's optimum.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .errors import NumericalFailure
 
@@ -45,14 +51,48 @@ _BINDING_NAMES = (
 )
 
 
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_core():
+    """scipy's compiled HiGHS binding, loaded from its file without running
+    ``scipy.optimize/__init__`` (most of scipy.optimize, ~0.3 s at import);
+    the package import where the file is missing or does not load."""
+    if _CORE in sys.modules:
+        return sys.modules[_CORE]
+    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if not path.is_file():
+            continue
+        loader = importlib.machinery.ExtensionFileLoader(_CORE, str(path))
+        try:
+            core = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(_CORE, path, loader=loader))
+            loader.exec_module(core)
+        except ImportError:
+            break
+        sys.modules[_CORE] = core
+        return core
+    from scipy.optimize._highspy import _core
+    return _core
+
+
 def _binding():
     """scipy's bundled HiGHS binding, or None where it lacks a name we use."""
     try:
-        from scipy.optimize._highspy import _core
-        attrgetter(*_BINDING_NAMES)(_core)
+        core = _load_core()
+        attrgetter(*_BINDING_NAMES)(core)
     except (ImportError, AttributeError):
         return None
-    return _core
+    return core
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: only the
+    fallback without the binding runs it."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 _highs = _binding()

@@ -612,15 +612,19 @@ def run_mechanism(
     """One execution: draw a VPM component, allocate, charge interim prices.
 
     Payments depend only on reported types, never on the drawn component, so
-    the price leaks nothing about the scheme.
+    the price leaks nothing about the scheme.  A (buyer, type) of the
+    profile without an interim price in ``t_hat`` is an ``InvalidInstance``.
     """
     rng = np.random.default_rng(seed)
     lams = np.array([w for w, _ in blueprint.mixture])
     k = int(rng.choice(len(lams), p=lams / lams.sum()))
     winner, experiment = vpm_allocate(env, blueprint.mixture[k][1], profile)
-    payments = {
-        b.id: blueprint.t_hat[(b.id, profile[b.id])] for b in env.buyers
-    }
+    payments = {}
+    for b in env.buyers:
+        key = (b.id, profile[b.id])
+        if key not in blueprint.t_hat:
+            raise InvalidInstance(f"blueprint has no interim price for {key}")
+        payments[b.id] = blueprint.t_hat[key]
     return MechanismRun(winner, experiment, payments, k)
 
 

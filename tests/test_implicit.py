@@ -297,6 +297,54 @@ def test_action_sets_match_full_scan_on_traffic_and_sat():
     assert_matches_full_scan(lambda: SATOracle(sat), types, 0.1)
 
 
+def assert_shared_discovery(make_oracle, types, epsilon):
+    """Discovery over all types equals each type discovered alone on a
+    fresh oracle, and asks the lattice once per distinct prior support plus
+    each prior once."""
+    oracle = make_oracle()
+    sets, _ = build_action_sets(oracle, types, epsilon)
+    lattice = {}
+    for bt in types:
+        alone = make_oracle()
+        one, _ = build_action_sets(alone, [bt], epsilon)
+        assert sets.actions[bt.id] == one.actions[bt.id]
+        assert sets.utilities[bt.id].tobytes() == one.utilities[bt.id].tobytes()
+        lattice[tuple(np.flatnonzero(bt.prior))] = alone.query_count - 1
+    assert len(lattice) < len(types)                  # some support is shared
+    assert oracle.query_count == sum(lattice.values()) + len(types)
+
+
+def test_one_bisection_per_support_on_random_matrix_markets():
+    rng = np.random.default_rng(17)
+    for trial in range(12):
+        u = rng.uniform(size=(3, int(rng.integers(2, 7))))
+        if trial % 2:
+            u = np.round(u, 1)                        # ties between actions
+        priors = [*rng.dirichlet(np.ones(3), size=2), [0.5, 0.5, 0.0], [0.2, 0.8, 0.0],
+                  [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.3, 0.7]]
+        types = [BuyerType(f"t{i}", p) for i, p in enumerate(priors)]
+        rng.shuffle(types)
+        assert_shared_discovery(lambda: MatrixOracle(u), types, 0.1)
+    # Only the first type's prior, off the grid, sees the spike action 2.
+    priors = [[0.5 + 1 / 3001, 0.5 - 1 / 3001], [0.5, 0.5], [0.2, 0.8]]
+    u = spike_utility(priors[0])
+    types = [BuyerType(f"t{i}", p) for i, p in enumerate(priors)]
+    assert_shared_discovery(lambda: MatrixOracle(u), types, 0.1)
+    sets, _ = build_action_sets(MatrixOracle(u), types, 0.1)
+    assert [2 in sets.actions[bt.id] for bt in types] == [True, False, False]
+
+
+def test_one_bisection_per_support_on_traffic_and_sat():
+    inst = parse_traffic("0 2 12\n0 1 1 6\n1 2 1 5\n0 2 5 2\n0 2 3 3\n")
+    priors = [[0.5, 0.5], [1.0, 0.0], [0.85, 0.15], [0.0, 1.0], [1.0, 0.0], [0.3, 0.7]]
+    types = [BuyerType(f"t{i}", p) for i, p in enumerate(priors)]
+    assert_shared_discovery(lambda: TrafficOracle(inst), types, 0.05)
+    sat = build_sat_reduction(CNF(4, [[1, -2], [2, 3], [-3, 4], [-1, -4], [2, 4]]))
+    priors = [sat.type_prior, [0.3, 0.7], [1.0, 0.0], [0.0, 1.0], [0.9, 0.1]]
+    types = [BuyerType(f"t{i}", p) for i, p in enumerate(priors)]
+    assert_shared_discovery(lambda: SATOracle(sat), types, 0.1)
+
+
 def spike_utility(q0, eta=1e-4):
     """Utilities (states x actions) whose last action is a best response only
     within about eta of the interior belief q0: one action per state, all

@@ -1,10 +1,16 @@
 """The array form of an LP, the HiGHS row session, its linprog fallback,
 duals and the dual bound."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import infomenu
 from infomenu import lp as lpmod
 from infomenu.lp import ArrayLP, solve
 
@@ -246,3 +252,39 @@ def test_a_session_grows_by_rows_or_by_columns():
     by_cols.add_columns(sp.csc_matrix(np.ones((lp.n_constraints(), 1))))
     with pytest.raises(ValueError):
         by_cols.add_rows(sp.csr_matrix(np.ones((1, by_cols.n_variables()))), np.ones(1))
+
+
+def run_python(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this infomenu."""
+    src = str(Path(infomenu.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_the_binding_without_scipy_optimize():
+    run_python("""
+import sys
+import infomenu
+from infomenu import lp
+assert "scipy.optimize" not in sys.modules
+assert lp._highs is sys.modules["scipy.optimize._highspy._core"]
+import scipy.optimize
+from scipy.optimize._highspy import _core
+assert _core is lp._highs
+res = lp.linprog([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+assert res.status == 0 and res.fun == 1.0
+assert scipy.optimize.linprog([1.0], bounds=[(2.0, 3.0)]).x.tolist() == [2.0]
+""")
+
+
+def test_binding_falls_back_to_the_package_import():
+    run_python("""
+import sys
+import scipy
+scipy.__file__ = "/nonexistent/scipy/__init__.py"
+from infomenu import lp
+assert "scipy.optimize" in sys.modules
+assert lp._highs is sys.modules["scipy.optimize._highspy._core"]
+""")

@@ -815,6 +815,15 @@ def test_profiles_with_unknown_ids_are_invalid(profile):
         run_mechanism(bp, env, profile, seed=0)
 
 
+def test_a_profile_without_an_interim_price_is_invalid():
+    env = one_buyer([[0.5, 0.5]])
+    with pytest.raises(InvalidInstance, match=r"\('b0', 't0'\)"):
+        run_mechanism(MechanismBlueprint([(1.0, VPMWeights({}))], {}), env, {"b0": "t0"}, 0)
+    run = run_mechanism(MechanismBlueprint([(1.0, VPMWeights({}))], {("b0", "t0"): 0.25}),
+                        env, {"b0": "t0"}, 0)
+    assert run.payments == {"b0": 0.25}
+
+
 @pytest.mark.parametrize("n_draws", [-1, 2.0, 2.5, "10", None])
 def test_replay_needs_a_nonnegative_integer_draw_count(n_draws):
     env = one_buyer([[0.5, 0.5]])

@@ -256,7 +256,7 @@ TRAFFIC_STDOUT = (
     '[[0.0,0.0,0.0,1.0,0.0],[0.520858895703,0.0,0.0,0.479141104297,0.0]],"price":'
     '0.00320272810337,"row_mass":1.0},{"matrix":[[0.0,0.0,0.0,2.9546549161e-14,1.0],'
     '[1.0,0.0,0.0,0.0,0.0]],"price":0.0114725035896,"row_mass":1.0}],"v":1},'
-    '"oracle_queries":348,"revenue":0.00857808216943,"separation_rounds":9,"v":1}\n'
+    '"oracle_queries":274,"revenue":0.00857808216943,"separation_rounds":9,"v":1}\n'
 )
 SAT_STDOUT = (
     '{"action_set_sizes":{"t0":4},"audit":{"choices":{"t0":{"entry":0,"net_utility":0.96875}},'
@@ -288,7 +288,7 @@ def test_pinned_traffic_solve_implicit(tmp_path):
     tys = [BuyerType(t["id"], np.array(t["prior"])) for t in TYPES["types"]]
     result = solve_implicit(oracle, tys, {t["id"]: t["prob"] for t in TYPES["types"]}, 0.05)
     assert result.action_sets.actions == {t.id: TRAFFIC_ACTIONS for t in tys}
-    assert oracle.query_count == 348
+    assert oracle.query_count == 274
     assert repr(float(result.revenue)) == "0.008578082169425783"
 
 
