@@ -1,12 +1,15 @@
-"""Exact revenue-optimal menus for explicitly specified markets.
+"""Exact revenue-optimal menus for explicitly specified markets, and the
+menu LP that the oracle solver shares.
 
-The menu design problem is one big LP: per-type experiment matrices with one
-signal per action (signal i recommends action i), per-type prices, and helper
-variables bounding the value a deviating type can extract from each signal of
-another type's experiment.  Self-deviation rows (theta' = theta) force every
-experiment to be responsive for its owner.  ``solve_explicit`` hands HiGHS
-the helper rows lazily, in one warm session, and checks the optimum it
-extracts against a dual bound.
+The menu design problem is one LP (README, "The menu LP and the array form
+of an LP"): per-type experiments with one signal per action of the type's
+action set (signal i recommends action i), per-type prices, and bounds
+z[i, t, t2] on the value type t gets from signal i of type t2's experiment.
+Both solvers hand HiGHS part of it in one warm session and add, per
+(t, t2, i), the best deviation while it beats z (``separate``):
+``solve_explicit`` takes an argmax over the market's actions and checks its
+optimum against a dual bound; ``implicit.solve_implicit`` asks a
+best-response oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lp as lpmod
-from .errors import NumericalFailure
+from .errors import NonConvergence, NumericalFailure
 from .market import (
     AuditReport,
     Environment,
@@ -33,65 +36,147 @@ log = logging.getLogger(__name__)
 CLEANUP_TOL = 1e-9
 ENTRY_TOL = 1e-7             # HiGHS primal feasibility tolerance
 AUDIT_TOL = 1e-6
-VIOLATION_TOL = 1e-9         # helper rows violated by more join the lazy LP
+SEPARATION_TOL = 1e-9        # deviation rows violated by more join the session
+MAX_SEPARATION_ROUNDS = 200
 CERTIFY_TOL = 1e-9           # largest dual-bound gap accepted without a re-solve
 RESOLVE_FEASIBILITY_TOL = 1e-10
 
 
-def build_menu_lp(env: Environment) -> lpmod.ArrayLP:
-    """The full menu-design LP for an explicit environment.
+class MenuLayout:
+    """The columns of the menu LP for k types over n states, type t with
+    ``sizes[t]`` actions (layout in README).  Signal ``c = first[t] + i`` of
+    the S in all is signal i of type t (``owner[c]``, ``signal[c]``); group
+    ``g = t*S + c`` is (t, owner[c], signal[c]), with its z at
+    ``price + k + g``."""
 
-    Columns: pi[t, w, i] at (t*n + w)*m + i, then the k prices, then
-    z[i, t, t2] at k*n*m + k + (i*k + t)*k + t2, which bounds the value type t
-    gets from signal i of type t2's experiment.  Inequality rows, each a ">="
-    row negated into "<=": one IC row per ordered type pair (t, t2) including
-    the self pair, at t*k + t2; one helper lower bound per (t, t2, i, j), at
-    k^2 + ((t*k + t2)*m + i)*m + j; one IR row per type.  Equality rows: one
-    row sum per (type, state), at t*n + w.
-    """
-    n, m, k = env.n_states, env.n_actions, len(env.types)
-    priors = np.array([bt.prior for bt in env.types])                  # (k, n)
-    utils = np.array([env.utility[bt.id] for bt in env.types])         # (k, n, m)
-    own = priors[:, :, None] * utils             # [t, w, i]: theta_t[w] u_t[w, a_i]
-    n_pi = k * n * m
-    n_cols = n_pi + k + m * k * k
-    pi = np.arange(n_pi).reshape(k, n, m)
-    price = n_pi + np.arange(k)
-    z = (n_pi + k + np.arange(m * k * k)).reshape(m, k, k).transpose(1, 2, 0)   # [t, t2, i]
-    ic = np.arange(k * k).reshape(k, k)                                 # [t, t2]
-    zlb = k * k + np.arange(k * k * m * m).reshape(k, k, m, m)         # [t, t2, i, j]
-    ir = k * k * (1 + m * m) + np.arange(k)
-    off_diagonal = ~np.eye(k, dtype=bool)
-    own_dev = own.transpose(0, 2, 1)[:, None, None]     # [t, ., ., j, w]: theta_t[w] u_t[w, a_j]
+    def __init__(self, priors, sizes):
+        self.priors = np.asarray(priors, dtype=float)
+        self.k, self.n = self.priors.shape
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        self.first = np.cumsum(self.sizes) - self.sizes
+        self.total = int(self.sizes.sum())
+        self.owner = np.repeat(np.arange(self.k), self.sizes)
+        self.signal = np.arange(self.total) - self.first[self.owner]
+        self.price = self.n * self.total
+        self.n_cols = self.price + self.k + self.k * self.total
 
-    A_ub = lpmod.block_csr(
+    def pi(self, x: np.ndarray, t: int) -> np.ndarray:
+        """Type t's experiment in ``x``, as an (n, sizes[t]) view."""
+        start = self.n * self.first[t]
+        return x[start:start + self.n * self.sizes[t]].reshape(self.n, self.sizes[t])
+
+    def deviation_rows(self, group: np.ndarray, payoff: np.ndarray) -> sp.csr_matrix:
+        """Per group g = (t, t2, i) and payoff row over states, the row
+        z[i, t, t2] >= sum_w theta_t(w) payoff(w) pi[t2, w, i], as "<=" 0."""
+        t, c = np.divmod(group, self.total)
+        t2, coeffs = self.owner[c], self.priors[t] * payoff
+        step = self.sizes[t2][:, None] * np.arange(self.n)               # w * sizes[t2]
+        pi = (self.n * self.first[t2] + self.signal[c])[:, None] + step
+        r = np.arange(len(group))
+        return lpmod.block_csr([(r[:, None], pi, coeffs, coeffs != 0.0),
+                                (r, self.price + self.k + group, -1.0, True)],
+                               (len(group), self.n_cols))
+
+
+def menu_lp(layout: MenuLayout, own: np.ndarray, base: np.ndarray, probs,
+            deviations: sp.csr_matrix) -> lpmod.ArrayLP:
+    """The menu LP with the deviation rows ``deviations`` (layout in README):
+    per type, its IC rows then its IR row; then ``deviations``; the row sums
+    as equality rows.  ``own[c]`` is the payoff over states of
+    signal c's action to its owner."""
+    k, n, total, price = layout.k, layout.n, layout.total, layout.price
+    typ = np.repeat(np.arange(k), n * layout.sizes)                    # per pi column
+    w, i = np.divmod(np.arange(price) - n * layout.first[typ], layout.sizes[typ])
+    value = layout.priors[typ, w] * own[layout.first[typ] + i, w]     # theta_t(w) u(w, a_i)
+    rows = np.arange(k * (k + 1)).reshape(k, k + 1)                    # ic[t, 0..k-1], ir[t]
+    others = np.arange(k + 1) != np.arange(k)[:, None]
+    icir = lpmod.block_csr(
         [
-            # IC(t, t2): sum_i z[i, t, t2] + price[t] - price[t2] - own value of t <= 0;
-            # the two price terms of IC(t, t) cancel, so that row has none.
-            (ic[:, :, None, None], pi[:, None], -own[:, None], own[:, None] != 0.0),
-            (ic[:, :, None], z, 1.0, True),
-            (ic, price[:, None], 1.0, off_diagonal),
-            (ic, price[None, :], -1.0, off_diagonal),
-            # zlb(t, t2, i, j): sum_w theta_t[w] u_t[w, a_j] pi[t2, w, i] - z[i, t, t2] <= 0
-            (zlb, z[:, :, :, None], -1.0, True),
-            (zlb[..., None], pi.transpose(0, 2, 1)[None, :, :, None], own_dev, own_dev != 0.0),
-            # IR(t): price[t] - own value of t <= -base(t)
-            (ir[:, None, None], pi, -own, own != 0.0),
-            (ir, price, 1.0, True),
+            (rows[typ], np.arange(price)[:, None], -value[:, None], value[:, None] != 0.0),
+            (rows, price + np.arange(k)[:, None], 1.0, others),        # ic[t, t] nets to 0
+            (rows[:, :k], price + np.arange(k), -1.0, others[:, :k]),
+            (rows[:, layout.owner], price + k + np.arange(k * total).reshape(k, total), 1.0, True),
         ],
-        (k * k * (1 + m * m) + k, n_cols),
+        (k * (k + 1), layout.n_cols),
     )
-    A_eq = lpmod.block_csr([(np.arange(k * n).reshape(k, n, 1), pi, 1.0, True)], (k * n, n_cols))
-    base = np.array([base_utility(env, bt.id) for bt in env.types])
-    b_ub = -np.concatenate([np.zeros(k * k * (1 + m * m)), base])
+    rhs = np.zeros((k, k + 1))
+    rhs[:, k] = base
+    c = np.zeros(layout.n_cols)
+    c[price:price + k] = probs
+    bounds = np.repeat([(0.0, 1.0), (-np.inf, np.inf), (0.0, np.inf)], [price, k, k * total],
+                       axis=0)
+    return lpmod.ArrayLP(
+        c, sp.vstack([icir, deviations], format="csr"),
+        -np.concatenate((rhs.ravel(), np.zeros(deviations.shape[0]))),
+        lpmod.block_csr([(typ * n + w, np.arange(price), 1.0, True)], (k * n, layout.n_cols)),
+        np.ones(k * n), bounds, "max")
 
-    c = np.zeros(n_cols)
-    c[price] = [env.prob(bt.id) for bt in env.types]
-    bounds = np.zeros((n_cols, 2))
-    bounds[:n_pi, 1] = 1.0
-    bounds[price] = (-np.inf, np.inf)
-    bounds[n_pi + k:, 1] = np.inf
-    return lpmod.ArrayLP(c, A_ub, b_ub, A_eq, np.ones(k * n), bounds, "max")
+
+def start_rows(layout: MenuLayout) -> tuple[np.ndarray, np.ndarray]:
+    """The deviation rows a session starts from, as (group, a) with a an
+    action of A_t2, in (t, t2, i, a) order: every action on a self pair
+    (t2 = t), which keeps each experiment responsive for its owner, and
+    obedience (a = i) on the others."""
+    g, a = np.indices((layout.k * layout.total, int(layout.sizes.max())))
+    t, c = np.divmod(g, layout.total)
+    t2 = layout.owner[c]
+    keep = (a < layout.sizes[t2]) & ((t2 == t) | (a == layout.signal[c]))
+    return g[keep], a[keep]
+
+
+def separate(session: lpmod.Session, layout: MenuLayout, best,
+             in_model: set) -> tuple[lpmod.LPSolution, int, int]:
+    """Run the menu-LP ``session`` and append deviation rows until none is
+    violated; return the last solution, the runs and their iterations.
+
+    ``best(x, in_model)`` names one deviation per group: the groups, the row
+    keys, the payoffs over states and the values sum_w theta_t(w) payoff(w)
+    pi[t2, w, i].  A row whose value beats z by more than ``SEPARATION_TOL``
+    joins unless its key is in ``in_model``; such a stale row is in the LP,
+    which holds it to HiGHS's feasibility tolerance ``ENTRY_TOL``.
+    """
+    rounds = iterations = 0
+    while True:
+        rounds += 1
+        if rounds > MAX_SEPARATION_ROUNDS:
+            raise NonConvergence(f"separation did not settle in {MAX_SEPARATION_ROUNDS} rounds")
+        sol = lpmod.solve(session)
+        iterations += sol.iterations
+        if sol.status != "Optimal":
+            raise NumericalFailure(f"menu LP is {sol.status}")
+        group, keys, payoff, value = best(sol.x, in_model)
+        violation = value - sol.x[layout.price + layout.k + group]
+        new, stale = [], 0.0
+        for r in np.flatnonzero(violation > SEPARATION_TOL).tolist():
+            if keys[r] in in_model:
+                stale = max(stale, violation[r])
+            else:
+                in_model.add(keys[r])
+                new.append(r)
+        if not new:
+            if stale > ENTRY_TOL:
+                raise NumericalFailure(f"a deviation row of the LP is still violated by {stale}")
+            return sol, rounds, iterations
+        session.add_rows(layout.deviation_rows(group[new], payoff[new]), np.full(len(new), -0.0))
+
+
+def _explicit_parts(env: Environment):
+    """The layout of an explicit market (every type has every action),
+    ``utils[t, j]``, the payoffs of action j to type t over states, the base
+    utilities and the type probabilities."""
+    utils = np.array([env.utility[bt.id].T for bt in env.types])       # (k, m, n)
+    layout = MenuLayout([bt.prior for bt in env.types], [env.n_actions] * len(env.types))
+    base = np.array([base_utility(env, bt.id) for bt in env.types])
+    return layout, utils, base, [env.prob(bt.id) for bt in env.types]
+
+
+def build_menu_lp(env: Environment) -> lpmod.ArrayLP:
+    """The full menu LP of an explicit environment: every deviation row
+    (t, t2, i, j), in that order."""
+    layout, utils, base, probs = _explicit_parts(env)
+    group, j = np.divmod(np.arange(layout.k * layout.total * env.n_actions), env.n_actions)
+    rows = layout.deviation_rows(group, utils[group // layout.total, j])
+    return menu_lp(layout, utils.reshape(-1, layout.n), base, probs, rows)
 
 
 def clean_experiment_matrix(raw: np.ndarray) -> np.ndarray:
@@ -181,56 +266,18 @@ def _assert_responsive(env: Environment, menu: Menu, tol: float = 1e-6) -> None:
                 )
 
 
-def _lazy_solve(prog: lpmod.ArrayLP, k: int, m: int,
-                feasibility_tol: float | None) -> tuple[lpmod.Session, lpmod.LPSolution]:
-    """Solve the menu LP ``prog`` (k types, m actions) with its helper rows
-    added on demand, in one warm session.
-
-    The session starts from the IC, IR and row-sum rows, every helper row
-    of a self pair (t2 = t) and the obedience helper rows (j = i).  After
-    each run, every group (t, t2, i) whose most violated helper row outside
-    the model exceeds ``VIOLATION_TOL`` has that row appended.  The last
-    solution meets every row of ``prog``: those in the session within
-    HiGHS's tolerance, the rest within ``VIOLATION_TOL``.
-    """
-    helpers = prog.A_ub[k * k:k * k * (1 + m * m)]
-    t, t2, i, j = np.indices((k, k, m, m))
-    in_model = ((t == t2) | (i == j)).reshape(k * k * m, m)
-    first = np.concatenate((np.arange(k * k), k * k + np.flatnonzero(in_model),
-                            k * k * (1 + m * m) + np.arange(k)))
-    session = lpmod.Session(
-        lpmod.ArrayLP(prog.c, prog.A_ub[first], prog.b_ub[first], prog.A_eq, prog.b_eq,
-                      prog.bounds, prog.sense),
-        feasibility_tol,
-    )
-    while True:
-        sol = lpmod.solve(session)
-        if sol.status != "Optimal":
-            raise NumericalFailure(f"menu LP is {sol.status}")
-        violation = (helpers @ sol.x).reshape(k * k * m, m)      # helper rhs are 0
-        violation[in_model] = -np.inf
-        worst = violation.argmax(axis=1)
-        groups = np.flatnonzero(violation[np.arange(len(worst)), worst] > VIOLATION_TOL)
-        if not len(groups):
-            return session, sol
-        rows = groups * m + worst[groups]
-        in_model.flat[rows] = True
-        session.add_rows(helpers[rows], prog.b_ub[k * k + rows])
-
-
 def _optimum_box(env: Environment) -> np.ndarray:
-    """Finite bounds per menu-LP column that keep an optimum (README, "Lazy
-    helper rows and the dual bound"): pi in [0, 1], every price in [-G, G]
-    with G the sum over types of full(t) - base(t), and z[i, t, t2] in
-    [0, full(t)], where full(t) is type t's value of full revelation."""
+    """Finite bounds per menu-LP column that keep an optimum (README, "Start
+    rows, separation and the dual bound"): pi in [0, 1], every price in
+    [-G, G] with G the sum over types of full(t) - base(t), and z[i, t, t2]
+    in [0, full(t)], where full(t) is type t's value of full revelation."""
     n, m, k = env.n_states, env.n_actions, len(env.types)
     full = np.array([bt.prior @ np.maximum(env.utility[bt.id].max(axis=1), 0.0)
                      for bt in env.types])
     base = np.array([base_utility(env, bt.id) for bt in env.types])
     gap = float((full - base).sum())
-    z_hi = np.tile(np.repeat(full, k), m)                 # z[i, t, t2] in (i, t, t2) order
-    upper = np.concatenate((np.ones(k * n * m), np.full(k, gap), z_hi))
-    lower = np.concatenate((np.zeros(k * n * m), np.full(k, -gap), np.zeros(m * k * k)))
+    upper = np.concatenate((np.ones(k * n * m), np.full(k, gap), np.repeat(full, k * m)))
+    lower = np.concatenate((np.zeros(k * n * m), np.full(k, -gap), np.zeros(k * k * m)))
     return np.column_stack((lower, upper))
 
 
@@ -279,17 +326,35 @@ def solve_explicit(env: Environment) -> tuple[Menu, float, AuditReport]:
     Returns the menu (one entry per type with the identity assignment), its
     revenue, and the audit report.  Prices are re-derived from the extracted
     experiments so the audit is exact rather than backend-tolerance loose.
-    The helper rows are added lazily (``_lazy_solve``).  The final session's
-    duals give an upper bound on the optimum of the full LP; when it exceeds
-    the audited revenue by more than ``CERTIFY_TOL``, the LP is solved once
-    more with HiGHS's feasibility tolerances at ``RESOLVE_FEASIBILITY_TOL``,
-    and that answer is returned, with a warning if its gap still shows.
+    The session starts from ``start_rows``; ``separate`` then adds, per
+    (t, t2, i), the row of the most valuable action not yet in it, computed
+    from pi.  The final session's duals give an upper bound on the optimum
+    of the full LP; when it exceeds the audited revenue by more than
+    ``CERTIFY_TOL``, the LP is solved once more with HiGHS's feasibility
+    tolerances at ``RESOLVE_FEASIBILITY_TOL``, and that answer is returned,
+    with a warning if its gap still shows.
     """
     reduced, keep = _dedupe_actions(env)
-    prog = build_menu_lp(reduced)
+    layout, utils, base, probs = _explicit_parts(reduced)
+    k, n, m = layout.k, layout.n, reduced.n_actions
+    value_of = (layout.priors[:, None, :] * utils).reshape(k * m, n)   # [(t, j), w]
+
+    def best(x: np.ndarray, in_model: set):
+        # value[g, j] = sum_w theta_t(w) u_t(w, a_j) pi[t2, w, i] for g = (t, t2, i).
+        pis = x[:layout.price].reshape(k, n, m).transpose(1, 0, 2).reshape(n, k * m)
+        value = (value_of @ pis).reshape(k, m, k * m).transpose(0, 2, 1).reshape(-1, m)
+        value.flat[np.fromiter(in_model, np.int64, len(in_model))] = -np.inf
+        j = value.argmax(axis=1)
+        group = np.arange(len(j))
+        return group, (group * m + j).tolist(), utils[group // layout.total, j], value[group, j]
+
+    group, a = start_rows(layout)
+    start = menu_lp(layout, utils.reshape(-1, n), base, probs,
+                    layout.deviation_rows(group, utils[group // layout.total, a]))
     box = _optimum_box(reduced)
     for tol in (None, RESOLVE_FEASIBILITY_TOL):
-        session, sol = _lazy_solve(prog, len(reduced.types), reduced.n_actions, tol)
+        session = lpmod.Session(start, tol)
+        sol, _, _ = separate(session, layout, best, set((group * m + a).tolist()))
         menu, report = _extract(env, reduced, keep, sol)
         gap = lpmod.lagrangian_bound(session.array_lp(), sol.row_duals, box) - report.revenue
         if gap <= CERTIFY_TOL:

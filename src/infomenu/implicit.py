@@ -20,17 +20,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lp as lpmod
 from .errors import (
     GridTooLarge,
     InvalidInstance,
-    NonConvergence,
     NumericalFailure,
     PairingMismatch,
 )
-from .explicit import clean_experiment_matrix, optimal_prices
+from .explicit import (
+    MenuLayout,
+    clean_experiment_matrix,
+    menu_lp,
+    optimal_prices,
+    separate,
+    start_rows,
+)
 from .market import (
     AuditReport,
     BuyerType,
@@ -45,8 +50,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_GRID_CAP = 10**7
 EXACT_IC_TOL = 1e-9          # observed violations below this count as exact
-SEPARATION_TOL = 1e-8
-MAX_SEPARATION_ROUNDS = 200
 
 
 def tv_distance(p, q) -> float:
@@ -372,41 +375,6 @@ class ImplicitResult:
     lp_iterations: int                       # HiGHS simplex iterations over the rounds
 
 
-def _restricted_lp(sizes: list[int], utils: list[np.ndarray], priors: list[np.ndarray],
-                   base: np.ndarray, probs: list[float]) -> lpmod.ArrayLP:
-    """The restricted menu LP before any deviation bound (layout in README).
-
-    Columns: ``pi[t, w, i]`` at ``n*first[t] + w*|A_t| + i`` (``first`` the
-    prefix sums of the action-set sizes), the k prices, then ``z[i, t, t2]``
-    at ``n*S + k + t*S + first[t2] + i`` with ``S`` the total size.  Rows,
-    every ">=" row negated into "<=": per type t, ``ic[t, 0..k-1]`` then
-    ``ir[t]``; the separation rows go after these; equality rows
-    ``rowsum[t, w]`` at ``t*n + w``.
-    """
-    k, n, total = len(sizes), len(priors[0]), sum(sizes)
-    first = np.cumsum([0] + sizes[:-1])
-    price = n * total
-    n_cols = price + k + k * total
-    ub, eq = [], []
-    for t in range(k):
-        rows = t * (k + 1) + np.arange(k + 1)            # ic[t, 0..k-1], ir[t]
-        pi = n * first[t] + np.arange(n * sizes[t]).reshape(n, sizes[t])
-        own = priors[t][:, None] * utils[t].T           # (n, |A_t|)
-        ub.append((rows[:, None, None], pi, -own, own != 0.0))
-        ub.append((rows, price + t, 1.0, rows != rows[t]))       # ic[t, t] nets to 0
-        ub.append((rows[:k], price + np.arange(k), -1.0, np.arange(k) != t))
-        ub.append((np.repeat(rows[:k], sizes), price + k + t * total + np.arange(total), 1.0, True))
-        eq.append((t * n + np.arange(n)[:, None], pi, 1.0, True))
-    rhs = np.zeros((k, k + 1))
-    rhs[:, k] = base
-    c = np.zeros(n_cols)
-    c[price:price + k] = probs
-    bounds = np.repeat([(0.0, 1.0), (-np.inf, np.inf), (0.0, np.inf)],
-                       [price, k, k * total], axis=0)
-    return lpmod.ArrayLP(c, lpmod.block_csr(ub, (k * (k + 1), n_cols)), -rhs.ravel(),
-                         lpmod.block_csr(eq, (k * n, n_cols)), np.ones(k * n), bounds, "max")
-
-
 def solve_implicit(
     oracle: BROracle,
     types: list[BuyerType],
@@ -417,87 +385,47 @@ def solve_implicit(
 ) -> ImplicitResult:
     """Oracle-driven menu optimization within epsilon-ish of optimal.
 
-    Builds the restricted menu LP over each type's discovered action set and
-    grows the deviation bounds lazily in one warm ``lp.Session``: after each
-    run, the oracle names the best deviating action against every signal of
-    every experiment, and any bound it beats becomes a new row.  The extracted menu is re-priced
+    Solves the menu LP over each type's discovered action set in one warm
+    ``lp.Session`` (``explicit.menu_lp``), started from
+    ``explicit.start_rows``: the payoffs of those rows are the action sets'
+    utilities, so they need no query.  ``explicit.separate`` then grows the
+    deviation bounds: after each run, the oracle names the best deviating
+    action against every signal of every experiment, for every type, and
+    any bound it beats becomes a new row.  The extracted menu is re-priced
     on exactly audited values and passed through the 4*epsilon repair (a
     no-op whenever the solution is already exactly IC, the usual case).
     """
     market = OracleMarket(oracle, types, type_probs)
     action_sets, grid = build_action_sets(oracle, types, epsilon, grid_cap=grid_cap)
-    k = len(types)
-    n = grid.n_states
-    sizes = [action_sets.size(t.id) for t in types]
-    utils = [action_sets.utilities[t.id] for t in types]     # (|A_t|, n_states)
-    priors = [t.prior for t in types]
+    k, n = len(types), grid.n_states
+    layout = MenuLayout([t.prior for t in types], [action_sets.size(t.id) for t in types])
+    tokens = [tok for t in types for tok in action_sets.actions[t.id]]       # per signal
+    own = np.vstack([action_sets.utilities[t.id] for t in types])            # (S, n)
+    payoffs = dict(zip(tokens, own))
     base = np.array([market.base(t.id) for t in types])
     probs = [float(type_probs[t.id]) for t in types]
 
-    session = lpmod.Session(_restricted_lp(sizes, utils, priors, base, probs))
-    total = sum(sizes)
-    first = np.cumsum([0] + sizes[:-1]).tolist()
-    price = n * total
+    def best(x: np.ndarray, in_model: set):
+        # The oracle's answer at the posterior of every positive-mass signal
+        # of every experiment, for every type; ``separate`` checks the stale.
+        pis = np.clip(np.hstack([layout.pi(x, t) for t in range(k)]), 0.0, None)   # (n, S)
+        weighted = (layout.priors[:, None, :] * pis.T).reshape(-1, n)            # [t*S + c, w]
+        mass = weighted.sum(axis=1)
+        group = np.flatnonzero(mass > 1e-15)
+        answers, eus = oracle.respond_many(weighted[group] / mass[group, None])
+        for tok in answers:
+            if tok not in payoffs:
+                payoffs[tok] = np.array([oracle.utility_of(tok, w) for w in range(n)])
+        return (group, list(zip(group.tolist(), answers)),
+                np.array([payoffs[tok] for tok in answers]), mass[group] * np.asarray(eus))
 
-    def pis(x: np.ndarray, t: int) -> np.ndarray:
-        return x[n * first[t]:n * (first[t] + sizes[t])].reshape(n, sizes[t])
+    group, a = start_rows(layout)
+    col = layout.first[layout.owner[group % layout.total]] + a       # the action a of A_t2
+    start = menu_lp(layout, own, base, probs, layout.deviation_rows(group, own[col]))
+    in_model = {(g, tokens[c]) for g, c in zip(group.tolist(), col.tolist())}
+    sol, rounds, iterations = separate(lpmod.Session(start), layout, best, in_model)
 
-    added: set[tuple] = set()
-    rounds = iterations = 0
-    while True:
-        rounds += 1
-        if rounds > MAX_SEPARATION_ROUNDS:
-            raise NonConvergence(f"separation did not settle in {MAX_SEPARATION_ROUNDS} rounds")
-        sol = lpmod.solve(session)
-        iterations += sol.iterations
-        if sol.status != "Optimal":
-            raise NumericalFailure(f"restricted menu LP is {sol.status}")
-
-        queries: list[tuple[int, int, int, float, np.ndarray]] = []
-        for t2 in range(k):
-            mat = np.clip(pis(sol.x, t2), 0.0, None)
-            for t in range(k):
-                weighted = mat * priors[t][:, None]
-                masses = weighted.sum(axis=0)
-                for i in range(sizes[t2]):
-                    if masses[i] <= 1e-15:
-                        continue
-                    queries.append((t, t2, i, masses[i], weighted[:, i] / masses[i]))
-        # Each new (t, t2, i, a) adds the deviation bound z[i, t, t2] >= sum_w
-        # theta_t(w) u(w, a) pi[t2, w, i], negated into "<=" like every ">="
-        # row (its rhs is -0.0).
-        indptr, indices, data = [0], [], []
-        stale_violation = 0.0
-        if queries:
-            beliefs = np.array([q[4] for q in queries])
-            tokens, eus = oracle.respond_many(beliefs)
-            for (t, t2, i, mass, _), tok, eu in zip(queries, tokens, eus):
-                z = price + k + t * total + first[t2] + i
-                zval = sol.x[z]
-                if mass * eu - zval <= SEPARATION_TOL:
-                    continue
-                key = (t, t2, i, tok)
-                if key in added:
-                    stale_violation = max(stale_violation, mass * eu - zval)
-                    continue
-                added.add(key)
-                coeffs = priors[t] * np.array([oracle.utility_of(tok, w) for w in range(n)])
-                w = np.flatnonzero(coeffs)
-                indices.extend((n * first[t2] + w * sizes[t2] + i).tolist() + [z])
-                data.extend(coeffs[w].tolist() + [-1.0])
-                indptr.append(len(indices))
-        new_rows = len(indptr) - 1
-        if new_rows == 0:
-            if stale_violation > 10 * SEPARATION_TOL:
-                raise NumericalFailure(
-                    f"existing deviation bound still violated by {stale_violation}"
-                )
-            break
-        rows = sp.csr_matrix((data, indices, indptr), shape=(new_rows, session.n_variables()))
-        session.add_rows(rows, np.full(new_rows, -0.0))
-    assert rounds <= len(added) + 1, "each non-final round must add a constraint"
-
-    entries = [(Experiment(clean_experiment_matrix(pis(sol.x, t))), 0.0) for t in range(k)]
+    entries = [(Experiment(clean_experiment_matrix(layout.pi(sol.x, t))), 0.0) for t in range(k)]
     values = np.array(
         [[market.value(types[t].id, entries[t2][0]) for t2 in range(k)] for t in range(k)]
     )
@@ -510,7 +438,7 @@ def solve_implicit(
     repaired = eps_ic_to_ic(market, menu, 4.0 * epsilon)
     report = audit_menu(market, repaired)
     # The LP objective as a left-to-right sum in type order, not a dot product.
-    lp_objective = float(sum(p * x for p, x in zip(probs, sol.x[price:price + k].tolist())))
+    lp_objective = float(sum(p * x for p, x in zip(probs, sol.x[layout.price:][:k].tolist())))
     return ImplicitResult(
         menu=repaired,
         revenue=report.revenue,

@@ -27,6 +27,7 @@ import scipy.sparse as sp
 
 from . import lp as lpmod
 from .errors import InvalidInstance, NonConvergence, NumericalFailure, TooLarge
+from .explicit import CLEANUP_TOL
 from .market import BuyerType, Experiment, PROB_TOL
 
 DECOMP_TOL = 1e-6
@@ -483,13 +484,16 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
 
     slot_x = sol.x[: n_slots * (n * m + 2)].reshape(n_slots, n * m + 2)   # [slot, (pi, p, t)]
     pi_star = slot_x[:, : n * m].ravel()
+    # The objective as a left-to-right sum in slot order, not a dot product.
+    revenue = float(sum(env.prob(*slot) * t
+                        for slot, t in zip(coords.slots, slot_x[:, -1].tolist())))
+    # Entries below CLEANUP_TOL in magnitude are LP dust (-5e-14, -0.0) and read 0.0.
+    snapped = np.where(np.abs(slot_x) < CLEANUP_TOL, 0.0, slot_x)
     rf = ReducedForm({}, {}, {})
-    for key, (*pi, p, t) in zip(coords.keys, slot_x.tolist()):
+    for key, (*pi, p, t) in zip(coords.keys, snapped.tolist()):
         rf.pi_hat[key] = np.clip(np.reshape(pi, (n, m)), 0.0, None)
         rf.p_hat[key] = float(np.clip(p, 0.0, 1.0))
         rf.t_hat[key] = t
-    # The objective as a left-to-right sum in slot order, not a dot product.
-    revenue = float(sum(env.prob(*slot) * t for slot, t in zip(coords.slots, rf.t_hat.values())))
 
     max_bic, max_iir = audit_reduced_form(env, rf)
     if max_bic > 1e-6 or max_iir > 1e-6:

@@ -50,9 +50,10 @@ def traced_runs(monkeypatch, solve):
 
 
 def test_every_separation_round_is_one_traced_solve(monkeypatch):
-    u = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.55]])
+    # A market whose separation takes three rounds.
+    u = np.array([[0.5, 0.9, 1.0], [0.9, 0.7, 0.3]])
     env = Environment.build(range(2), range(3), u,
-                            [("t0", [0.5, 0.5]), ("t1", [0.9, 0.1]), ("t2", [0.3, 0.7])])
+                            [("t0", [0.6, 0.4]), ("t1", [0.35, 0.65]), ("t2", [0.95, 0.05])])
     res, view, runs = traced_runs(
         monkeypatch, lambda: implicit.solve_implicit(MatrixOracle(u), env.types, env.type_probs, 0.04))
     rounds = [rows for rows, menu_lp in runs if menu_lp]

@@ -1,4 +1,5 @@
-"""Benchmark ops that once failed their check, kept as regression tests.
+"""Benchmark ops run and checked as the benchmark does: one whole cycle of
+size strata of every workload, and ops that once failed their check.
 
 Each op is built, run and checked exactly as ``perfbench/run.py`` does it.
 """
@@ -28,3 +29,12 @@ def test_oracle_menu_op_passes_its_check(seed, index):
     inp = wl.make_input(seed, index)
     out = wl.op(inp, workloads.PlainObserver())
     wl.check(inp, out, wl.reference(inp))
+
+
+@pytest.mark.parametrize("name", ["explicit-lp", "oracle-menus", "multi-buyer"])
+def test_one_stratum_cycle_passes_its_checks(name):
+    wl = workloads.WORKLOADS[name]
+    for index in range(len(wl.strata)):
+        inp = wl.make_input(17, index)
+        out = wl.op(inp, workloads.PlainObserver())
+        wl.check(inp, out, wl.reference(inp))

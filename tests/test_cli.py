@@ -169,20 +169,20 @@ def roadmap_multi_doc() -> dict:
 
 
 # solve-multi stdout on TEST_SOLVE_MULTI_DOC and the ROADMAP draw, as printed
-# before the column session and the count-table replay; the -0.0 prices and
+# before the column session and the count-table replay; the 0.0 prices and
 # win probabilities are LP dust.
 SOLVE_MULTI_STDOUT = {
     "two-buyers": (
         '{"blueprint":{"mixture":[{"directions":{"b0":{"t0":[[1.0,0.0],[0.0,1.0]]},'
         '"b1":{"t0":[[0.0,0.0],[0.0,0.0]]}},"weight":1.0}],"prices":{"b0":{"t0":0.5},'
-        '"b1":{"t0":-0.0}},"reduced_form":{"b0":{"t0":{"p":1.0,"pi":[[1.0,0.0],[0.0,1.0]]}},'
-        '"b1":{"t0":{"p":-0.0,"pi":[[0.0,0.0],[0.0,0.0]]}}},"v":1},"revenue":0.5,"v":1}\n'
+        '"b1":{"t0":0.0}},"reduced_form":{"b0":{"t0":{"p":1.0,"pi":[[1.0,0.0],[0.0,1.0]]}},'
+        '"b1":{"t0":{"p":0.0,"pi":[[0.0,0.0],[0.0,0.0]]}}},"v":1},"revenue":0.5,"v":1}\n'
     ),
     "roadmap-2222": (
         '{"blueprint":{"mixture":[{"directions":{"b0":{"t0":[[0.0,0.0],[0.0,0.0]],'
         '"t1":[[0.0,0.0],[0.0,0.0]]},"b1":{"t0":[[0.5,0.0],[0.5,0.0]],'
-        '"t1":[[0.5,0.0],[0.5,0.0]]}},"weight":1.0}],"prices":{"b0":{"t0":-0.0,"t1":-0.0},'
-        '"b1":{"t0":-0.0,"t1":-0.0}},"reduced_form":{"b0":{"t0":{"p":-0.0,'
+        '"t1":[[0.5,0.0],[0.5,0.0]]}},"weight":1.0}],"prices":{"b0":{"t0":0.0,"t1":0.0},'
+        '"b1":{"t0":0.0,"t1":0.0}},"reduced_form":{"b0":{"t0":{"p":0.0,'
         '"pi":[[0.0,0.0],[0.0,0.0]]},"t1":{"p":0.0,"pi":[[0.0,0.0],[0.0,0.0]]}},'
         '"b1":{"t0":{"p":1.0,"pi":[[1.0,0.0],[1.0,0.0]]},"t1":{"p":1.0,'
         '"pi":[[1.0,0.0],[1.0,0.0]]}}},"v":1},"revenue":0.0,"v":1}\n'

@@ -27,6 +27,7 @@ from infomenu import (
     solve_implicit,
     tv_distance,
 )
+from infomenu import explicit
 from infomenu import lp as lpmod
 from infomenu.audit import benchmark_experiment, matching_environment
 from infomenu.implicit import _cell_vertices, schedule_delta, simplex_lattice
@@ -464,14 +465,15 @@ def test_implicit_sat_reduction_hits_closed_form():
 # --- the separation LP against the name-keyed construction --------------------------
 
 def named_implicit_lps(oracle, types, type_probs, epsilon, solutions) -> list:
-    """The restricted LP of every separation round as the name-keyed builder
-    made it, running the same separation loop on the given per-round
-    solutions (those of ``solve_implicit``'s warm session): the test-only
-    reference for the index arithmetic of ``solve_implicit``."""
+    """The menu LP of every separation round as the name-keyed builder made
+    it, running the same separation loop on the given per-round solutions
+    (those of ``solve_implicit``'s warm session): the test-only reference
+    for the index arithmetic of ``solve_implicit``."""
     market = OracleMarket(oracle, types, type_probs)
     action_sets, grid = build_action_sets(oracle, types, epsilon)
     k, n = len(types), grid.n_states
     sizes = [action_sets.size(t.id) for t in types]
+    actions = [action_sets.actions[t.id] for t in types]
     utils = [action_sets.utilities[t.id] for t in types]
     priors = [t.prior for t in types]
     base = [market.base(t.id) for t in types]
@@ -496,6 +498,14 @@ def named_implicit_lps(oracle, types, type_probs, epsilon, solutions) -> list:
             if priors[t][w] * utils[t][i, w] != 0.0
         }
 
+    def add_deviation(t, t2, i, payoff):
+        coeffs = {f"z[{i},{t},{t2}]": 1.0}
+        for w in range(n):
+            c = priors[t][w] * payoff[w]
+            if c != 0.0:
+                coeffs[f"pi[{t2},{w},{i}]"] = -c
+        prog.add_constraint(f"zlb[{len(prog.constraints)}]", coeffs, GE, 0.0)
+
     for t in range(k):
         for t2 in range(k):
             coeffs = own(t)
@@ -507,21 +517,30 @@ def named_implicit_lps(oracle, types, type_probs, epsilon, solutions) -> list:
         coeffs = own(t)
         coeffs[f"t[{t}]"] = -1.0
         prog.add_constraint(f"ir[{t}]", coeffs, GE, float(base[t]))
+    # The start rows: on a self pair every action of the type's set, on the
+    # other pairs the recommended action of the signal.
+    added = set()
+    for t in range(k):
+        for t2 in range(k):
+            for i in range(sizes[t2]):
+                for a in (range(sizes[t2]) if t2 == t else [i]):
+                    added.add((t, t2, i, actions[t2][a]))
+                    add_deviation(t, t2, i, utils[t2][a])
     for t in range(k):
         for w in range(n):
             prog.add_constraint(
                 f"rowsum[{t},{w}]", {f"pi[{t},{w},{i}]": 1.0 for i in range(sizes[t])}, EQ, 1.0
             )
 
-    lps, added = [], set()
+    lps = []
     while True:
         lps.append(prog.compile()[0])
         values = dict(zip(prog.index, solutions[len(lps) - 1].tolist()))
         new_rows = 0
-        for t2 in range(k):
-            mat = np.clip([[values[f"pi[{t2},{w},{i}]"] for i in range(sizes[t2])]
-                           for w in range(n)], 0.0, None)
-            for t in range(k):
+        for t in range(k):
+            for t2 in range(k):
+                mat = np.clip([[values[f"pi[{t2},{w},{i}]"] for i in range(sizes[t2])]
+                               for w in range(n)], 0.0, None)
                 weighted = mat * priors[t][:, None]
                 masses = weighted.sum(axis=0)
                 for i in range(sizes[t2]):
@@ -529,16 +548,12 @@ def named_implicit_lps(oracle, types, type_probs, epsilon, solutions) -> list:
                         continue
                     tok, eu = oracle.respond(weighted[:, i] / masses[i])
                     key = (t, t2, i, tok)
-                    if masses[i] * eu - values[f"z[{i},{t},{t2}]"] <= 1e-8 or key in added:
+                    violation = masses[i] * eu - values[f"z[{i},{t},{t2}]"]
+                    if violation <= explicit.SEPARATION_TOL or key in added:
                         continue
                     added.add(key)
                     new_rows += 1
-                    coeffs = {f"z[{i},{t},{t2}]": 1.0}
-                    for w in range(n):
-                        c = priors[t][w] * oracle.utility_of(tok, w)
-                        if c != 0.0:
-                            coeffs[f"pi[{t2},{w},{i}]"] = -c
-                    prog.add_constraint(f"zlb[{len(added)}]", coeffs, GE, 0.0)
+                    add_deviation(t, t2, i, [oracle.utility_of(tok, w) for w in range(n)])
         if new_rows == 0:
             return lps
 
@@ -600,10 +615,15 @@ def implicit_outputs(res) -> tuple:
             [(ex.matrix.tobytes(), repr(p)) for ex, p in res.menu.entries])
 
 
+# A matrix market whose separation takes three rounds, and on which discovery
+# finds every action for every type, in the market's order.
+THREE_ROUND_U = np.array([[0.5, 0.9, 1.0], [0.9, 0.7, 0.3]])
+THREE_ROUND_PRIORS = [("t0", [0.6, 0.4]), ("t1", [0.35, 0.65]), ("t2", [0.95, 0.05])]
+
+
 def test_fallback_without_the_binding_gives_the_same_menus(monkeypatch):
-    u = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.55]])
-    env = Environment.build(range(2), range(3), u,
-                            [("t0", [0.5, 0.5]), ("t1", [0.9, 0.1]), ("t2", [0.3, 0.7])])
+    u = THREE_ROUND_U
+    env = Environment.build(range(2), range(3), u, THREE_ROUND_PRIORS)
     real_solve = lpmod.solve
 
     def outputs(solve):
@@ -641,11 +661,11 @@ def test_fallback_without_the_binding_gives_the_same_menus(monkeypatch):
     # Without the binding every run is cold, so the fallback repeats the cold
     # reference in full, separation rounds and iteration counts included.
     assert fallback == cold
-    assert fallback[0][2:4] == (3, 33)
+    assert fallback[0][2:4] == (3, 71)
     # The warm session passes through other optimal vertices on the way to
-    # the same menus: 4 rounds and 35 iterations on this market.
+    # the same menus: 3 rounds and 27 iterations on this market.
     assert menus(direct) == menus(fallback)
-    assert direct[0][2:4] == (4, 35)
+    assert direct[0][2:4] == (3, 27)
     # Every run went through linprog once: each separation round and the
     # price LP of solve_implicit, then each lazy round and the price LP of
     # solve_explicit.
@@ -654,6 +674,34 @@ def test_fallback_without_the_binding_gives_the_same_menus(monkeypatch):
     lazy_rounds = len(explicit_runs) - 1
     assert explicit_runs == [True] * lazy_rounds + [False] and lazy_rounds >= 1
     assert len(calls) == rounds + lazy_rounds + 2
+
+
+def test_implicit_and_explicit_start_from_the_same_lp(monkeypatch):
+    # Discovery finds all three actions for every type, in the market's
+    # order, so the oracle solver's first LP is the explicit solver's.
+    u = THREE_ROUND_U
+    env = Environment.build(range(2), range(3), u, THREE_ROUND_PRIORS)
+    firsts = []
+    real_init = lpmod.Session.__init__
+
+    def init(session, lp, feasibility_tol=None):
+        if lp.A_eq.shape[0]:                                 # not a price LP
+            firsts.append(lp)
+        real_init(session, lp, feasibility_tol)
+
+    monkeypatch.setattr(lpmod.Session, "__init__", init)
+    res = solve_implicit(MatrixOracle(u), env.types, env.type_probs, 0.04)
+    solve_explicit(env)
+    assert res.action_sets.actions == {t.id: [0, 1, 2] for t in env.types}
+    assert len(firsts) == 2
+    implicit_lp, explicit_lp = firsts
+    assert implicit_lp.sense == explicit_lp.sense
+    for field in ("c", "b_ub", "b_eq", "bounds"):
+        np.testing.assert_array_equal(getattr(implicit_lp, field), getattr(explicit_lp, field))
+    for field in ("A_ub", "A_eq"):
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(getattr(implicit_lp, field), attr),
+                                          getattr(getattr(explicit_lp, field), attr))
 
 
 def test_lp_iterations_are_deterministic():
