@@ -17,7 +17,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lp as lpmod
 from .errors import NonConvergence, NumericalFailure
@@ -65,7 +64,7 @@ class MenuLayout:
         start = self.n * self.first[t]
         return x[start:start + self.n * self.sizes[t]].reshape(self.n, self.sizes[t])
 
-    def deviation_rows(self, group: np.ndarray, payoff: np.ndarray) -> sp.csr_matrix:
+    def deviation_rows(self, group: np.ndarray, payoff: np.ndarray) -> lpmod.CSR:
         """Per group g = (t, t2, i) and payoff row over states, the row
         z[i, t, t2] >= sum_w theta_t(w) payoff(w) pi[t2, w, i], as "<=" 0."""
         t, c = np.divmod(group, self.total)
@@ -79,7 +78,7 @@ class MenuLayout:
 
 
 def menu_lp(layout: MenuLayout, own: np.ndarray, base: np.ndarray, probs,
-            deviations: sp.csr_matrix) -> lpmod.ArrayLP:
+            deviations: lpmod.CSR) -> lpmod.ArrayLP:
     """The menu LP with the deviation rows ``deviations`` (layout in README):
     per type, its IC rows then its IR row; then ``deviations``; the row sums
     as equality rows.  ``own[c]`` is the payoff over states of
@@ -106,7 +105,7 @@ def menu_lp(layout: MenuLayout, own: np.ndarray, base: np.ndarray, probs,
     bounds = np.repeat([(0.0, 1.0), (-np.inf, np.inf), (0.0, np.inf)], [price, k, k * total],
                        axis=0)
     return lpmod.ArrayLP(
-        c, sp.vstack([icir, deviations], format="csr"),
+        c, lpmod.vstack([icir, deviations]),
         -np.concatenate((rhs.ravel(), np.zeros(deviations.shape[0]))),
         lpmod.block_csr([(typ * n + w, np.arange(price), 1.0, True)], (k * n, layout.n_cols)),
         np.ones(k * n), bounds, "max")
@@ -215,7 +214,7 @@ def optimal_prices(values: np.ndarray, base: np.ndarray, probs: np.ndarray) -> n
     b_ub[ic] = -(values[i, j] - own[i])
     b_ub[ir] = -(base - own)
     bounds = np.tile([-np.inf, np.inf], (k, 1))
-    prog = lpmod.ArrayLP(probs, A_ub, b_ub, sp.csr_matrix((0, k)), np.zeros(0), bounds)
+    prog = lpmod.ArrayLP(probs, A_ub, b_ub, lpmod.block_csr([], (0, k)), np.zeros(0), bounds)
     sol = lpmod.solve(prog)
     if sol.status != "Optimal":
         raise NumericalFailure(f"price LP is {sol.status}")

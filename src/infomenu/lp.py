@@ -4,7 +4,11 @@ grows one by rows or by columns.
 ``ArrayLP`` is the one form: an objective vector, CSR inequality rows
 ``A_ub x <= b_ub``, CSR equality rows ``A_eq x == b_eq`` and per-variable
 bounds.  Every LP of the library is built straight into it by index
-arithmetic.
+arithmetic.  ``CSR`` holds a matrix in numpy arrays laid out as scipy's
+canonical CSR; ``block_csr``, ``vstack`` and ``rmatvec`` are the sparse
+operations the library needs, so it does not import ``scipy.sparse``.  The
+LP code reads a matrix only through ``data``, ``indices``, ``indptr`` and
+``shape``, so a scipy CSR matrix serves as well.
 
 A ``Session`` builds the HiGHS model of an ``ArrayLP`` once, through
 scipy's bundled binding: the one model and the options ``linprog`` would
@@ -16,9 +20,10 @@ the separation loops of the menu solvers grow their LPs this way.
 is the cold solve of the grown LP: the multi-buyer master grows this way.
 ``solve(ArrayLP)`` is a fresh session that runs once.  Where the binding is
 missing, every run hands the LP so far to ``linprog``, cold.  The binding
-is loaded from its file and ``linprog`` is imported on its first call, so
-importing this module does not import ``scipy.optimize``.  Solutions
-carry row duals in the sign convention of the *declared* objective sense
+is loaded from its file, and ``linprog`` and the scipy CSR it takes are
+imported on its first call, so importing this module imports neither
+``scipy.optimize`` nor ``scipy.sparse``.  Solutions carry row duals in the
+sign convention of the *declared* objective sense
 (for a maximization problem the dual of a binding "<=" row is the
 nonnegative marginal revenue of its rhs); ``lagrangian_bound`` turns them
 into an upper bound on a maximization's optimum.
@@ -34,8 +39,6 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-import scipy
-import scipy.sparse as sp
 
 from .errors import NumericalFailure
 
@@ -57,10 +60,11 @@ _CORE = "scipy.optimize._highspy._core"
 def _load_core():
     """scipy's compiled HiGHS binding, loaded from its file without running
     ``scipy.optimize/__init__`` (most of scipy.optimize, ~0.3 s at import);
-    the package import where the file is missing or does not load."""
+    the package import where the file is missing or does not load.  The
+    folder comes from scipy's module spec, so scipy itself is not imported."""
     if _CORE in sys.modules:
         return sys.modules[_CORE]
-    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    folder = Path(importlib.util.find_spec("scipy").origin).parent / "optimize" / "_highspy"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = folder / f"_core{suffix}"
         if not path.is_file():
@@ -104,15 +108,66 @@ def _highs_inf(values) -> np.ndarray:
     return np.clip(values, -_INF, _INF)
 
 
-def block_csr(blocks, shape: tuple[int, int]) -> sp.csr_matrix:
+@dataclass
+class CSR:
+    """A sparse matrix as scipy's canonical CSR: row r holds ``data[j]`` at
+    column ``indices[j]`` for j in ``indptr[r]:indptr[r + 1]``, by increasing
+    column, one entry per (row, column); int32 indices."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+
+def _row_of(A) -> np.ndarray:
+    """The row of each stored entry of the CSR matrix ``A``."""
+    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+
+
+def block_csr(blocks, shape: tuple[int, int]) -> CSR:
     """CSR matrix from COO blocks ``(rows, cols, vals, keep)``: arrays that
-    broadcast to one shape, entries where ``keep`` is False left out."""
-    triplets = []
+    broadcast to one shape, entries where ``keep`` is False left out.
+
+    The result is scipy's ``csr_matrix((vals, (rows, cols)), shape)``: the
+    entries stably sorted by (row, column), duplicates summed in input
+    order, explicit zeros kept."""
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
     for block in blocks:
         r, c, v, keep = np.broadcast_arrays(*block)
-        triplets.append((r[keep], c[keep], v[keep]))
-    r, c, v = (np.concatenate(part) for part in zip(*triplets))
-    return sp.csr_matrix((v, (r, c)), shape=shape)
+        parts.append((r[keep], c[keep], v[keep]))
+    r, c, v = (np.concatenate(part) for part in zip(*parts))
+    order = np.argsort(r * shape[1] + c, kind="stable")
+    r, c, v = r[order], c[order], v[order]
+    first = np.ones(len(r), dtype=bool)
+    first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    data = v[first]
+    if not first.all():
+        # Each duplicate joins its first entry in input order, as scipy adds them.
+        np.add.at(data, np.cumsum(first)[~first] - 1, v[~first])
+    counts = np.bincount(r[first], minlength=shape[0])
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    return CSR(data, c[first].astype(np.int32), indptr, tuple(shape))
+
+
+def vstack(blocks) -> CSR:
+    """The rows of the CSR matrices ``blocks`` one after another."""
+    offsets = np.cumsum([0] + [B.indptr[-1] for B in blocks])
+    indptr = [np.zeros(1, np.int32)] + [B.indptr[1:] + o for B, o in zip(blocks, offsets)]
+    return CSR(np.concatenate([B.data for B in blocks]),
+               np.concatenate([B.indices for B in blocks]).astype(np.int32),
+               np.concatenate(indptr).astype(np.int32),
+               (sum(B.shape[0] for B in blocks), blocks[0].shape[1]))
+
+
+def rmatvec(A, y: np.ndarray) -> np.ndarray:
+    """``A.T @ y`` for the CSR matrix ``A``, each column summed from 0 in row
+    order, as scipy sums it."""
+    return np.bincount(A.indices, weights=A.data * y[_row_of(A)], minlength=A.shape[1])
 
 
 @dataclass
@@ -122,9 +177,9 @@ class ArrayLP:
     ``bounds[:, 0] <= x <= bounds[:, 1]`` (``-inf`` / ``inf`` where open)."""
 
     c: np.ndarray
-    A_ub: sp.csr_matrix
+    A_ub: CSR
     b_ub: np.ndarray
-    A_eq: sp.csr_matrix
+    A_eq: CSR
     b_eq: np.ndarray
     bounds: np.ndarray
     sense: str = "max"
@@ -162,7 +217,7 @@ class Session:
 
     def __init__(self, lp: ArrayLP, feasibility_tol: float | None = None):
         self._first = lp
-        self._added: list[tuple[sp.csr_matrix, np.ndarray]] = []
+        self._added: list[tuple[CSR, np.ndarray]] = []
         self._tol = feasibility_tol
         # The appended columns in CSC arrays, ready for HiGHS's addCols.
         self._col_start = self._col_index = np.zeros(0, dtype=np.int32)
@@ -192,20 +247,26 @@ class Session:
         lp = self._first
         k = len(self._col_start)
         if k:
-            n_ub = lp.A_ub.shape[0]
-            cols = sp.csc_matrix((self._col_value, self._col_index,
-                                  np.append(self._col_start, len(self._col_index))),
-                                 shape=(self.n_constraints(), k)).tocsr()
-            return ArrayLP(self._c, sp.hstack([lp.A_ub, cols[:n_ub]], format="csr"), lp.b_ub,
-                           sp.hstack([lp.A_eq, cols[n_ub:]], format="csr"), lp.b_eq,
+            n_ub, n = lp.A_ub.shape[0], len(lp.c) + k
+            lengths = np.diff(np.append(self._col_start, len(self._col_index)))
+            col = len(lp.c) + np.repeat(np.arange(k), lengths)
+            row, value = self._col_index, self._col_value
+
+            def widened(A, first_row):
+                # A's rows with the appended columns' entries on them.
+                on = (row >= first_row) & (row < first_row + A.shape[0])
+                return block_csr([(_row_of(A), A.indices, A.data, True),
+                                  (row - first_row, col, value, on)], (A.shape[0], n))
+
+            return ArrayLP(self._c, widened(lp.A_ub, 0), lp.b_ub, widened(lp.A_eq, n_ub), lp.b_eq,
                            np.concatenate((lp.bounds, np.tile([0.0, np.inf], (k, 1)))), lp.sense)
         if not self._added:
             return lp
-        A_ub = sp.vstack([lp.A_ub] + [A for A, _ in self._added], format="csr")
+        A_ub = vstack([lp.A_ub] + [A for A, _ in self._added])
         b_ub = np.concatenate([lp.b_ub] + [b for _, b in self._added])
         return ArrayLP(lp.c, A_ub, b_ub, lp.A_eq, lp.b_eq, lp.bounds, lp.sense)
 
-    def add_rows(self, A: sp.csr_matrix, b: np.ndarray) -> None:
+    def add_rows(self, A: CSR, b: np.ndarray) -> None:
         """Append the rows ``A @ x <= b``; the next run starts from the
         current basis with the new rows basic."""
         if len(self._col_start):
@@ -215,22 +276,24 @@ class Session:
         self._row_lower = np.concatenate((self._row_lower, np.full(len(b), -_INF)))
         if self._model is None:
             return
-        self._instance().addRows(len(b), np.full(len(b), -_INF), _highs_inf(b), A.nnz,
+        self._instance().addRows(len(b), np.full(len(b), -_INF), _highs_inf(b), int(A.indptr[-1]),
                                  A.indptr[:-1].astype(np.int32), A.indices.astype(np.int32),
                                  A.data.astype(np.float64))
 
-    def add_columns(self, A: sp.csc_matrix) -> None:
-        """Append the columns of ``A`` (one row per row of ``array_lp()``)
-        as variables >= 0 of objective coefficient 0; the next run is cold."""
+    def add_columns(self, data, indices, indptr) -> None:
+        """Append the columns given in CSC arrays, their row ``indices``
+        counted over the rows of ``array_lp()``, as variables >= 0 of
+        objective coefficient 0; the next run is cold."""
         if self._added:
             raise ValueError("a session grows by rows or by columns, not both")
-        if A.shape[0] != self.n_constraints():
-            raise ValueError(f"columns over {A.shape[0]} rows for an LP of {self.n_constraints()}")
-        k = A.shape[1]
-        starts = A.indptr[:-1] + len(self._col_index)
+        indices = np.asarray(indices, dtype=np.int32)
+        if np.any((indices < 0) | (indices >= self.n_constraints())):
+            raise ValueError(f"a column entry off the {self.n_constraints()} rows of the LP")
+        k = len(indptr) - 1
+        starts = np.asarray(indptr[:-1]) + len(self._col_index)
         self._col_start = np.concatenate((self._col_start, starts.astype(np.int32)))
-        self._col_index = np.concatenate((self._col_index, A.indices.astype(np.int32)))
-        self._col_value = np.concatenate((self._col_value, A.data.astype(np.float64)))
+        self._col_index = np.concatenate((self._col_index, indices))
+        self._col_value = np.concatenate((self._col_value, np.asarray(data, dtype=np.float64)))
         self._c = np.concatenate((self._c, np.zeros(k)))
         self._col_lower = np.concatenate((self._col_lower, np.zeros(k)))
         self._col_upper = np.concatenate((self._col_upper, np.full(k, _INF)))
@@ -333,13 +396,16 @@ def solve(lp: ArrayLP | Session) -> LPSolution:
 
 
 def _solve_linprog(lp: ArrayLP, feasibility_tol: float | None) -> LPSolution:
-    """The LP through ``linprog``, which hands HiGHS the same model."""
+    """The LP through ``linprog``, which hands HiGHS the same model (the
+    matrices as scipy CSR, which only this fallback imports)."""
+    from scipy.sparse import csr_matrix
+
     sign = _sign(lp)
     kwargs = {}
-    if lp.A_ub.shape[0]:
-        kwargs["A_ub"], kwargs["b_ub"] = lp.A_ub, lp.b_ub
-    if lp.A_eq.shape[0]:
-        kwargs["A_eq"], kwargs["b_eq"] = lp.A_eq, lp.b_eq
+    for rows, A, b in (("ub", lp.A_ub, lp.b_ub), ("eq", lp.A_eq, lp.b_eq)):
+        if A.shape[0]:
+            kwargs[f"A_{rows}"] = csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+            kwargs[f"b_{rows}"] = b
     if feasibility_tol is not None:
         kwargs["options"] = {"primal_feasibility_tolerance": feasibility_tol,
                              "dual_feasibility_tolerance": feasibility_tol}
@@ -373,6 +439,6 @@ def lagrangian_bound(lp: ArrayLP, row_duals: np.ndarray, box: np.ndarray) -> flo
     """
     n_ub = lp.A_ub.shape[0]
     y_ub, y_eq = np.maximum(row_duals[:n_ub], 0.0), row_duals[n_ub:]
-    r = lp.c - lp.A_ub.T @ y_ub - lp.A_eq.T @ y_eq
+    r = lp.c - rmatvec(lp.A_ub, y_ub) - rmatvec(lp.A_eq, y_eq)
     reach = np.maximum(r * box[:, 0], r * box[:, 1]).sum()
     return float(lp.b_ub @ y_ub + lp.b_eq @ y_eq + reach)

@@ -23,7 +23,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lp as lpmod
 from .errors import InvalidInstance, NonConvergence, NumericalFailure, TooLarge
@@ -454,8 +453,8 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
         vertex_weights.append(wts)
         # Its column lam[k]: -vec on the couple rows and 1 on the convex row.
         nz = np.flatnonzero(vec)
-        column = (np.append(-vec[nz], 1.0), np.append(couple + nz, convex), [0, len(nz) + 1])
-        session.add_columns(sp.csc_matrix(column, shape=(session.n_constraints(), 1)))
+        session.add_columns(np.append(-vec[nz], 1.0), np.append(couple + nz, convex),
+                            [0, len(nz) + 1])
         return True
 
     for wts in _initial_weight_sets(env, coords):
@@ -524,9 +523,11 @@ def _caratheodory(vertices: list[np.ndarray], target: np.ndarray) -> tuple[np.nd
     lam >= 0} has at most (#rows) positive entries, which is the bound.
     """
     k = len(vertices)
-    A_eq = sp.csr_matrix(np.vstack((np.array(vertices).T, np.ones(k))))
+    dense = np.vstack((np.array(vertices).T, np.ones(k)))
+    rows, cols = np.indices(dense.shape)
+    A_eq = lpmod.block_csr([(rows, cols, dense, dense != 0.0)], dense.shape)
     bounds = np.tile([0.0, np.inf], (k, 1))
-    prog = lpmod.ArrayLP(np.zeros(k), sp.csr_matrix((0, k)), np.zeros(0), A_eq,
+    prog = lpmod.ArrayLP(np.zeros(k), lpmod.block_csr([], (0, k)), np.zeros(0), A_eq,
                          np.append(target, 1.0), bounds, "max")
     sol = lpmod.solve(prog)
     if sol.status != "Optimal":

@@ -376,7 +376,7 @@ def max_satisfiable(cnf: CNF, cap: int = _STREAM_VARS) -> int:
     """max_a (#satisfied clauses) by exhaustive enumeration."""
     if cnf.num_vars > cap:
         raise TooLarge(f"CNF has {cnf.num_vars} > {cap} variables")
-    return int(satisfied_counts(cnf, np.arange(1 << cnf.num_vars)).max())
+    return int(satisfied_table(cnf).max())
 
 
 @dataclass(eq=False)
@@ -495,14 +495,10 @@ def enumerate_environment(
     """
     if instance.num_vars > max_vars:
         raise TooLarge(f"{instance.num_vars} variables exceed enumeration cap {max_vars}")
-    total = 1 << instance.num_vars
-    ids = np.arange(total)
-    utility = np.stack(
-        [satisfied_counts(f, ids) / len(f.clauses) for f in instance.formulas]
-    )
+    utility = np.stack([satisfied_table(f) / len(f.clauses) for f in instance.formulas])
     return Environment.build(
         states=[f"w{w}" for w in range(instance.n_states)],
-        actions=[int(a) for a in ids],
+        actions=list(range(1 << instance.num_vars)),
         utility=utility,
         types=[BuyerType(type_id, np.asarray(instance.type_prior, dtype=float))],
         type_probs={type_id: 1.0},

@@ -31,6 +31,7 @@ from infomenu.multiagent import (
     _master_lp,
     _winner,
 )
+from named_lp import as_scipy
 
 
 def scaled(env: MultiEnvironment, weights: VPMWeights, i: int, s: int) -> np.ndarray:
@@ -133,7 +134,7 @@ def solve_reduced_lp(env: MultiEnvironment):
     n_ub = ub.shape[0]
     couple = n_slots * n
     convex = couple + coords.dim
-    A = fixed.A_eq.tocsc()
+    A = as_scipy(fixed.A_eq).tocsc()
     indptr, indices, data = [A.indptr], [A.indices], [A.data]
     vertices, vertex_weights, seen = [], [], set()
 

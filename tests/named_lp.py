@@ -81,8 +81,14 @@ class NamedLP:
         return sp.csr_matrix((data, (rows, cols)), shape=shape), np.array(rhs)
 
 
+def as_scipy(A) -> sp.csr_matrix:
+    """A CSR matrix of the library (or of scipy) as a scipy CSR matrix over
+    copies of its arrays."""
+    return sp.csr_matrix((A.data.copy(), A.indices.copy(), A.indptr.copy()), shape=A.shape)
+
+
 def canonical(A) -> sp.csr_matrix:
-    A = sp.csr_matrix(A, copy=True)
+    A = as_scipy(A)
     A.eliminate_zeros()
     A.sort_indices()
     return A

@@ -24,7 +24,7 @@ from infomenu import io as iomod
 from infomenu import lp as lpmod
 from infomenu.audit import brute_force_menu_search, matching_environment
 from infomenu.explicit import optimal_prices
-from named_lp import EQ, GE, NamedLP, assert_same_arrays
+from named_lp import EQ, GE, NamedLP, as_scipy, assert_same_arrays
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
@@ -187,12 +187,12 @@ def test_named_program_compiles_to_row_by_row_csr():
 def row_blocks(prog: lpmod.ArrayLP, k: int, n: int, m: int):
     """The IC, deviation-bound and IR blocks of the inequality rows, the row
     sums, and the z columns, from the documented layout."""
-    A = prog.A_ub.toarray()
+    A = as_scipy(prog.A_ub).toarray()
     per_type, zlb = k * (k + 1), k * k * m * m
     assert A.shape[0] == per_type + zlb and prog.A_eq.shape[0] == k * n
     z_cols = slice(k * n * m + k, None)
     icir = A[:per_type].reshape(k, k + 1, -1)
-    return (icir[:, :k].reshape(k * k, -1), A[per_type:], icir[:, k], prog.A_eq.toarray(),
+    return (icir[:, :k].reshape(k * k, -1), A[per_type:], icir[:, k], as_scipy(prog.A_eq).toarray(),
             z_cols)
 
 

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 import infomenu
 from infomenu import lp as lpmod
 from infomenu.lp import ArrayLP, solve
+from named_lp import as_scipy
 
 
 def array_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=(), bounds=None, sense="max") -> ArrayLP:
@@ -34,7 +35,7 @@ def max_violation(lp: ArrayLP, x: np.ndarray) -> float:
     """Largest constraint or bound violation of ``x``."""
     return float(np.concatenate((
         lp.bounds[:, 0] - x, x - lp.bounds[:, 1],
-        lp.A_ub @ x - lp.b_ub, np.abs(lp.A_eq @ x - lp.b_eq),
+        as_scipy(lp.A_ub) @ x - lp.b_ub, np.abs(as_scipy(lp.A_eq) @ x - lp.b_eq),
     )).max(initial=0.0))
 
 
@@ -228,7 +229,7 @@ def test_appended_columns_give_the_cold_solve(monkeypatch):
             for k in rng.integers(1, 4, size=2):
                 cols = sp.random(lp.n_constraints(), int(k), density=0.7, random_state=rng,
                                  format="csc", data_rvs=lambda size: rng.normal(size=size))
-                session.add_columns(cols)
+                session.add_columns(cols.data, cols.indices, cols.indptr)
                 runs.append(solve(session))
             grown = session.array_lp()
             assert session.n_variables() == grown.n_variables() == len(runs[-1].x)
@@ -248,10 +249,90 @@ def test_a_session_grows_by_rows_or_by_columns():
     by_rows, by_cols = lpmod.Session(lp), lpmod.Session(lp)
     by_rows.add_rows(sp.csr_matrix(np.ones((1, lp.n_variables()))), np.ones(1))
     with pytest.raises(ValueError):
-        by_rows.add_columns(sp.csc_matrix(np.ones((by_rows.n_constraints(), 1))))
-    by_cols.add_columns(sp.csc_matrix(np.ones((lp.n_constraints(), 1))))
+        by_rows.add_columns(np.ones(by_rows.n_constraints()),
+                            np.arange(by_rows.n_constraints()), [0, by_rows.n_constraints()])
+    by_cols.add_columns(np.ones(lp.n_constraints()), np.arange(lp.n_constraints()),
+                        [0, lp.n_constraints()])
     with pytest.raises(ValueError):
         by_cols.add_rows(sp.csr_matrix(np.ones((1, by_cols.n_variables()))), np.ones(1))
+
+
+def assert_same_csr(ours, ref) -> None:
+    """Equal CSR arrays, bit for bit, and equal shapes."""
+    assert ours.shape == ref.shape and ours.nnz == ref.nnz
+    for attr in ("indptr", "indices"):
+        np.testing.assert_array_equal(getattr(ours, attr), getattr(ref, attr))
+    assert ours.data.tobytes() == ref.data.astype(np.float64).tobytes()
+
+
+def as_lp_csr(A) -> lpmod.CSR:
+    """A scipy CSR matrix as the library's CSR over the same arrays."""
+    return lpmod.CSR(A.data, A.indices, A.indptr, A.shape)
+
+
+def random_blocks(rng, shape, n_entries):
+    """COO blocks with repeated (row, column) pairs, explicit zeros, pairs
+    that sum to zero, and entries dropped by ``keep``."""
+    blocks = []
+    for _ in range(int(rng.integers(1, 4))):
+        size = int(rng.integers(0, n_entries + 1)) if shape[0] else 0
+        r, c = rng.integers(0, shape[0] or 1, size=size), rng.integers(0, shape[1], size=size)
+        v = rng.choice([0.0, -0.0, 1.0, -1.0, 0.1, rng.normal()], size=size)
+        blocks.append((r, c, v, rng.uniform(size=size) < 0.8))
+    return blocks
+
+
+def test_block_csr_is_scipys_canonical_csr():
+    rng = np.random.default_rng(31)
+    shapes = [(0, 3), (1, 1), (2, 5), (4, 3), (6, 6)]
+    for shape in shapes * 20:
+        # Up to 16 entries: scipy sorts a row that short stably, so its sums
+        # of repeated entries follow input order, as block_csr's do.
+        blocks = random_blocks(rng, shape, 5)
+        r, c, v = (np.concatenate([np.broadcast_to(b[i], b[3].shape)[b[3]] for b in blocks])
+                   for i in range(3))
+        assert_same_csr(lpmod.block_csr(blocks, shape), sp.csr_matrix((v, (r, c)), shape=shape))
+    # Broadcast blocks, and a block with nothing kept.
+    rows, cols = np.arange(3)[:, None], np.arange(4)
+    ours = lpmod.block_csr([(rows, cols, rows - cols, rows != cols), (0, 0, 2.0, True),
+                            (1, 2, 5.0, False)], (3, 4))
+    dense = np.where(rows != cols, rows - cols, 0.0)
+    dense[0, 0] = 2.0
+    np.testing.assert_array_equal(as_scipy(ours).toarray(), dense)
+    assert_same_csr(lpmod.block_csr([], (0, 5)), sp.csr_matrix((0, 5)))
+    assert_same_csr(lpmod.block_csr([], (2, 5)), sp.csr_matrix((2, 5)))
+
+
+def test_vstack_is_scipys_vstack():
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        n = int(rng.integers(1, 6))
+        blocks = [lpmod.block_csr(random_blocks(rng, (m, n), 8), (m, n))
+                  for m in rng.integers(0, 4, size=int(rng.integers(1, 4)))]
+        assert_same_csr(lpmod.vstack(blocks),
+                        sp.vstack([as_scipy(B) for B in blocks], format="csr"))
+
+
+def test_rmatvec_is_the_transposed_product_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        shape = tuple(int(x) for x in rng.integers(0, 30, size=2))
+        A = sp.random(*shape, density=0.5, random_state=rng, format="csr",
+                      data_rvs=lambda size: rng.normal(size=size))
+        y = rng.normal(size=shape[0])
+        assert lpmod.rmatvec(A, y).tobytes() == (A.T @ y).tobytes()
+        assert lpmod.rmatvec(as_lp_csr(A), y).tobytes() == (A.T @ y).tobytes()
+
+
+def test_lagrangian_bound_is_the_same_on_scipy_and_numpy_csr():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        lp = random_array_lp(rng)
+        ours = ArrayLP(lp.c, as_lp_csr(lp.A_ub), lp.b_ub, as_lp_csr(lp.A_eq), lp.b_eq, lp.bounds,
+                       lp.sense)
+        y = rng.normal(size=lp.n_constraints())
+        box = np.column_stack((np.zeros(lp.n_variables()), np.ones(lp.n_variables())))
+        assert lpmod.lagrangian_bound(ours, y, box) == lpmod.lagrangian_bound(lp, y, box)
 
 
 def run_python(code: str) -> None:
@@ -266,10 +347,21 @@ def run_python(code: str) -> None:
 def test_import_loads_the_binding_without_scipy_optimize():
     run_python("""
 import sys
-import infomenu
-from infomenu import lp
-assert "scipy.optimize" not in sys.modules
+import numpy as np
+import infomenu, infomenu.cli
+from infomenu import (BuyerType, Environment, MatrixOracle, MultiBuyer, MultiEnvironment, lp,
+                      solve_explicit, solve_implicit, solve_reduced_lp)
 assert lp._highs is sys.modules["scipy.optimize._highspy._core"]
+env = Environment.build(range(2), range(2), np.eye(2), [("t0", [0.5, 0.5]), ("t1", [0.9, 0.1])])
+assert solve_explicit(env)[1] > 0.0
+assert solve_implicit(MatrixOracle(np.eye(2)), env.types, env.type_probs, 0.1).revenue > 0.0
+types = [BuyerType("t0", np.array([0.5, 0.5])), BuyerType("t1", np.array([0.9, 0.1]))]
+buyer = MultiBuyer("b0", np.eye(2), types, {"t0": 0.5, "t1": 0.5})
+assert solve_reduced_lp(MultiEnvironment(["w0", "w1"], ["a0", "a1"], [buyer])).revenue > 0.0
+# Every solve kind ran without scipy.sparse or scipy.optimize; the binding
+# was found without importing the scipy package.
+assert "scipy.sparse" not in sys.modules and "scipy.optimize" not in sys.modules
+assert "scipy" not in sys.modules
 import scipy.optimize
 from scipy.optimize._highspy import _core
 assert _core is lp._highs
@@ -283,7 +375,7 @@ def test_binding_falls_back_to_the_package_import():
     run_python("""
 import sys
 import scipy
-scipy.__file__ = "/nonexistent/scipy/__init__.py"
+scipy.__spec__.origin = "/nonexistent/scipy/__init__.py"
 from infomenu import lp
 assert "scipy.optimize" in sys.modules
 assert lp._highs is sys.modules["scipy.optimize._highspy._core"]

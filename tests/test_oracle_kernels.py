@@ -29,6 +29,8 @@ from infomenu.oracles import (
     TrafficInstance,
     TrafficOracle,
     build_sat_reduction,
+    enumerate_environment,
+    max_satisfiable,
     parse_dimacs,
     parse_traffic,
     satisfied_counts,
@@ -187,6 +189,22 @@ def test_satisfied_table_of_a_chunk_fixes_the_high_variables():
                 ids = np.arange(prefix << free, (prefix + 1) << free)
                 np.testing.assert_array_equal(
                     satisfied_table(cnf, free, prefix), satisfied_counts(cnf, ids))
+
+
+def test_verification_oracles_match_the_counts_reference():
+    # enumerate_environment and max_satisfiable count by subcube; their
+    # utilities, actions and optimum equal those of satisfied_counts.
+    rng = np.random.default_rng(8)
+    for n in list(range(1, 9)) * 2:
+        formulas = [random_cnf(rng, n) for _ in range(int(rng.integers(1, 4)))]
+        formulas[0].clauses.append([1, -1, 1])        # a tautology with a repeated literal
+        env = enumerate_environment(IPSATInstance(formulas))
+        ids = np.arange(1 << n)
+        reference = np.stack([satisfied_counts(f, ids) / len(f.clauses) for f in formulas])
+        assert env.actions == [int(a) for a in ids]
+        assert np.ascontiguousarray(env.utility["t0"]).tobytes() == reference.tobytes()
+        for f in formulas:
+            assert max_satisfiable(f) == int(satisfied_counts(f, ids).max())
 
 
 def test_streamed_sat_oracle_on_21_variables():
