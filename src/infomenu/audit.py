@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import NumericalFailure, TooLarge
+from .explicit import optimal_prices, solve_explicit
 from .market import (
     BuyerType,
     Environment,
@@ -253,15 +254,13 @@ def brute_force_menu_search(
         best_rev = max(0.0, float(rev[i0, i1]))
         best_pick = (int(i0), int(i1))
     else:
-        from .explicit import optimal_prices
-
         for picks in itertools.product(*[range(len(c)) for c in cands]):
             vmat = np.array(
                 [[values[j][t][picks[j]] for j in range(k)] for t in range(k)]
             )
             try:
-                prices = optimal_prices(vmat, base, probs)
-            except Exception:
+                prices = optimal_prices(vmat, base)
+            except NumericalFailure:       # a negative IC cycle: no prices exist
                 continue
             if np.any(prices < -1e-9):
                 continue
@@ -275,9 +274,7 @@ def brute_force_menu_search(
         vmat = np.array(
             [[values[j][t][best_pick[j]] for j in range(k)] for t in range(k)]
         )
-        from .explicit import optimal_prices
-
-        prices = np.clip(optimal_prices(vmat, base, probs), 0.0, None)
+        prices = np.clip(optimal_prices(vmat, base), 0.0, None)
         menu = Menu(
             entries=[
                 (Experiment(cands[j][best_pick[j]]), float(prices[j])) for j in range(k)
@@ -289,7 +286,5 @@ def brute_force_menu_search(
             raise AssertionError("grid search produced an infeasible menu")
         best_rev = report.revenue
     if upper is None:
-        from .explicit import solve_explicit
-
         _, upper, _ = solve_explicit(env)
     return SearchBracket(lower=best_rev, upper=float(upper) + 1e-9, menu=menu)

@@ -27,7 +27,6 @@ from .market import (
     Menu,
     audit_menu,
     base_utility,
-    experiment_value,
 )
 
 log = logging.getLogger(__name__)
@@ -166,7 +165,7 @@ def _explicit_parts(env: Environment):
     utils = np.array([env.utility[bt.id].T for bt in env.types])       # (k, m, n)
     layout = MenuLayout([bt.prior for bt in env.types], [env.n_actions] * len(env.types))
     base = np.array([base_utility(env, bt.id) for bt in env.types])
-    return layout, utils, base, [env.prob(bt.id) for bt in env.types]
+    return layout, utils, base, np.array([env.prob(bt.id) for bt in env.types])
 
 
 def build_menu_lp(env: Environment) -> lpmod.ArrayLP:
@@ -193,32 +192,25 @@ def clean_experiment_matrix(raw: np.ndarray) -> np.ndarray:
     return m / sums[:, None]
 
 
-def optimal_prices(values: np.ndarray, base: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Revenue-maximizing prices for fixed per-type experiments.
+def optimal_prices(values: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """The greatest prices that keep fixed per-type experiments IC and IR.
 
-    ``values[i, j]`` is type i's value for the experiment assigned to type j.
-    Solving this tiny LP on exactly the numbers the audit recomputes makes
-    the extracted menu audit to zero violations instead of backend epsilon.
+    ``values[t, t2]`` is type t's value for the experiment assigned to type
+    t2.  The price rows are difference constraints, p_t - p_t2 <= values[t, t]
+    - values[t, t2] (IC) and p_t <= values[t, t] - base_t (IR), so their
+    componentwise greatest solution is the shortest-path distances from the
+    IR rows, which maximize the revenue for every type distribution (README,
+    "Prices by shortest paths").  A cycle above -``CLEANUP_TOL`` is LP dust
+    and counts as zero; a lower one leaves no feasible prices.
     """
-    k = len(base)
     own = np.diag(values)
-    # Per type i, k rows: IC against every j != i in order, then IR; each is a
-    # ">=" row negated into "<=".
-    i, j = np.nonzero(~np.eye(k, dtype=bool))
-    ic = i * k + j - (j > i)
-    ir = np.arange(k) * k + k - 1
-    A_ub = lpmod.block_csr(
-        [(ic, i, 1.0, True), (ic, j, -1.0, True), (ir, np.arange(k), 1.0, True)], (k * k, k)
-    )
-    b_ub = np.empty(k * k)
-    b_ub[ic] = -(values[i, j] - own[i])
-    b_ub[ir] = -(base - own)
-    bounds = np.tile([-np.inf, np.inf], (k, 1))
-    prog = lpmod.ArrayLP(probs, A_ub, b_ub, lpmod.block_csr([], (0, k)), np.zeros(0), bounds)
-    sol = lpmod.solve(prog)
-    if sol.status != "Optimal":
-        raise NumericalFailure(f"price LP is {sol.status}")
-    return sol.x
+    dist = own - values.T                # dist[t2, t]: p_t <= p_t2 + dist[t2, t]
+    for v in range(len(own)):
+        np.minimum(dist, dist[:, v, None] + dist[v], out=dist)
+    cycle = dist.diagonal().min()
+    if cycle < -CLEANUP_TOL:
+        raise NumericalFailure(f"IC prices have a negative cycle ({cycle})")
+    return ((own - base)[:, None] + dist).min(axis=0)
 
 
 def _dedupe_actions(env: Environment) -> tuple[Environment, list[int]]:
@@ -280,43 +272,37 @@ def _optimum_box(env: Environment) -> np.ndarray:
     return np.column_stack((lower, upper))
 
 
-def _extract(env: Environment, reduced: Environment, keep: list[int],
-             sol: lpmod.LPSolution) -> tuple[Menu, AuditReport]:
-    """The audited menu of a menu-LP optimum: cleaned experiments, re-expanded
-    to every action, with prices re-derived on the audited values."""
-    n, m_red, k = reduced.n_states, reduced.n_actions, len(reduced.types)
-    pis = sol.x[: k * n * m_red].reshape(k, n, m_red)
-    entries: list[tuple[Experiment, float]] = []
-    for t in range(k):
-        mat = clean_experiment_matrix(pis[t])
-        if len(keep) != env.n_actions:
-            full = np.zeros((n, env.n_actions))
-            full[:, keep] = mat
+def extract_menu(types, pis, values_of, base: np.ndarray, small_prices,
+                 expand: tuple[list[int], int] | None = None) -> Menu:
+    """The menu of a menu-LP optimum, type t taking entry t: each pi in
+    ``pis`` cleaned (``clean_experiment_matrix``) and, given ``expand =
+    (keep, m)``, put back on m actions at the columns ``keep``; then
+    ``optimal_prices`` on ``values_of(experiments)``, the k x k values, with
+    ``small_prices`` applied."""
+    experiments = []
+    for pi in pis:
+        mat = clean_experiment_matrix(pi)
+        if expand is not None and len(expand[0]) < expand[1]:
+            full = np.zeros((len(mat), expand[1]))
+            full[:, expand[0]] = mat
             mat = full
-        entries.append((Experiment(mat), 0.0))
+        experiments.append(Experiment(mat))
+    prices = small_prices(optimal_prices(values_of(experiments), base))
+    return Menu(entries=[(ex, float(p)) for ex, p in zip(experiments, prices)],
+                assignment={bt.id: t for t, bt in enumerate(types)})
 
-    values = np.array(
-        [[experiment_value(env, bt.id, ex) for ex, _ in entries] for bt in env.types]
-    )
-    base = np.array([base_utility(env, bt.id) for bt in env.types])
-    probs = np.array([env.prob(bt.id) for bt in env.types])
-    prices = optimal_prices(values, base, probs)
-    prices = np.where(np.abs(prices) < CLEANUP_TOL, 0.0, prices)
-    menu = Menu(
-        entries=[(ex, float(p)) for (ex, _), p in zip(entries, prices)],
-        assignment={bt.id: t for t, bt in enumerate(env.types)},
-    )
-    if abs(float(probs @ prices) - sol.objective_value) > 1e-7:
-        raise NumericalFailure(
-            f"polished revenue {float(probs @ prices)} drifted from LP objective {sol.objective_value}"
-        )
-    report = audit_menu(env, menu)
-    if report.max_ic_violation > AUDIT_TOL or report.max_ir_violation > AUDIT_TOL:
-        raise NumericalFailure(
-            f"extracted menu audits IC={report.max_ic_violation} IR={report.max_ir_violation}"
-        )
-    _assert_responsive(env, menu)
-    return menu, report
+
+def value_matrix(env: Environment, experiments: list[Experiment]) -> np.ndarray:
+    """``values[t, t2] = experiment_value(env, t, experiments[t2])``, from one
+    product per type.  It is a stacked ``matmul``: each experiment meets the
+    same BLAS call as in ``experiment_value``, so the values agree bit for
+    bit, and the audit sees exactly the numbers the prices were set on."""
+    stacked = np.stack([ex.matrix for ex in experiments])                # (k, n, m)
+    return np.array([
+        ((stacked * bt.prior[:, None]).transpose(0, 2, 1) @ env.utility[bt.id])
+        .max(axis=2).sum(axis=1)
+        for bt in env.types
+    ])
 
 
 def solve_explicit(env: Environment) -> tuple[Menu, float, AuditReport]:
@@ -351,10 +337,25 @@ def solve_explicit(env: Environment) -> tuple[Menu, float, AuditReport]:
     start = menu_lp(layout, utils.reshape(-1, n), base, probs,
                     layout.deviation_rows(group, utils[group // layout.total, a]))
     box = _optimum_box(reduced)
+    # The audit's base utilities: merging actions can change ``base`` in the last bit.
+    audit_base = np.array([base_utility(env, bt.id) for bt in env.types])
     for tol in (None, RESOLVE_FEASIBILITY_TOL):
         session = lpmod.Session(start, tol)
         sol, _, _ = separate(session, layout, best, set((group * m + a).tolist()))
-        menu, report = _extract(env, reduced, keep, sol)
+        menu = extract_menu(env.types, [layout.pi(sol.x, t) for t in range(k)],
+                            lambda exs: value_matrix(env, exs), audit_base,
+                            lambda p: np.where(np.abs(p) < CLEANUP_TOL, 0.0, p),
+                            (keep, env.n_actions))
+        revenue = float(probs @ menu.prices)
+        if abs(revenue - sol.objective_value) > 1e-7:
+            raise NumericalFailure(
+                f"polished revenue {revenue} drifted from LP objective {sol.objective_value}")
+        report = audit_menu(env, menu)
+        if report.max_ic_violation > AUDIT_TOL or report.max_ir_violation > AUDIT_TOL:
+            raise NumericalFailure(
+                f"extracted menu audits IC={report.max_ic_violation} IR={report.max_ir_violation}"
+            )
+        _assert_responsive(env, menu)
         gap = lpmod.lagrangian_bound(session.array_lp(), sol.row_duals, box) - report.revenue
         if gap <= CERTIFY_TOL:
             break

@@ -25,12 +25,11 @@ from . import lp as lpmod
 from .errors import (
     GridTooLarge,
     InvalidInstance,
-    NumericalFailure,
     PairingMismatch,
 )
-from .explicit import (
+from .explicit import (  # optimal_prices is re-exported: perfbench hooks the name
     MenuLayout,
-    clean_experiment_matrix,
+    extract_menu,
     menu_lp,
     optimal_prices,
     separate,
@@ -391,9 +390,10 @@ def solve_implicit(
     utilities, so they need no query.  ``explicit.separate`` then grows the
     deviation bounds: after each run, the oracle names the best deviating
     action against every signal of every experiment, for every type, and
-    any bound it beats becomes a new row.  The extracted menu is re-priced
-    on exactly audited values and passed through the 4*epsilon repair (a
-    no-op whenever the solution is already exactly IC, the usual case).
+    any bound it beats becomes a new row.  ``explicit.extract_menu`` prices
+    the extracted menu on exactly audited values, and it passes through the
+    4*epsilon repair (a no-op whenever the solution is already exactly IC,
+    the usual case).
     """
     market = OracleMarket(oracle, types, type_probs)
     action_sets, grid = build_action_sets(oracle, types, epsilon, grid_cap=grid_cap)
@@ -425,16 +425,10 @@ def solve_implicit(
     in_model = {(g, tokens[c]) for g, c in zip(group.tolist(), col.tolist())}
     sol, rounds, iterations = separate(lpmod.Session(start), layout, best, in_model)
 
-    entries = [(Experiment(clean_experiment_matrix(layout.pi(sol.x, t))), 0.0) for t in range(k)]
-    values = np.array(
-        [[market.value(types[t].id, entries[t2][0]) for t2 in range(k)] for t in range(k)]
-    )
-    prices = optimal_prices(values, base, np.array(probs))
-    prices = np.clip(prices, 0.0, None)
-    menu = Menu(
-        entries=[(ex, float(p)) for (ex, _), p in zip(entries, prices)],
-        assignment={types[t].id: t for t in range(k)},
-    )
+    menu = extract_menu(
+        types, [layout.pi(sol.x, t) for t in range(k)],
+        lambda exs: np.array([[market.value(t.id, ex) for ex in exs] for t in types]),
+        base, lambda p: np.clip(p, 0.0, None))
     repaired = eps_ic_to_ic(market, menu, 4.0 * epsilon)
     report = audit_menu(market, repaired)
     # The LP objective as a left-to-right sum in type order, not a dot product.

@@ -55,6 +55,7 @@ def _expect_version(doc: dict) -> None:
 
 
 def environment_to_json(env: Environment) -> dict:
+    """The single-buyer instance document; one utility matrix if all types share it."""
     shared = None
     mats = [env.utility[t.id] for t in env.types]
     if all(np.array_equal(mats[0], m) for m in mats):
@@ -184,6 +185,7 @@ def blueprint_to_json(env: MultiEnvironment, blueprint: MechanismBlueprint,
 
 
 def blueprint_from_json(doc: dict) -> MechanismBlueprint:
+    """Checks the document's shape only; ``run_mechanism`` checks it against a market."""
     _expect_version(doc)
     try:
         mixture = []

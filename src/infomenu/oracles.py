@@ -316,6 +316,7 @@ def parse_dimacs(text: str) -> CNF:
 
 
 def format_dimacs(cnf: CNF) -> str:
+    """DIMACS text of ``cnf``, which ``parse_dimacs`` reads back."""
     lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
     for cl in cnf.clauses:
         lines.append(" ".join(str(l) for l in cl) + " 0")

@@ -2,7 +2,9 @@
 
 The library builds every LP by index arithmetic straight into ``lp.ArrayLP``.
 The tests build the same LPs constraint by constraint with named variables
-and require the arrays to be equal.  ``compile`` gives the array form: the
+and require the arrays to be equal.  ``named_price_lp`` is the LP over the
+prices alone, which the library no longer builds: solved with ``lp.solve``,
+it is the reference for ``explicit.optimal_prices``.  ``compile`` gives the array form: the
 variables in declaration order, the inequality rows (">=" rows negated into
 "<=") and the equality rows each in declaration order, as row-by-row CSR.
 """
@@ -79,6 +81,26 @@ class NamedLP:
             rhs.append(s * con.rhs)
         shape = (len(cons), self.n_variables())
         return sp.csr_matrix((data, (rows, cols)), shape=shape), np.array(rhs)
+
+
+def named_price_lp(values, base, probs) -> NamedLP:
+    """The LP over the prices alone for fixed experiments (``values[i, j]``:
+    type i's value for type j's experiment): per type, its IC rows against
+    every other type in order, then its IR row; revenue is maximized."""
+    k = len(base)
+    prog = NamedLP(sense="max")
+    for t in range(k):
+        prog.add_variable(f"t[{t}]", None, None)
+        prog.set_objective(f"t[{t}]", float(probs[t]))
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                prog.add_constraint(
+                    f"ic[{i},{j}]", {f"t[{i}]": -1.0, f"t[{j}]": 1.0}, GE,
+                    float(values[i, j] - values[i, i]),
+                )
+        prog.add_constraint(f"ir[{i}]", {f"t[{i}]": -1.0}, GE, float(base[i] - values[i, i]))
+    return prog
 
 
 def as_scipy(A) -> sp.csr_matrix:

@@ -6,9 +6,11 @@ import pytest
 from infomenu import (
     Experiment,
     TooLarge,
+    audit_menu,
     experiment_value,
     solve_explicit,
 )
+from infomenu import audit as auditmod
 from infomenu.audit import (
     analytic_instances,
     benchmark_experiment,
@@ -18,6 +20,7 @@ from infomenu.audit import (
     sat_reduction_optimum,
     single_type_optimum,
 )
+from infomenu.errors import NumericalFailure
 from infomenu.oracles import CNF, parse_dimacs
 
 
@@ -111,9 +114,46 @@ def test_grid_search_menu_is_exactly_feasible():
     env = matching_environment([("t0", [0.4, 0.6]), ("t1", [0.75, 0.25])])
     bracket = brute_force_menu_search(env, 0.1)
     assert bracket.menu is not None
-    from infomenu import audit_menu
-
     rep = audit_menu(env, bracket.menu)
     assert rep.max_ic_violation <= 1e-9
     assert rep.max_ir_violation <= 1e-9
     assert rep.revenue == pytest.approx(bracket.lower)
+
+
+def three_type_search(monkeypatch, price_rule):
+    """The grid search on a three-type market, every price call made by
+    ``price_rule(real_optimal_prices, values, base)``."""
+    real = auditmod.optimal_prices
+    monkeypatch.setattr(auditmod, "optimal_prices", lambda v, b: price_rule(real, v, b))
+    env = matching_environment([("t0", [0.3, 0.7]), ("t1", [0.55, 0.45]), ("t2", [0.85, 0.15])])
+    return env, brute_force_menu_search(env, 0.25)
+
+
+def test_grid_search_skips_assignments_with_a_negative_price_cycle(monkeypatch):
+    failures = []
+
+    def record(real, values, base):
+        try:
+            return real(values, base)
+        except NumericalFailure:
+            failures.append(values)
+            raise
+
+    env, bracket = three_type_search(monkeypatch, record)
+    # Some assignment hands a type an experiment another type values more
+    # than its own: no prices exist, and the search moves on.
+    assert failures
+    _, rev, _ = solve_explicit(env)
+    assert bracket.lower <= rev + 1e-9 <= bracket.upper + 1e-9
+    assert bracket.menu is not None
+    rep = audit_menu(env, bracket.menu)
+    assert max(rep.max_ic_violation, rep.max_ir_violation) <= 1e-9
+    assert rep.revenue == pytest.approx(bracket.lower)
+
+
+def test_grid_search_lets_other_price_errors_through(monkeypatch):
+    def broken(real, values, base):
+        raise TypeError("a coding error in the price rule")
+
+    with pytest.raises(TypeError, match="coding error"):
+        three_type_search(monkeypatch, broken)

@@ -57,6 +57,7 @@ def test_every_separation_round_is_one_traced_solve(monkeypatch):
     res, view, runs = traced_runs(
         monkeypatch, lambda: implicit.solve_implicit(MatrixOracle(u), env.types, env.type_probs, 0.04))
     rounds = [rows for rows, menu_lp in runs if menu_lp]
+    assert len(rounds) == len(runs)                  # HiGHS runs only in the menu session
     assert res.separation_rounds == len(rounds) >= 3
     assert view.count("lp.solve", under="implicit.solve") == res.separation_rounds
     assert view.count("lp.solve") == len(runs)
@@ -69,5 +70,6 @@ def test_every_lazy_round_is_one_traced_solve(monkeypatch):
     rounds = [rows for rows, menu_lp in runs if menu_lp]
     assert len(rounds) >= 2 and rounds == sorted(set(rounds))     # each round adds rows
     assert view.count("lp.solve", under="explicit.solve") == len(rounds)
-    assert view.count("lp.solve", under="explicit.prices") == len(runs) - len(rounds) == 1
+    # Prices come from shortest paths: HiGHS runs only in the menu session.
+    assert view.count("lp.solve", under="explicit.prices") == len(runs) - len(rounds) == 0
     assert [s.fields["rows"] for _, s in view.select("lp.solve", under="explicit.solve")] == rounds

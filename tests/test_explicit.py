@@ -23,8 +23,10 @@ from infomenu import explicit
 from infomenu import io as iomod
 from infomenu import lp as lpmod
 from infomenu.audit import brute_force_menu_search, matching_environment
+from infomenu.errors import NumericalFailure
 from infomenu.explicit import optimal_prices
-from named_lp import EQ, GE, NamedLP, as_scipy, assert_same_arrays
+from infomenu.market import experiment_value
+from named_lp import EQ, GE, NamedLP, as_scipy, assert_same_arrays, named_price_lp
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
@@ -89,23 +91,6 @@ def named_menu_lp(env: Environment) -> NamedLP:
     return prog
 
 
-def named_price_lp(values, base, probs) -> NamedLP:
-    k = len(base)
-    prog = NamedLP(sense="max")
-    for t in range(k):
-        prog.add_variable(f"t[{t}]", None, None)
-        prog.set_objective(f"t[{t}]", float(probs[t]))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                prog.add_constraint(
-                    f"ic[{i},{j}]", {f"t[{i}]": -1.0, f"t[{j}]": 1.0}, GE,
-                    float(values[i, j] - values[i, i]),
-                )
-        prog.add_constraint(f"ir[{i}]", {f"t[{i}]": -1.0}, GE, float(base[i] - values[i, i]))
-    return prog
-
-
 def rows_to_csr(prog: NamedLP, equality: bool) -> sp.csr_matrix:
     """Row-by-row CSR of a named program's equality or (GE-negated) inequality rows."""
     data, ri, ci = [], [], []
@@ -151,22 +136,95 @@ MARKET_SHAPES = [
 
 
 @pytest.mark.parametrize("shape", MARKET_SHAPES)
-def test_array_builders_match_named_reference(shape, monkeypatch):
+def test_array_builders_match_named_reference(shape):
     k, n, m, zero_prior, duplicate, per_type = shape
     rng = np.random.default_rng([k, n, m, zero_prior, duplicate, per_type])
     env = random_market(rng, k, n, m, zero_prior=zero_prior, duplicate=duplicate,
                         per_type=per_type)
     assert_same_lp(build_menu_lp(env), named_menu_lp(env))
 
-    seen = []
-    real_solve = lpmod.solve
-    monkeypatch.setattr(lpmod, "solve", lambda prog, **kw: seen.append(prog) or real_solve(prog, **kw))
-    values = rng.uniform(size=(k, k))
-    np.fill_diagonal(values, values.max(axis=1) + 0.1)     # zero prices are feasible
-    base = rng.uniform(size=k) * np.diag(values)
-    probs = rng.dirichlet(np.ones(k))
-    optimal_prices(values, base, probs)
-    assert_same_lp(seen[0], named_price_lp(values, base, probs))
+
+def assert_greatest_prices(values, base, probs):
+    """``optimal_prices`` against the price LP: the same revenue, every IC
+    and IR row feasible, and no price below the LP's."""
+    prices = optimal_prices(values, base)
+    sol = lpmod.solve(named_price_lp(values, base, probs).compile()[0])
+    assert sol.status == "Optimal"
+    assert float(probs @ prices) == pytest.approx(sol.objective_value, abs=1e-12)
+    own = np.diag(values)
+    assert (prices[:, None] - prices[None, :] <= own[:, None] - values + 1e-12).all()   # IC
+    assert (prices <= own - base + 1e-12).all()                                        # IR
+    assert (prices >= sol.x - 1e-12).all()
+    return prices
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+def test_prices_are_the_greatest_ic_ir_prices(k):
+    rng = np.random.default_rng([k, 25])
+    for draw in range(20):
+        values = rng.uniform(size=(k, k))
+        # Each type values its own experiment most, so every cycle is >= 0.
+        np.fill_diagonal(values, values.max(axis=1) + rng.uniform(0.0, 0.1, size=k))
+        base = rng.uniform(size=k) * np.diag(values)
+        probs = rng.dirichlet(np.ones(k))
+        if draw % 2 and k > 1:                   # types of zero probability
+            probs[rng.choice(k, size=(k + 1) // 2, replace=False)] = 0.0
+            probs /= probs.sum()
+        prices = assert_greatest_prices(values, base, probs)
+        if k == 1:
+            assert prices[0] == values[0, 0] - base[0]
+
+
+def test_price_cycles_of_lp_dust_count_as_zero():
+    # p0 - p1 <= 0.3 and p1 - p0 <= -0.3 - 1e-13: a cycle of -1e-13, which
+    # HiGHS accepts within its feasibility tolerance.
+    values = np.array([[0.8, 0.5], [0.9 + 1e-13, 0.6]])
+    base = np.array([0.1, 0.2])
+    for probs in (np.array([0.5, 0.5]), np.array([1.0, 0.0]), np.array([0.0, 1.0])):
+        assert_greatest_prices(values, base, probs)
+
+
+def test_a_negative_price_cycle_raises():
+    values = np.array([[0.8, 0.5, 0.1], [0.2, 0.6, 0.1], [0.3, 0.3, 0.5]])
+    values[1, 0] = 0.95                      # p0 - p1 <= 0.3 and p1 - p0 <= -0.35
+    base = np.zeros(3)
+    sol = lpmod.solve(named_price_lp(values, base, np.full(3, 1 / 3)).compile()[0])
+    assert sol.status != "Optimal"
+    with pytest.raises(NumericalFailure, match="negative cycle"):
+        optimal_prices(values, base)
+
+
+# With one action, one 2-d product of all experiments at once would sum in
+# another order than experiment_value (BLAS gemv against dot).
+@pytest.mark.parametrize("shape", MARKET_SHAPES + [(8, 3, 1, False, False, True),
+                                                   (4, 3, 9, True, True, True)])
+def test_value_matrix_equals_experiment_value_bit_for_bit(shape):
+    k, n, m, zero_prior, duplicate, per_type = shape
+    rng = np.random.default_rng([k, n, m, zero_prior, duplicate, per_type, 25])
+    env = random_market(rng, k, n, m, zero_prior=zero_prior, duplicate=duplicate,
+                        per_type=per_type)
+    reduced, keep = explicit._dedupe_actions(env)
+    assert (len(keep) < m) == (duplicate and m > 1)
+    pis = rng.dirichlet(np.ones(reduced.n_actions), size=(k, n))
+    if reduced.n_actions > 1:
+        pis[:, :, 0] = 0.0                   # a signal of zero mass
+        pis /= pis.sum(axis=2, keepdims=True)
+
+    class Captured(Exception):
+        pass
+
+    def capture(experiments):
+        raise Captured(experiments)
+
+    # The experiments as extraction hands them to the value callback:
+    # cleaned and re-expanded to every action of the market.
+    with pytest.raises(Captured) as caught:
+        explicit.extract_menu(env.types, pis, capture, np.zeros(k), None, (keep, m))
+    experiments = caught.value.args[0]
+    assert all(ex.matrix.shape == (n, m) for ex in experiments)
+    reference = np.array([[experiment_value(env, bt.id, ex) for ex in experiments]
+                          for bt in env.types])
+    np.testing.assert_array_equal(explicit.value_matrix(env, experiments), reference)
 
 
 def test_named_program_compiles_to_row_by_row_csr():
@@ -469,7 +527,7 @@ def test_lazy_solve_is_deterministic(monkeypatch):
         texts.append((iomod.dumps(iomod.menu_to_json(menu)), repr(rev)))
     assert texts[0] == texts[1]
     half = len(runs) // 2
-    assert runs[:half] == runs[half:] and half >= 3          # lazy rounds, then the price LP
+    assert runs[:half] == runs[half:] and half >= 3          # the lazy rounds of each solve
 
 
 def test_lazy_solve_keeps_few_helper_rows_at_forty_types(monkeypatch):
@@ -480,7 +538,7 @@ def test_lazy_solve_keeps_few_helper_rows_at_forty_types(monkeypatch):
     assert rep.max_ic_violation <= 1e-9 and rep.max_ir_violation <= 1e-9
     helper_rows = max(rows for rows, _ in runs) - (k * k + k + k * n)
     assert helper_rows < k * k * m * m / 4
-    # A few lazy rounds (two on this market), then the price LP.
+    # A few lazy rounds (two on this market), and no other LP.
     assert 2 <= len(runs) <= 5
 
 
@@ -530,8 +588,7 @@ def test_gap_above_tolerance_triggers_one_tight_resolve(monkeypatch):
 
     class Session(lpmod.Session):
         def __init__(self, lp, feasibility_tol=None):
-            if lp.A_eq.shape[0]:                             # not a price LP
-                tolerances.append(feasibility_tol)
+            tolerances.append(feasibility_tol)
             super().__init__(lp, feasibility_tol)
 
     monkeypatch.setattr(lpmod, "Session", Session)

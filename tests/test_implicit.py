@@ -596,11 +596,10 @@ def test_separation_lps_match_named_reference(monkeypatch):
 
             patch.setattr(lpmod, "solve", record)
             res = solve_implicit(MatrixOracle(u), types, probs, epsilon)
-        separation = [(lp, sol) for lp, sol in seen if lp.A_eq.shape[0]]      # not the price LP
         ref = named_implicit_lps(MatrixOracle(u), types, probs, epsilon,
-                                 [sol.x for _, sol in separation])
-        assert len(separation) == len(ref) == res.separation_rounds, shape
-        for (arrays, sol), named in zip(separation, ref):
+                                 [sol.x for _, sol in seen])
+        assert len(seen) == len(ref) == res.separation_rounds, shape
+        for (arrays, sol), named in zip(seen, ref):
             assert_same_arrays(arrays, named)
             # The warm run is optimal for the round's rows.
             assert sol.objective_value == pytest.approx(lpmod.solve(arrays).objective_value,
@@ -628,8 +627,7 @@ def test_fallback_without_the_binding_gives_the_same_menus(monkeypatch):
 
     def outputs(solve):
         """Both solvers' outputs with every LP run made by ``solve``, and
-        per solver whether each run was a menu LP (it has row sums) or the
-        price LP."""
+        per solver whether each run was a menu LP (it has row sums)."""
         runs = []
 
         def record(lp):
@@ -666,14 +664,14 @@ def test_fallback_without_the_binding_gives_the_same_menus(monkeypatch):
     # the same menus: 3 rounds and 27 iterations on this market.
     assert menus(direct) == menus(fallback)
     assert direct[0][2:4] == (3, 27)
-    # Every run went through linprog once: each separation round and the
-    # price LP of solve_implicit, then each lazy round and the price LP of
-    # solve_explicit.
+    # Every run went through linprog once: each separation round of
+    # solve_implicit, then each lazy round of solve_explicit.  Prices come
+    # from shortest paths, so no other LP runs.
     rounds = fallback[0][2]
-    assert implicit_runs == [True] * rounds + [False]
-    lazy_rounds = len(explicit_runs) - 1
-    assert explicit_runs == [True] * lazy_rounds + [False] and lazy_rounds >= 1
-    assert len(calls) == rounds + lazy_rounds + 2
+    assert implicit_runs == [True] * rounds
+    lazy_rounds = len(explicit_runs)
+    assert explicit_runs == [True] * lazy_rounds and lazy_rounds >= 1
+    assert len(calls) == rounds + lazy_rounds
 
 
 def test_implicit_and_explicit_start_from_the_same_lp(monkeypatch):
@@ -685,8 +683,7 @@ def test_implicit_and_explicit_start_from_the_same_lp(monkeypatch):
     real_init = lpmod.Session.__init__
 
     def init(session, lp, feasibility_tol=None):
-        if lp.A_eq.shape[0]:                                 # not a price LP
-            firsts.append(lp)
+        firsts.append(lp)
         real_init(session, lp, feasibility_tol)
 
     monkeypatch.setattr(lpmod.Session, "__init__", init)
