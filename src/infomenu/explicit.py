@@ -45,9 +45,11 @@ class MenuLayout:
     ``sizes[t]`` actions (layout in README).  Signal ``c = first[t] + i`` of
     the S in all is signal i of type t (``owner[c]``, ``signal[c]``); group
     ``g = t*S + c`` is (t, owner[c], signal[c]), with its z at
-    ``price + k + g``."""
+    ``price + k + g``.  With ``alloc``, as in a buyer's block of the
+    multi-buyer LPs, type t's win probability p_t follows at ``alloc + t``;
+    without it, ``alloc`` is None and every type is served."""
 
-    def __init__(self, priors, sizes):
+    def __init__(self, priors, sizes, alloc: bool = False):
         self.priors = np.asarray(priors, dtype=float)
         self.k, self.n = self.priors.shape
         self.sizes = np.asarray(sizes, dtype=np.int64)
@@ -57,6 +59,8 @@ class MenuLayout:
         self.signal = np.arange(self.total) - self.first[self.owner]
         self.price = self.n * self.total
         self.n_cols = self.price + self.k + self.k * self.total
+        self.alloc = self.n_cols if alloc else None
+        self.n_cols += self.k if alloc else 0
 
     def pi(self, x: np.ndarray, t: int) -> np.ndarray:
         """Type t's experiment in ``x``, as an (n, sizes[t]) view."""
@@ -81,33 +85,39 @@ def menu_lp(layout: MenuLayout, own: np.ndarray, base: np.ndarray, probs,
     """The menu LP with the deviation rows ``deviations`` (layout in README):
     per type, its IC rows then its IR row; then ``deviations``; the row sums
     as equality rows.  ``own[c]`` is the payoff over states of
-    signal c's action to its owner."""
+    signal c's action to its owner.  With ``layout.alloc``, type t keeps
+    base_t with chance 1 - p_t: IC(t, t2) gains base_t (p_t - p_t2), IR(t)
+    gains base_t p_t with right-hand side 0, and the row sums equal p_t."""
     k, n, total, price = layout.k, layout.n, layout.total, layout.price
     typ = np.repeat(np.arange(k), n * layout.sizes)                    # per pi column
     w, i = np.divmod(np.arange(price) - n * layout.first[typ], layout.sizes[typ])
     value = layout.priors[typ, w] * own[layout.first[typ] + i, w]     # theta_t(w) u(w, a_i)
     rows = np.arange(k * (k + 1)).reshape(k, k + 1)                    # ic[t, 0..k-1], ir[t]
     others = np.arange(k + 1) != np.arange(k)[:, None]
-    icir = lpmod.block_csr(
-        [
-            (rows[typ], np.arange(price)[:, None], -value[:, None], value[:, None] != 0.0),
-            (rows, price + np.arange(k)[:, None], 1.0, others),        # ic[t, t] nets to 0
-            (rows[:, :k], price + np.arange(k), -1.0, others[:, :k]),
-            (rows[:, layout.owner], price + k + np.arange(k * total).reshape(k, total), 1.0, True),
-        ],
-        (k * (k + 1), layout.n_cols),
-    )
+    icir = [
+        (rows[typ], np.arange(price)[:, None], -value[:, None], value[:, None] != 0.0),
+        (rows, price + np.arange(k)[:, None], 1.0, others),            # ic[t, t] nets to 0
+        (rows[:, :k], price + np.arange(k), -1.0, others[:, :k]),
+        (rows[:, layout.owner], price + k + np.arange(k * total).reshape(k, total), 1.0, True),
+    ]
     rhs = np.zeros((k, k + 1))
-    rhs[:, k] = base
+    sums = [(typ * n + w, np.arange(price), 1.0, True)]
+    b_eq = np.ones(k * n)
+    if layout.alloc is None:
+        rhs[:, k] = base
+    else:
+        p, base = layout.alloc + np.arange(k), np.asarray(base, dtype=float)[:, None]
+        icir += [(rows, p[:, None], base, others), (rows[:, :k], p, -base, others[:, :k])]
+        sums.append((np.arange(k * n), np.repeat(p, n), -1.0, True))
+        b_eq = np.zeros(k * n)
     c = np.zeros(layout.n_cols)
     c[price:price + k] = probs
-    bounds = np.repeat([(0.0, 1.0), (-np.inf, np.inf), (0.0, np.inf)], [price, k, k * total],
-                       axis=0)
+    bounds = np.repeat([(0.0, 1.0), (-np.inf, np.inf), (0.0, np.inf), (0.0, 1.0)],
+                       [price, k, k * total, 0 if layout.alloc is None else k], axis=0)
     return lpmod.ArrayLP(
-        c, lpmod.vstack([icir, deviations]),
+        c, lpmod.vstack([lpmod.block_csr(icir, (k * (k + 1), layout.n_cols)), deviations]),
         -np.concatenate((rhs.ravel(), np.zeros(deviations.shape[0]))),
-        lpmod.block_csr([(typ * n + w, np.arange(price), 1.0, True)], (k * n, layout.n_cols)),
-        np.ones(k * n), bounds, "max")
+        lpmod.block_csr(sums, (k * n, layout.n_cols)), b_eq, bounds, "max")
 
 
 def start_rows(layout: MenuLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -168,13 +178,19 @@ def _explicit_parts(env: Environment):
     return layout, utils, base, np.array([env.prob(bt.id) for bt in env.types])
 
 
-def build_menu_lp(env: Environment) -> lpmod.ArrayLP:
-    """The full menu LP of an explicit environment: every deviation row
-    (t, t2, i, j), in that order."""
-    layout, utils, base, probs = _explicit_parts(env)
-    group, j = np.divmod(np.arange(layout.k * layout.total * env.n_actions), env.n_actions)
+def full_menu_lp(layout: MenuLayout, utils: np.ndarray, base, probs) -> lpmod.ArrayLP:
+    """The menu LP with every deviation row (t, t2, i, j), in that order,
+    where every type has every action and ``utils[t, j]`` is the payoff of
+    action j to type t over states."""
+    m = utils.shape[1]
+    group, j = np.divmod(np.arange(layout.k * layout.total * m), m)
     rows = layout.deviation_rows(group, utils[group // layout.total, j])
     return menu_lp(layout, utils.reshape(-1, layout.n), base, probs, rows)
+
+
+def build_menu_lp(env: Environment) -> lpmod.ArrayLP:
+    """The full menu LP of an explicit environment."""
+    return full_menu_lp(*_explicit_parts(env))
 
 
 def clean_experiment_matrix(raw: np.ndarray) -> np.ndarray:

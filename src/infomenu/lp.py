@@ -5,10 +5,10 @@ grows one by rows or by columns.
 ``A_ub x <= b_ub``, CSR equality rows ``A_eq x == b_eq`` and per-variable
 bounds.  Every LP of the library is built straight into it by index
 arithmetic.  ``CSR`` holds a matrix in numpy arrays laid out as scipy's
-canonical CSR; ``block_csr``, ``vstack`` and ``rmatvec`` are the sparse
-operations the library needs, so it does not import ``scipy.sparse``.  The
-LP code reads a matrix only through ``data``, ``indices``, ``indptr`` and
-``shape``, so a scipy CSR matrix serves as well.
+canonical CSR; ``block_csr``, ``vstack``, ``block_diag`` and ``rmatvec``
+are the sparse operations the library needs, so it does not import
+``scipy.sparse``.  The LP code reads a matrix only through ``data``,
+``indices``, ``indptr`` and ``shape``, so a scipy CSR matrix serves as well.
 
 A ``Session`` builds the HiGHS model of an ``ArrayLP`` once, through
 scipy's bundled binding: the one model and the options ``linprog`` would
@@ -162,6 +162,14 @@ def vstack(blocks) -> CSR:
                np.concatenate([B.indices for B in blocks]).astype(np.int32),
                np.concatenate(indptr).astype(np.int32),
                (sum(B.shape[0] for B in blocks), blocks[0].shape[1]))
+
+
+def block_diag(blocks) -> CSR:
+    """The CSR matrices ``blocks`` on the diagonal of one, each block's
+    columns after the previous blocks' columns."""
+    first = np.cumsum([0] + [B.shape[1] for B in blocks])
+    return vstack([CSR(B.data, B.indices + c, B.indptr, (B.shape[0], first[-1]))
+                   for B, c in zip(blocks, first)])
 
 
 def rmatvec(A, y: np.ndarray) -> np.ndarray:

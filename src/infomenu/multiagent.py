@@ -13,6 +13,13 @@ VPM vertices, pricing by the VPM optimizer on the coupling duals.
 The winning buyer never observes which scheme was drawn, so deviation values
 are bounded against the interim matrices; prices depend only on the buyer's
 own reported type.
+
+Per buyer, the interim LP is the single-buyer menu LP over its types
+(``explicit.menu_lp``) with one more column per type, its win probability
+p: the type keeps its outside option with chance 1 - p, and its experiment
+sends mass p.  Both LPs here start from these blocks side by side: the
+column-generation master ties them to the VPM vertices, and the ex-post
+reference ``brute_force_multi`` ties them to per-profile allocations.
 """
 
 from __future__ import annotations
@@ -20,16 +27,17 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import lp as lpmod
 from .errors import InvalidInstance, NonConvergence, NumericalFailure, TooLarge
-from .explicit import CLEANUP_TOL
+from .explicit import CLEANUP_TOL, MenuLayout, full_menu_lp
 from .market import BuyerType, Experiment, PROB_TOL
 
 DECOMP_TOL = 1e-6
+MAX_PROFILES = 256               # brute_force_multi's largest type-profile count
 MAX_PRICING_ROUNDS = 500
 PRICING_TOL = 1e-8
 
@@ -326,100 +334,45 @@ def _initial_weight_sets(env: MultiEnvironment, coords: _Coords) -> list[VPMWeig
     return out
 
 
-def _slot_columns(n_slots: int, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns of per-slot blocks of width n*m + 2: the signaling
-    probabilities pi[slot, w, j], then the win probability p[slot] and the
-    price t[slot]."""
-    p = np.arange(n_slots) * (n * m + 2) + n * m
-    return p[:, None, None] - n * m + np.arange(n * m).reshape(n, m), p, p + 1
-
-
-def _slot_bounds(t: np.ndarray, n_slot_cols: int, n_cols: int) -> np.ndarray:
-    """pi and p in [0, 1], t free, and every column past the slots >= 0."""
-    bounds = np.zeros((n_cols, 2))
-    bounds[:n_slot_cols, 1] = 1.0
-    bounds[t] = (-np.inf, np.inf)
-    bounds[n_slot_cols:, 1] = np.inf
-    return bounds
-
-
-def _incentive_blocks(b: MultiBuyer, base: np.ndarray, slots: np.ndarray, fo: np.ndarray,
-                      cols: tuple, z: np.ndarray, rows: tuple) -> list:
-    """COO blocks of buyer ``b``'s IIR, BIC and deviation-bound rows, each a
-    ">=" row negated into "<=".  Type s's interim terms sum, with weight
-    fo[rest], over its slots slots[s, rest]: one per profile of the other
-    buyers in the ex-post LP, a single one of weight 1 in the reduced form.
-    ``cols`` holds the (pi, p, t) columns of every slot, ``z`` the bound
-    columns [s, s2, rest, j], and ``rows`` the row indices (iir[s],
-    bic[s, s2], zlb[s, s2, j, a]).
-    """
-    pi, p, t = (c[slots] for c in cols)
-    iir, bic, zlb = rows
-    theta = np.array([bt.prior for bt in b.types])
-    coef = (fo[None, :, None] * theta[:, None, :])[..., None] * b.utility   # [s, rest, w, a]
-    dev = coef.transpose(0, 1, 3, 2)[:, None, :, None]                     # [s, ., rest, ., a, w]
-    fo_base = fo[None, :] * base[:, None]                                  # [s, rest]
-    off = ~np.eye(len(b.types), dtype=bool)[:, :, None]
-    return [
-        # IIR(s): sum over rest of fo (base_s p + t - own value) <= 0
-        (iir[:, None, None, None], pi, -coef, coef != 0.0),
-        (iir[:, None], p, fo_base, True),
-        (iir[:, None], t, fo[None, :], True),
-        # BIC(s, s2): IIR(s)'s terms plus, over rest, fo (sum_j z[s, s2, rest, j]
-        # - base_s p[s2] - t[s2]); the p, t terms of BIC(s, s) cancel.
-        (bic[:, :, None, None, None], pi[:, None], -coef[:, None], coef[:, None] != 0.0),
-        (bic[:, :, None, None], z, fo[:, None], True),
-        (bic[:, :, None], p[:, None], fo_base[:, None], off),
-        (bic[:, :, None], t[:, None], fo[None, None, :], off),
-        (bic[:, :, None], p[None, :], -fo_base[:, None], off),
-        (bic[:, :, None], t[None, :], -fo[None, None, :], off),
-        # zlb(s, s2, j, a): over rest, fo (sum_w theta_s[w] u[w, a] pi[s2, w, j]
-        # - z[s, s2, rest, j]) <= 0
-        (zlb[:, :, None], z[..., None], -fo[:, None, None], True),
-        (zlb[:, :, None, :, :, None], pi.transpose(0, 1, 3, 2)[None, :, :, :, None],
-         dev, dev != 0.0),
-    ]
-
-
-def _master_lp(env: MultiEnvironment) -> lpmod.ArrayLP:
-    """The column-generation master before any vertex column.
-
-    Columns: the pi, p, t of every slot (a buyer-major (buyer, type) pair),
-    then per buyer i the deviation bounds z[i, s, s2, j]; the vertex weights
-    lam[k] follow.  Inequality rows: per buyer and type s in slot order, the
-    BIC row of each report s2, the IIR row, then zlb[s, s2, j, a] in
-    (s2, j, a) order.  Equality rows: alloc per (slot, state), couple per
-    coordinate (slot, w, j), then convex.
-    """
+def _buyer_blocks(env: MultiEnvironment) -> tuple[lpmod.ArrayLP, np.ndarray]:
+    """Each buyer's menu LP over its types, with win probabilities and every
+    deviation row (``explicit.full_menu_lp``), side by side: a buyer's
+    columns and rows follow the previous buyer's.  Returns it with the
+    columns of each slot: its pi[w, j] in (state, signal) order, then its p
+    and its price t, one row per slot."""
     n, m = env.n_states, env.n_actions
-    n_slots = len(env.slots())
-    cols = pi, p, t = _slot_columns(n_slots, n, m)
-    base = env.base_utilities()
-    blocks, slot0, col0, row0 = [], 0, n_slots * (n * m + 2), 0
-    for i, b in enumerate(env.buyers):
-        k = len(b.types)
-        start = row0 + np.arange(k) * (k + 1 + k * m * m)
-        zlb = (start + k + 1)[:, None, None, None] + np.arange(k * m * m).reshape(k, m, m)
-        z = col0 + np.arange(k * k * m).reshape(k, k, 1, m)
-        slots = slot0 + np.arange(k)[:, None]
-        rows = (start + k, start[:, None] + np.arange(k), zlb)
-        blocks += _incentive_blocks(b, base[i], slots, np.ones(1), cols, z, rows)
-        slot0, col0, row0 = slot0 + k, col0 + k * k * m, row0 + k * (k + 1 + k * m * m)
+    blocks, slots, first = [], [], 0
+    for b, base in zip(env.buyers, env.base_utilities()):
+        layout = MenuLayout([t.prior for t in b.types], [m] * len(b.types), alloc=True)
+        utils = np.broadcast_to(b.utility.T, (layout.k, m, n))
+        blocks.append(full_menu_lp(layout, utils, base, [b.type_probs[t.id] for t in b.types]))
+        k = np.arange(layout.k)[:, None]
+        slots.append(first + np.hstack((n * layout.first[:, None] + np.arange(n * m),
+                                        layout.alloc + k, layout.price + k)))
+        first += layout.n_cols
+    lp = lpmod.ArrayLP(
+        np.concatenate([b.c for b in blocks]),
+        lpmod.block_diag([b.A_ub for b in blocks]), np.concatenate([b.b_ub for b in blocks]),
+        lpmod.block_diag([b.A_eq for b in blocks]), np.concatenate([b.b_eq for b in blocks]),
+        np.concatenate([b.bounds for b in blocks]), "max")
+    return lp, np.vstack(slots)
 
-    dim = n_slots * n * m
-    alloc = np.arange(n_slots * n).reshape(n_slots, n)
-    couple = n_slots * n + np.arange(dim).reshape(n_slots, n, m)
-    A_eq = lpmod.block_csr(
-        [(alloc[:, :, None], pi, 1.0, True), (alloc, p[:, None], -1.0, True),
-         (couple, pi, 1.0, True)],
-        (n_slots * n + dim + 1, col0),
-    )
-    b_eq = np.append(np.zeros(n_slots * n + dim), 1.0)
-    c = np.zeros(col0)
-    c[t] = [env.prob(i, s) for i, s in env.slots()]
-    A_ub = lpmod.block_csr(blocks, (row0, col0))
-    bounds = _slot_bounds(t, n_slots * (n * m + 2), col0)
-    return lpmod.ArrayLP(c, A_ub, -np.zeros(row0), A_eq, b_eq, bounds, "max")
+
+def _master_lp(env: MultiEnvironment) -> tuple[lpmod.ArrayLP, np.ndarray]:
+    """The column-generation master before any vertex column, and the
+    columns of each slot (``_buyer_blocks``).
+
+    It is ``_buyer_blocks``'s LP with more equality rows: couple per
+    coordinate (slot, w, j), pi[slot, w, j] = sum_k lam[k] vertex_k, in
+    ``_Coords`` order, then convex, sum_k lam[k] = 1.  The vertex weights
+    lam[k] are the columns that pricing appends.
+    """
+    blocks, slots = _buyer_blocks(env)
+    dim = slots[:, :-2].size
+    couple = lpmod.block_csr([(np.arange(dim), slots[:, :-2].ravel(), 1.0, True)],
+                             (dim + 1, len(blocks.c)))
+    return replace(blocks, A_eq=lpmod.vstack([blocks.A_eq, couple]),
+                   b_eq=np.concatenate((blocks.b_eq, np.zeros(dim), [1.0]))), slots
 
 
 def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
@@ -434,9 +387,9 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
     coords = _Coords(env)
     n, m = env.n_states, env.n_actions
     n_slots = len(coords.slots)
-    fixed = _master_lp(env)
+    fixed, slots = _master_lp(env)
     session = lpmod.Session(fixed)
-    # Session rows: the fixed block's A_ub rows, then alloc, couple, convex.
+    # Session rows: the fixed block's A_ub rows, then the row sums, couple, convex.
     couple = fixed.A_ub.shape[0] + n_slots * n
     convex = couple + coords.dim
 
@@ -481,7 +434,7 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
             # be nonpositive, so the duals are inconsistent.
             raise NumericalFailure("pricing returned an existing vertex as improving")
 
-    slot_x = sol.x[: n_slots * (n * m + 2)].reshape(n_slots, n * m + 2)   # [slot, (pi, p, t)]
+    slot_x = sol.x[slots]                                               # [slot, (pi, p, t)]
     pi_star = slot_x[:, : n * m].ravel()
     # The objective as a left-to-right sum in slot order, not a dot product.
     revenue = float(sum(env.prob(*slot) * t
@@ -538,66 +491,59 @@ def _caratheodory(vertices: list[np.ndarray], target: np.ndarray) -> tuple[np.nd
     return out / out.sum(), kept
 
 
-def brute_force_multi(env: MultiEnvironment, profile_cap: int = 256) -> float:
-    """Optimal revenue from the full ex-post LP over all type profiles.
+def brute_force_multi(env: MultiEnvironment) -> float:
+    """Optimal revenue from the ex-post LP over all type profiles.
 
-    Exponential in the buyer count; refuses above ``profile_cap`` profiles.
+    Exponential in the buyer count; refuses above ``MAX_PROFILES`` profiles.
     Deviation bounds are interim-aggregated (the deviator maps a signal to
     one action without seeing the others' types), matching the reduced form.
 
-    Profiles r are in itertools.product order of the buyers' type indices;
-    slot i*R + r is buyer i at profile r.  Columns: the pi, p, t of every
-    slot, then per buyer i the deviation bounds z[i, s, s2, rest, j], where
-    rest indexes the other buyers' profiles.  Inequality rows: per buyer and
-    type s, the IIR row, then per report s2 its BIC row and its
-    zlb[s, s2, j, a] rows; then one capacity row per profile.  Equality
-    rows: alloc per (slot, state).
+    It is ``_buyer_blocks``'s LP over interim variables with, per buyer i
+    and profile r (itertools.product order of the type indices), the
+    ex-post columns pi[i, r, w, j] and p[i, r] in [0, 1].  Equality rows
+    link each slot (i, s): its pi[w, j] and p, in that order, equal the sums
+    over the profiles r with r_i = s of fo_i(r) times pi[i, r, w, j] and
+    p[i, r], where fo_i(r) is the others' probability; then sum_j pi[i, r, w,
+    j] = p[i, r] per (i, r, w).  One "<=" row per profile caps sum_i p[i, r]
+    at 1.  Per-profile prices and deviation bounds would enter only through
+    their fo-weighted sums, the interim t and z, so the LP has none.
     """
     counts = [len(b.types) for b in env.buyers]
-    n_prof = int(np.prod(counts))
-    if n_prof > profile_cap:
-        raise TooLarge(f"{n_prof} profiles exceed cap {profile_cap}")
+    n_prof = math.prod(counts)
+    if n_prof > MAX_PROFILES:
+        raise TooLarge(f"{n_prof} profiles exceed cap {MAX_PROFILES}")
     n, m, nb = env.n_states, env.n_actions, len(env.buyers)
-    n_slots = nb * n_prof
-    cols = pi, p, t = _slot_columns(n_slots, n, m)
-    profiles = np.array(list(itertools.product(*[range(c) for c in counts])))
-    probs = [np.array([env.prob(i, s) for s in range(c)]) for i, c in enumerate(counts)]
-    base = env.base_utilities()
-    blocks, col0, row0 = [], n_slots * (n * m + 2), 0
-    for i, b in enumerate(env.buyers):
-        k, rest = counts[i], n_prof // counts[i]
-        others = [l for l in range(nb) if l != i]
-        rest_of = np.ravel_multi_index(tuple(profiles[:, others].T), [counts[l] for l in others])
-        prof = np.empty((k, rest), dtype=int)                  # [s, rest] -> profile
-        prof[profiles[:, i], rest_of] = np.arange(n_prof)
-        fo = np.ones(rest)                    # the others' probability, in buyer order
-        for l in others:
-            fo = fo * probs[l][profiles[prof[0], l]]
-        start = row0 + np.arange(k) * (1 + k * (1 + m * m))
-        bic = start[:, None] + 1 + np.arange(k) * (1 + m * m)
-        rows = (start, bic, (bic + 1)[:, :, None, None] + np.arange(m * m).reshape(m, m))
-        z = col0 + np.arange(k * k * rest * m).reshape(k, k, rest, m)
-        blocks += _incentive_blocks(b, base[i], i * n_prof + prof, fo, cols, z, rows)
-        col0, row0 = col0 + k * k * rest * m, row0 + k * (1 + k * (1 + m * m))
-    blocks.append((row0 + np.arange(n_prof), p.reshape(nb, n_prof), 1.0, True))   # capacity
-
-    alloc = np.arange(n_slots * n).reshape(n_slots, n)
-    A_eq = lpmod.block_csr(
-        [(alloc[:, :, None], pi, 1.0, True), (alloc, p[:, None], -1.0, True)], (n_slots * n, col0)
-    )
-    fprob = np.ones(n_prof)
-    for i in range(nb):
-        fprob = fprob * probs[i][profiles[:, i]]
-    c = np.zeros(col0)
-    c[t] = np.tile(fprob, nb)
-    A_ub = lpmod.block_csr(blocks, (row0 + n_prof, col0))
-    b_ub = np.concatenate((-np.zeros(row0), np.ones(n_prof)))
-    bounds = _slot_bounds(t, n_slots * (n * m + 2), col0)
-    sol = lpmod.solve(lpmod.ArrayLP(c, A_ub, b_ub, A_eq, np.zeros(n_slots * n), bounds, "max"))
+    blocks, slots = _buyer_blocks(env)
+    profiles = np.array(list(itertools.product(*[range(c) for c in counts]))).T   # [buyer, r]
+    f = np.array([[env.prob(i, s) for s in row] for i, row in enumerate(profiles)])
+    fo = np.ones((nb, n_prof))                   # the others' probability, in buyer order
+    for i, l in itertools.permutations(range(nb), 2):
+        fo[i] *= f[l]
+    first, width = len(blocks.c), n * m + 1      # per (i, r): pi[i, r, w, j], then p[i, r]
+    ex = first + np.arange(nb * n_prof * width).reshape(nb, n_prof, width)
+    n_cols, n_linked = first + ex.size, len(slots) * width
+    linked = (_slot_starts(env)[:, None] + profiles)[..., None] * width + np.arange(width)
+    sums = n_linked + np.arange(nb * n_prof * n).reshape(nb, n_prof, n)
+    rows = lpmod.block_csr(
+        [(np.arange(n_linked), slots[:, :-1].ravel(), 1.0, True),
+         (linked, ex, -fo[..., None], True),
+         (sums[..., None], ex[..., :-1].reshape(nb, n_prof, n, m), 1.0, True),
+         (sums, ex[..., -1:], -1.0, True)],
+        (n_linked + sums.size, n_cols))
+    capacity = lpmod.block_csr([(np.arange(n_prof), ex[..., -1], 1.0, True)], (n_prof, n_cols))
+    prog = lpmod.ArrayLP(
+        np.concatenate((blocks.c, np.zeros(ex.size))),
+        lpmod.vstack([replace(blocks.A_ub, shape=(blocks.A_ub.shape[0], n_cols)), capacity]),
+        np.concatenate((blocks.b_ub, np.ones(n_prof))),
+        lpmod.vstack([replace(blocks.A_eq, shape=(blocks.A_eq.shape[0], n_cols)), rows]),
+        np.concatenate((blocks.b_eq, np.zeros(rows.shape[0]))),
+        np.concatenate((blocks.bounds, np.tile([0.0, 1.0], (ex.size, 1)))), "max")
+    sol = lpmod.solve(prog)
     if sol.status != "Optimal":
-        raise NumericalFailure(f"full ex-post LP is {sol.status}")
-    # The objective as a left-to-right sum in (buyer, profile) order.
-    return float(sum(coeff * x for coeff, x in zip(c[t].tolist(), sol.x[t].tolist())))
+        raise NumericalFailure(f"ex-post LP is {sol.status}")
+    # The objective as a left-to-right sum in slot order.
+    t = slots[:, -1]
+    return float(sum(coeff * x for coeff, x in zip(prog.c[t].tolist(), sol.x[t].tolist())))
 
 
 @dataclass

@@ -129,7 +129,7 @@ def solve_reduced_lp(env: MultiEnvironment):
     coords = _Coords(env)
     n, m = env.n_states, env.n_actions
     n_slots = len(coords.slots)
-    fixed = _master_lp(env)
+    fixed, slots = _master_lp(env)
     ub = fixed.A_ub
     n_ub = ub.shape[0]
     couple = n_slots * n
@@ -179,7 +179,7 @@ def solve_reduced_lp(env: MultiEnvironment):
         if not add_vertex(candidate, vec):
             raise NumericalFailure("pricing returned an existing vertex as improving")
 
-    slot_x = sol.x[: n_slots * (n * m + 2)].reshape(n_slots, n * m + 2)
+    slot_x = sol.x[slots]                                   # [slot, (pi, p, t)]
     pi_star = slot_x[:, : n * m].ravel()
     rf = ReducedForm({}, {}, {})
     for key, (*pi, p, t) in zip(coords.keys, slot_x.tolist()):

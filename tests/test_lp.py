@@ -313,6 +313,22 @@ def test_vstack_is_scipys_vstack():
                         sp.vstack([as_scipy(B) for B in blocks], format="csr"))
 
 
+def test_block_diag_is_scipys_block_diag():
+    rng = np.random.default_rng(47)
+    # Blocks with zero rows and blocks with no entries.
+    cases = [[lpmod.block_csr([], (0, 3)), lpmod.block_csr([(0, 1, 2.0, True)], (2, 2))],
+             [lpmod.block_csr([], shape) for shape in ((2, 2), (0, 1), (1, 3))]]
+    for _ in range(40):
+        shapes = [(int(rng.integers(0, 4)), int(rng.integers(1, 4)))
+                  for _ in range(int(rng.integers(1, 4)))]
+        cases.append([lpmod.block_csr(random_blocks(rng, shape, 6), shape) for shape in shapes])
+    for blocks in cases:
+        ours = lpmod.block_diag(blocks)
+        ref = sp.block_diag([as_scipy(B) for B in blocks], format="csr")
+        assert_same_csr(ours, ref)
+        assert ours.indptr.dtype == ours.indices.dtype == ref.indptr.dtype == np.int32
+
+
 def test_rmatvec_is_the_transposed_product_bit_for_bit():
     rng = np.random.default_rng(41)
     for _ in range(30):

@@ -11,6 +11,7 @@ from infomenu import lp as lpmod
 from infomenu import multiagent
 from infomenu import (
     BuyerType,
+    Environment,
     InvalidInstance,
     MultiBuyer,
     MultiEnvironment,
@@ -208,6 +209,20 @@ def test_random_mixtures_satisfy_reduced_form_invariants():
 
 # --- solver -----------------------------------------------------------------------
 
+def one_buyer_draw(seed: int) -> tuple[MultiEnvironment, Environment]:
+    """A random one-buyer market, as a multi-buyer and as an explicit
+    environment: from ``default_rng(seed)``, (n, m, k) in [2, 3] x [2, 4] x
+    [1, 4], then uniform utilities, Dirichlet priors and type probabilities."""
+    rng = np.random.default_rng(seed)
+    n, m, k = int(rng.integers(2, 4)), int(rng.integers(2, 5)), int(rng.integers(1, 5))
+    utility = rng.uniform(size=(n, m))
+    types = [BuyerType(f"t{s}", prior) for s, prior in enumerate(rng.dirichlet(np.ones(n), k))]
+    probs = {t.id: float(p) for t, p in zip(types, rng.dirichlet(np.ones(k)))}
+    states, actions = [f"w{w}" for w in range(n)], [f"a{j}" for j in range(m)]
+    return (MultiEnvironment(states, actions, [MultiBuyer("b0", utility, types, probs)]),
+            Environment(states, actions, {t.id: utility for t in types}, types, probs))
+
+
 def test_single_buyer_reduces_to_menu_problem():
     env = one_buyer([[0.5, 0.5], [0.9, 0.1]])
     result = solve_reduced_lp(env)
@@ -215,6 +230,11 @@ def test_single_buyer_reduces_to_menu_problem():
     _, rev, _ = solve_explicit(menu_env)
     assert result.revenue == pytest.approx(rev, abs=1e-6)
     assert brute_force_multi(env) == pytest.approx(rev, abs=1e-6)
+    # Column generation is not pinned on these draws: its pricing rounds
+    # follow the master's vertex path and can reach the cap (ROADMAP item 2).
+    for seed in range(40):
+        env, menu_env = one_buyer_draw(seed)
+        assert brute_force_multi(env) == pytest.approx(solve_explicit(menu_env)[1], abs=1e-9)
 
 
 def test_two_buyers_single_types_match_brute_force():
@@ -268,7 +288,7 @@ def test_brute_force_cap():
     types = [list(p) for p in np.random.default_rng(0).dirichlet(np.ones(2), 17)]
     env = two_buyers(types, types)
     with pytest.raises(TooLarge):
-        brute_force_multi(env, profile_cap=256)
+        brute_force_multi(env)
 
 
 def test_blueprint_decomposition_and_size():
@@ -345,75 +365,82 @@ def test_monte_carlo_reproduces_interim_matrices():
 
 # --- the master LP against the name-keyed construction ---------------------------
 
-def named_master_lp(env: MultiEnvironment, vectors: list[np.ndarray]) -> NamedLP:
-    """The master as the name-keyed builder made it, with one lam column per
-    vertex vector: the test-only reference for the index arithmetic."""
+def named_buyer_blocks(env: MultiEnvironment) -> NamedLP:
+    """Each buyer's menu LP with win probabilities as the name-keyed builder
+    makes it, buyer after buyer: the test-only reference for the index
+    arithmetic of the multi-buyer LPs.  A buyer's columns are its pi[slot, w,
+    j] and prices t[slot] per type, its z[i, s, s2, j], then its p[slot]; its
+    "<=" rows are, per type s, the BIC row of each report s2 then the IIR
+    row, then every zlb[s, s2, j, a]; its equality rows are the row sums."""
     coords = _Coords(env)
     n, m = env.n_states, env.n_actions
     base = env.base_utilities()
     prog = NamedLP(sense="max")
-    for slot, (i, s) in enumerate(coords.slots):
-        for w in range(n):
-            for j in range(m):
-                prog.add_variable(f"pi[{slot},{w},{j}]", 0.0, 1.0)
-        prog.add_variable(f"p[{slot}]", 0.0, 1.0)
-        prog.add_variable(f"t[{slot}]", None, None)
-        prog.set_objective(f"t[{slot}]", env.prob(i, s))
     slot_of = {pair: idx for idx, pair in enumerate(coords.slots)}
     for i, b in enumerate(env.buyers):
+        slots = [slot_of[(i, s)] for s in range(len(b.types))]
+        for slot in slots:
+            for w in range(n):
+                for j in range(m):
+                    prog.add_variable(f"pi[{slot},{w},{j}]", 0.0, 1.0)
+        for s, slot in enumerate(slots):
+            prog.add_variable(f"t[{slot}]", None, None)
+            prog.set_objective(f"t[{slot}]", env.prob(i, s))
         for s in range(len(b.types)):
             for s2 in range(len(b.types)):
                 for j in range(m):
                     prog.add_variable(f"z[{i},{s},{s2},{j}]", 0.0, None)
-    for k in range(len(vectors)):
-        prog.add_variable(f"lam[{k}]", 0.0, None)
+        for slot in slots:
+            prog.add_variable(f"p[{slot}]", 0.0, 1.0)
 
-    def truthful_coeffs(i: int, s: int) -> dict[str, float]:
-        slot = slot_of[(i, s)]
-        b = env.buyers[i]
-        theta = b.types[s].prior
-        coeffs = {
-            f"pi[{slot},{w},{j}]": theta[w] * b.utility[w, j]
-            for w in range(n)
-            for j in range(m)
-            if theta[w] * b.utility[w, j] != 0.0
-        }
-        coeffs[f"p[{slot}]"] = -base[i][s]
-        coeffs[f"t[{slot}]"] = -1.0
-        return coeffs
-
-    for i, b in enumerate(env.buyers):
-        for s in range(len(b.types)):
-            own = truthful_coeffs(i, s)
-            for s2 in range(len(b.types)):
-                slot2 = slot_of[(i, s2)]
-                coeffs = dict(own)
-                for j in range(m):
-                    coeffs[f"z[{i},{s},{s2},{j}]"] = coeffs.get(f"z[{i},{s},{s2},{j}]", 0.0) - 1.0
-                coeffs[f"p[{slot2}]"] = coeffs.get(f"p[{slot2}]", 0.0) + base[i][s]
-                coeffs[f"t[{slot2}]"] = coeffs.get(f"t[{slot2}]", 0.0) + 1.0
-                prog.add_constraint(f"bic[{i},{s},{s2}]", coeffs, GE, 0.0)
-            prog.add_constraint(f"iir[{i},{s}]", truthful_coeffs(i, s), GE, 0.0)
+        def truthful_coeffs(s: int) -> dict[str, float]:
             theta = b.types[s].prior
-            slot = slot_of[(i, s)]
+            coeffs = {
+                f"pi[{slots[s]},{w},{j}]": theta[w] * b.utility[w, j]
+                for w in range(n)
+                for j in range(m)
+                if theta[w] * b.utility[w, j] != 0.0
+            }
+            coeffs[f"p[{slots[s]}]"] = -base[i][s]
+            coeffs[f"t[{slots[s]}]"] = -1.0
+            return coeffs
+
+        for s in range(len(b.types)):
             for s2 in range(len(b.types)):
-                slot2 = slot_of[(i, s2)]
+                coeffs = truthful_coeffs(s)
+                for j in range(m):
+                    coeffs[f"z[{i},{s},{s2},{j}]"] = -1.0
+                coeffs[f"p[{slots[s2]}]"] = coeffs.get(f"p[{slots[s2]}]", 0.0) + base[i][s]
+                coeffs[f"t[{slots[s2]}]"] = coeffs.get(f"t[{slots[s2]}]", 0.0) + 1.0
+                prog.add_constraint(f"bic[{i},{s},{s2}]", coeffs, GE, 0.0)
+            prog.add_constraint(f"iir[{i},{s}]", truthful_coeffs(s), GE, 0.0)
+        for s, t in enumerate(b.types):
+            for s2 in range(len(b.types)):
                 for j in range(m):
                     for a in range(m):
                         coeffs = {f"z[{i},{s},{s2},{j}]": 1.0}
                         for w in range(n):
-                            c = theta[w] * b.utility[w, a]
+                            c = t.prior[w] * b.utility[w, a]
                             if c != 0.0:
-                                coeffs[f"pi[{slot2},{w},{j}]"] = (
-                                    coeffs.get(f"pi[{slot2},{w},{j}]", 0.0) - c
-                                )
+                                coeffs[f"pi[{slots[s2]},{w},{j}]"] = -c
                         prog.add_constraint(f"zlb[{i},{s},{s2},{j},{a}]", coeffs, GE, 0.0)
+        for slot in slots:
             for w in range(n):
                 coeffs = {f"pi[{slot},{w},{j}]": 1.0 for j in range(m)}
                 coeffs[f"p[{slot}]"] = -1.0
                 prog.add_constraint(f"alloc[{slot},{w}]", coeffs, EQ, 0.0)
+    return prog
 
-    for slot in range(len(coords.slots)):
+
+def named_master_lp(env: MultiEnvironment, vectors: list[np.ndarray]) -> NamedLP:
+    """The master as the name-keyed builder makes it, with one lam column per
+    vertex vector: the buyers' blocks, then couple per coordinate and
+    convex."""
+    n, m = env.n_states, env.n_actions
+    prog = named_buyer_blocks(env)
+    for k in range(len(vectors)):
+        prog.add_variable(f"lam[{k}]", 0.0, None)
+    for slot in range(len(_Coords(env).slots)):
         for w in range(n):
             for j in range(m):
                 c = (slot * n + w) * m + j
@@ -516,8 +543,56 @@ def test_master_iterations_are_deterministic():
 
 
 def named_ex_post_lp(env: MultiEnvironment) -> NamedLP:
-    """The full ex-post LP as the name-keyed builder made it: the test-only
-    reference for brute_force_multi's index arithmetic."""
+    """The ex-post LP as the name-keyed builder makes it: the buyers'
+    blocks, then per buyer i and profile r the columns pi[i, r, w, j] and
+    p[i, r]; rows linking each slot's pi and p to the fo-weighted ex-post
+    ones, the ex-post row sums, and one capacity row per profile.  The
+    test-only reference for brute_force_multi's index arithmetic."""
+    counts = [len(b.types) for b in env.buyers]
+    n, m = env.n_states, env.n_actions
+    profiles = list(itertools.product(*[range(c) for c in counts]))
+    slot_of = {pair: idx for idx, pair in enumerate(_Coords(env).slots)}
+    prog = named_buyer_blocks(env)
+
+    def fo(i: int, prof: tuple[int, ...]) -> float:
+        out = 1.0
+        for l, s in enumerate(prof):
+            if l != i:
+                out *= env.prob(l, s)
+        return out
+
+    for i in range(len(env.buyers)):
+        for r in range(len(profiles)):
+            for w in range(n):
+                for j in range(m):
+                    prog.add_variable(f"pi[{i},{r},{w},{j}]", 0.0, 1.0)
+            prog.add_variable(f"p[{i},{r}]", 0.0, 1.0)
+    for (i, s), slot in slot_of.items():
+        mine = [r for r, prof in enumerate(profiles) if prof[i] == s]
+        for w in range(n):
+            for j in range(m):
+                coeffs = {f"pi[{slot},{w},{j}]": 1.0}
+                coeffs.update({f"pi[{i},{r},{w},{j}]": -fo(i, profiles[r]) for r in mine})
+                prog.add_constraint(f"link[{slot},{w},{j}]", coeffs, EQ, 0.0)
+        coeffs = {f"p[{slot}]": 1.0}
+        coeffs.update({f"p[{i},{r}]": -fo(i, profiles[r]) for r in mine})
+        prog.add_constraint(f"link[{slot}]", coeffs, EQ, 0.0)
+    for i in range(len(env.buyers)):
+        for r in range(len(profiles)):
+            for w in range(n):
+                coeffs = {f"pi[{i},{r},{w},{j}]": 1.0 for j in range(m)}
+                coeffs[f"p[{i},{r}]"] = -1.0
+                prog.add_constraint(f"alloc[{i},{r},{w}]", coeffs, EQ, 0.0)
+    for r in range(len(profiles)):
+        prog.add_constraint(f"cap[{r}]", {f"p[{i},{r}]": 1.0 for i in range(len(env.buyers))},
+                            LE, 1.0)
+    return prog
+
+
+def named_per_profile_lp(env: MultiEnvironment) -> NamedLP:
+    """The ex-post LP with a price and deviation bounds per type profile,
+    which enter only through their fo-weighted sums: an independent value
+    reference for brute_force_multi."""
     counts = [len(b.types) for b in env.buyers]
     n_prof = int(np.prod(counts))
     n, m = env.n_states, env.n_actions
@@ -650,6 +725,19 @@ def test_ex_post_arrays_match_named_reference(shape, monkeypatch):
     with pytest.raises(_FirstSolve):
         brute_force_multi(env)
     assert_same_arrays(seen[0], named_ex_post_lp(env).compile()[0])
+
+
+def test_ex_post_lp_matches_the_per_profile_lp():
+    rng = np.random.default_rng(109)
+    shapes = [shape[:3] for shape in MASTER_SHAPES]
+    for _ in range(20):
+        shapes.append((tuple(int(k) for k in rng.integers(1, 4, size=int(rng.integers(1, 4)))),
+                       *(int(v) for v in rng.integers(1, 4, size=2))))
+    for type_counts, n, m in shapes:
+        env = random_multi(rng, type_counts, n, m, bool(rng.integers(2)))
+        sol = lpmod.solve(named_per_profile_lp(env).compile()[0])
+        assert sol.status == "Optimal"
+        assert brute_force_multi(env) == pytest.approx(sol.objective_value, abs=1e-12)
 
 
 # --- differential: column generation against the ex-post LP ------------------------
