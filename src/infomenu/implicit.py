@@ -61,15 +61,16 @@ def _half_down_bucket(x: np.ndarray, step: float) -> np.ndarray:
     return np.ceil(x / step - 0.5).astype(np.int64)
 
 
-def _lattice_key(vec: np.ndarray, steps: int) -> tuple:
-    """Quantize a distribution onto the 1/steps simplex lattice by largest-
-    remainder apportionment; the key identifies the nearest lattice point."""
+def _apportion(vec: np.ndarray, steps: int) -> np.ndarray:
+    """A distribution as a point of the 1/steps simplex lattice, in integer
+    steps, by largest-remainder apportionment: the floors of ``vec * steps``,
+    plus one on the largest remainders (ties to the lower index)."""
     scaled = np.asarray(vec, dtype=float) * steps
     floors = np.floor(scaled).astype(np.int64)
     short = steps - int(floors.sum())
     order = np.argsort(-(scaled - floors), kind="stable")
     floors[order[:short]] += 1
-    return tuple(floors)
+    return floors
 
 
 def merge_signals(experiment: Experiment, epsilon: float) -> Experiment:
@@ -109,17 +110,7 @@ def round_experiment(experiment: Experiment, delta: float) -> Experiment:
     n_steps = round(steps)
     if abs(steps - n_steps) > 1e-9:
         raise InvalidInstance("1/delta must be an integer")
-    m = experiment.matrix
-    out = np.empty_like(m)
-    for w in range(experiment.n_states):
-        scaled = m[w] * n_steps
-        floors = np.floor(scaled).astype(np.int64)
-        short = n_steps - int(floors.sum())
-        remainders = scaled - floors
-        # stable argsort descending: ties resolved toward lower index
-        order = np.argsort(-remainders, kind="stable")
-        floors[order[:short]] += 1
-        out[w] = floors / n_steps
+    out = np.array([_apportion(row, n_steps) for row in experiment.matrix]) / n_steps
     return Experiment(out, row_mass=experiment.row_mass)
 
 
@@ -463,7 +454,7 @@ def compress_menu(view, menu: Menu, epsilon: float) -> Menu:
     steps = math.ceil(n_states / eps2)
     groups: dict[tuple, list[str]] = {}
     for tid in tids:
-        key = _lattice_key(view.prior(tid), steps)
+        key = tuple(_apportion(view.prior(tid), steps))
         groups.setdefault(key, []).append(tid)
 
     chosen_entry: dict[str, int] = {}

@@ -11,18 +11,17 @@ are the sparse operations the library needs, so it does not import
 ``indices``, ``indptr`` and ``shape``, so a scipy CSR matrix serves as well.
 
 A ``Session`` builds the HiGHS model of an ``ArrayLP`` once, through
-scipy's bundled binding: the one model and the options ``linprog`` would
-pass, without ``linprog``'s per-call wrapper, by rows (``A_ub``, then
-``A_eq``).  ``add_rows`` then appends "<=" rows, and each
-``solve(session)`` runs HiGHS again from the basis the previous run left;
-the separation loops of the menu solvers grow their LPs this way.
+scipy's bundled binding, the one solver path: the one model and the
+options ``linprog`` would pass, without ``linprog``'s per-call wrapper, by
+rows (``A_ub``, then ``A_eq``).  ``add_rows`` then appends "<=" rows, and
+each ``solve(session)`` runs HiGHS again from the basis the previous run
+left; the separation loops of the menu solvers grow their LPs this way.
 ``add_columns`` appends nonnegative zero-cost columns instead, and each run
 is the cold solve of the grown LP: the multi-buyer master grows this way.
-``solve(ArrayLP)`` is a fresh session that runs once.  Where the binding is
-missing, every run hands the LP so far to ``linprog``, cold.  The binding
-is loaded from its file, and ``linprog`` and the scipy CSR it takes are
-imported on its first call, so importing this module imports neither
-``scipy.optimize`` nor ``scipy.sparse``.  Solutions carry row duals in the
+``solve(ArrayLP)`` is a fresh session that runs once.  The binding is
+loaded from its file, so importing this module imports neither
+``scipy.optimize`` nor ``scipy.sparse``; a scipy whose binding lacks a name
+the session uses fails the import.  Solutions carry row duals in the
 sign convention of the *declared* objective sense
 (for a maximization problem the dual of a binding "<=" row is the
 nonnegative marginal revenue of its rhs); ``lagrangian_bound`` turns them
@@ -42,6 +41,8 @@ import numpy as np
 
 from .errors import NumericalFailure
 
+# The oldest scipy known to ship ``_CORE`` with every name of _BINDING_NAMES.
+SCIPY_FLOOR = "1.17"
 # linprog's check of an optimum's constraint residuals: sqrt(1e-9) * 10.
 _LINPROG_CHECK_TOL = np.sqrt(1e-9) * 10
 # What Session uses of scipy's bundled HiGHS binding.
@@ -64,7 +65,10 @@ def _load_core():
     folder comes from scipy's module spec, so scipy itself is not imported."""
     if _CORE in sys.modules:
         return sys.modules[_CORE]
-    folder = Path(importlib.util.find_spec("scipy").origin).parent / "optimize" / "_highspy"
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError(f"infomenu needs scipy>={SCIPY_FLOOR} for its HiGHS binding")
+    folder = Path(spec.origin).parent / "optimize" / "_highspy"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = folder / f"_core{suffix}"
         if not path.is_file():
@@ -83,24 +87,26 @@ def _load_core():
 
 
 def _binding():
-    """scipy's bundled HiGHS binding, or None where it lacks a name we use."""
-    try:
-        core = _load_core()
-        attrgetter(*_BINDING_NAMES)(core)
-    except (ImportError, AttributeError):
-        return None
+    """scipy's bundled HiGHS binding; ImportError where it lacks a name
+    ``Session`` uses."""
+    core = _load_core()
+    for name in _BINDING_NAMES:
+        try:
+            attrgetter(name)(core)
+        except AttributeError:
+            raise ImportError(f"{_CORE} has no {name}: infomenu needs scipy>={SCIPY_FLOOR}") from None
     return core
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call: only the
-    fallback without the binding runs it."""
+    """``scipy.optimize.linprog``, imported on the first call.  No solve
+    runs it; perfbench's ``lp.highs`` hook names it."""
     from scipy.optimize import linprog as scipy_linprog
     return scipy_linprog(*args, **kwargs)
 
 
 _highs = _binding()
-_INF = _highs.kHighsInf if _highs is not None else np.inf
+_INF = _highs.kHighsInf
 
 
 def _highs_inf(values) -> np.ndarray:
@@ -214,19 +220,18 @@ class Session:
     ``add_rows`` appends rows to the one HiGHS instance, and each
     ``solve(session)`` runs from the basis the previous run left.
     ``add_columns`` appends variables >= 0 of objective coefficient 0, and
-    the next run is the cold solve of ``array_lp()``: a fresh instance gets
+    the next run is the cold solve of the grown LP: a fresh instance gets
     the kept model, then every appended column.  A session grows one way,
-    not both.  The solution reads as that of ``array_lp()``, so its row
-    duals list the first ``A_ub`` rows, the appended rows, then the
-    equality rows.  A session replays the same calls for the same input, so
-    it returns the same vertex from run to run.  ``feasibility_tol`` sets
-    HiGHS's primal and dual feasibility tolerances (default 1e-7).
+    not both.  The row duals list the first ``A_ub`` rows, the appended
+    rows, then the equality rows, as ``array_lp()`` stacks them.  A session
+    replays the same calls for the same input, so it returns the same
+    vertex from run to run.  ``feasibility_tol`` sets HiGHS's primal and
+    dual feasibility tolerances (default 1e-7).
     """
 
     def __init__(self, lp: ArrayLP, feasibility_tol: float | None = None):
         self._first = lp
         self._added: list[tuple[CSR, np.ndarray]] = []
-        self._tol = feasibility_tol
         # The appended columns in CSC arrays, ready for HiGHS's addCols.
         self._col_start = self._col_index = np.zeros(0, dtype=np.int32)
         self._col_value = np.zeros(0)
@@ -238,9 +243,9 @@ class Session:
         self._row_upper = _highs_inf(np.concatenate((lp.b_ub, lp.b_eq)))
         self._row_lower = np.full(len(self._row_upper), -_INF)
         self._row_lower[n_ub:] = self._row_upper[n_ub:]
-        self._model = None if _highs is None else self._highs_model()
+        self._model = self._highs_model()
         # Built once: they cost more than a small run, and passOptions copies them.
-        self._options = None if _highs is None else _options(feasibility_tol)
+        self._options = _options(feasibility_tol)
         self._highs = None
 
     def n_variables(self) -> int:
@@ -251,23 +256,10 @@ class Session:
 
     def array_lp(self) -> ArrayLP:
         """The LP so far as one ``ArrayLP``: the first ``A_ub``, then the
-        appended rows; the first columns, then the appended ones."""
+        appended rows.  A session grown by columns has no such view."""
         lp = self._first
-        k = len(self._col_start)
-        if k:
-            n_ub, n = lp.A_ub.shape[0], len(lp.c) + k
-            lengths = np.diff(np.append(self._col_start, len(self._col_index)))
-            col = len(lp.c) + np.repeat(np.arange(k), lengths)
-            row, value = self._col_index, self._col_value
-
-            def widened(A, first_row):
-                # A's rows with the appended columns' entries on them.
-                on = (row >= first_row) & (row < first_row + A.shape[0])
-                return block_csr([(_row_of(A), A.indices, A.data, True),
-                                  (row - first_row, col, value, on)], (A.shape[0], n))
-
-            return ArrayLP(self._c, widened(lp.A_ub, 0), lp.b_ub, widened(lp.A_eq, n_ub), lp.b_eq,
-                           np.concatenate((lp.bounds, np.tile([0.0, np.inf], (k, 1)))), lp.sense)
+        if len(self._col_start):
+            raise ValueError("a session grown by columns has no ArrayLP view")
         if not self._added:
             return lp
         A_ub = vstack([lp.A_ub] + [A for A, _ in self._added])
@@ -282,16 +274,14 @@ class Session:
         self._added.append((A, b))
         self._row_upper = np.concatenate((self._row_upper, _highs_inf(b)))
         self._row_lower = np.concatenate((self._row_lower, np.full(len(b), -_INF)))
-        if self._model is None:
-            return
         self._instance().addRows(len(b), np.full(len(b), -_INF), _highs_inf(b), int(A.indptr[-1]),
                                  A.indptr[:-1].astype(np.int32), A.indices.astype(np.int32),
                                  A.data.astype(np.float64))
 
     def add_columns(self, data, indices, indptr) -> None:
         """Append the columns given in CSC arrays, their row ``indices``
-        counted over the rows of ``array_lp()``, as variables >= 0 of
-        objective coefficient 0; the next run is cold."""
+        counted over the first LP's rows (``A_ub``, then ``A_eq``), as
+        variables >= 0 of objective coefficient 0; the next run is cold."""
         if self._added:
             raise ValueError("a session grows by rows or by columns, not both")
         indices = np.asarray(indices, dtype=np.int32)
@@ -345,9 +335,9 @@ class Session:
         return highs
 
     def _run(self) -> LPSolution:
-        """One HiGHS run on the LP so far, read as ``linprog`` reads it."""
-        if self._model is None:
-            return _solve_linprog(self.array_lp(), self._tol)
+        """One HiGHS run on the LP so far, read as ``linprog`` reads it:
+        Infeasible (a model HiGHS rejects included) and Unbounded are
+        solutions, any other status but Optimal a NumericalFailure."""
         highs, lp, status = self._instance(), self._first, _highs.HighsModelStatus
         if self._model_error:
             model_status = status.kModelError
@@ -356,10 +346,12 @@ class Session:
             model_status = highs.getModelStatus()
         iterations = highs.getInfo().simplex_iteration_count
         if model_status != status.kOptimal:
-            # linprog's status codes for HiGHS's model statuses.
-            code = {status.kInfeasible: 2, status.kModelError: 2, status.kUnbounded: 3}
+            if model_status in (status.kInfeasible, status.kModelError):
+                return LPSolution("Infeasible", float("nan"), iterations=iterations)
+            if model_status == status.kUnbounded:
+                return LPSolution("Unbounded", -_sign(lp) * np.inf, iterations=iterations)
             message = highs.modelStatusToString(model_status)
-            return _not_optimal(code.get(model_status, 4), message, lp.sense, iterations)
+            raise NumericalFailure(f"LP backend stopped with status {message}")
 
         sol = highs.getSolution()
         x, rows = np.array(sol.col_value), np.array(sol.row_value)
@@ -401,39 +393,6 @@ def solve(lp: ArrayLP | Session) -> LPSolution:
     here.
     """
     return (lp if isinstance(lp, Session) else Session(lp))._run()
-
-
-def _solve_linprog(lp: ArrayLP, feasibility_tol: float | None) -> LPSolution:
-    """The LP through ``linprog``, which hands HiGHS the same model (the
-    matrices as scipy CSR, which only this fallback imports)."""
-    from scipy.sparse import csr_matrix
-
-    sign = _sign(lp)
-    kwargs = {}
-    for rows, A, b in (("ub", lp.A_ub, lp.b_ub), ("eq", lp.A_eq, lp.b_eq)):
-        if A.shape[0]:
-            kwargs[f"A_{rows}"] = csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
-            kwargs[f"b_{rows}"] = b
-    if feasibility_tol is not None:
-        kwargs["options"] = {"primal_feasibility_tolerance": feasibility_tol,
-                             "dual_feasibility_tolerance": feasibility_tol}
-    res = linprog(sign * lp.c, bounds=lp.bounds, method="highs", **kwargs)
-    if res.status != 0:
-        return _not_optimal(res.status, res.message, lp.sense, res.nit)
-    # linprog minimizes sign * c; its marginals are d(min-obj)/d(rhs).
-    duals = sign * np.concatenate((res.ineqlin.marginals, res.eqlin.marginals))
-    return LPSolution("Optimal", float(lp.c @ res.x), res.x, duals, res.nit)
-
-
-def _not_optimal(code: int, message: str, sense: str, iterations: int) -> LPSolution:
-    """The solution for linprog status 2 (infeasible) or 3 (unbounded);
-    any other status is a NumericalFailure."""
-    if code == 2:
-        return LPSolution("Infeasible", float("nan"), iterations=iterations)
-    if code == 3:
-        unbounded = float("inf") if sense == "max" else float("-inf")
-        return LPSolution("Unbounded", unbounded, iterations=iterations)
-    raise NumericalFailure(f"LP backend stopped with status {code}: {message}")
 
 
 def lagrangian_bound(lp: ArrayLP, row_duals: np.ndarray, box: np.ndarray) -> float:

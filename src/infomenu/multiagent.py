@@ -55,6 +55,9 @@ class MultiBuyer:
             raise InvalidInstance(f"buyer {self.id}: utilities must be finite")
         if np.any(self.utility < -PROB_TOL) or np.any(self.utility > 1 + PROB_TOL):
             raise InvalidInstance(f"buyer {self.id}: utilities must lie in [0, 1]")
+        ids = [t.id for t in self.types]
+        if len(set(ids)) != len(ids):
+            raise InvalidInstance(f"buyer {self.id}: duplicate type ids")
         total = sum(self.type_probs.get(t.id, -1.0) for t in self.types)
         if not np.isfinite(total) or abs(total - 1.0) > PROB_TOL:
             raise InvalidInstance(f"buyer {self.id}: type probabilities sum to {total}")
@@ -149,7 +152,7 @@ class MechanismBlueprint:
 
     def __post_init__(self):
         total = sum(w for w, _ in self.mixture)
-        if any(w < -1e-12 for w, _ in self.mixture) or abs(total - 1.0) > 1e-9:
+        if not all(w >= 0.0 for w, _ in self.mixture) or abs(total - 1.0) > 1e-9:
             raise InvalidInstance("mixture weights must be a distribution")
 
 

@@ -532,8 +532,11 @@ class OracleMarket:
     """
 
     def __init__(self, oracle: BROracle, types: list[BuyerType], type_probs: dict[str, float]):
+        ids = [t.id for t in types]
+        if len(set(ids)) != len(ids):
+            raise InvalidInstance("duplicate type ids")
         total = sum(type_probs.get(t.id, -1.0) for t in types)
-        if abs(total - 1.0) > 1e-9 or any(type_probs.get(t.id, -1.0) < -1e-9 for t in types):
+        if not abs(total - 1.0) <= 1e-9 or any(type_probs.get(t.id, -1.0) < -1e-9 for t in types):
             raise InvalidInstance("type probabilities must be nonnegative and sum to 1")
         self.oracle = oracle
         self.types = list(types)

@@ -198,6 +198,20 @@ def test_solve_multi_stdout_is_pinned(tmp_path, name):
     assert run_cli(["solve-multi", "--instance", str(path)]) == (EXIT_OK, SOLVE_MULTI_STDOUT[name])
 
 
+def test_duplicate_type_ids_exit_invalid(tmp_path):
+    types = [{"id": "t0", "prior": [0.9, 0.1], "prob": 0.5},
+             {"id": "t0", "prior": [0.1, 0.9], "prob": 0.5}]
+    multi = tmp_path / "multi.json"
+    multi.write_text(iomod.dumps({**TEST_SOLVE_MULTI_DOC, "buyers": [
+        {"id": "b0", "utility": [[1.0, 0.0], [0.0, 1.0]], "types": types}]}))
+    assert run_cli(["solve-multi", "--instance", str(multi)]) == (EXIT_INVALID, "")
+    graph, instance = tmp_path / "g.txt", tmp_path / "types.json"
+    graph.write_text("0 1 3\n0 1 1 3\n0 1 3 1\n")
+    instance.write_text(json.dumps({"types": types}))
+    assert run_cli(["solve-implicit", "--oracle", "traffic", "--graph", str(graph),
+                    "--instance", str(instance), "--epsilon", "0.1"]) == (EXIT_INVALID, "")
+
+
 def test_gen_traffic_and_respond(tmp_path):
     out = tmp_path / "g.txt"
     code, text = run_cli(["gen-traffic", "--nodes", "5", "--edges", "8", "--out", str(out)])

@@ -12,6 +12,7 @@ from infomenu import (
     Environment,
     Experiment,
     GridTooLarge,
+    InvalidInstance,
     Menu,
     PairingMismatch,
     audit_menu,
@@ -208,6 +209,13 @@ def test_build_action_sets_rejects_four_states():
     oracle = MatrixOracle(np.full((4, 2), 0.5))
     with pytest.raises(GridTooLarge):
         build_action_sets(oracle, [BuyerType("t0", [0.25, 0.25, 0.25, 0.25])], 0.05)
+
+
+def test_solve_implicit_rejects_duplicate_type_ids():
+    # The menu would assign one id for two types of different priors.
+    types = [BuyerType("t0", np.array([0.9, 0.1])), BuyerType("t0", np.array([0.1, 0.9]))]
+    with pytest.raises(InvalidInstance, match="duplicate type ids"):
+        solve_implicit(MatrixOracle(np.eye(2)), types, {"t0": 0.5}, 0.1)
 
 
 def test_simplex_lattice_counts():
@@ -620,7 +628,7 @@ THREE_ROUND_U = np.array([[0.5, 0.9, 1.0], [0.9, 0.7, 0.3]])
 THREE_ROUND_PRIORS = [("t0", [0.6, 0.4]), ("t1", [0.35, 0.65]), ("t2", [0.95, 0.05])]
 
 
-def test_fallback_without_the_binding_gives_the_same_menus(monkeypatch):
+def test_warm_session_gives_the_cold_menus(monkeypatch):
     u = THREE_ROUND_U
     env = Environment.build(range(2), range(3), u, THREE_ROUND_PRIORS)
     real_solve = lpmod.solve
@@ -649,29 +657,17 @@ def test_fallback_without_the_binding_gives_the_same_menus(monkeypatch):
 
     # The cold reference: every run a fresh HiGHS solve of the rows so far.
     cold, _ = outputs(lambda lp: real_solve(lp.array_lp() if isinstance(lp, lpmod.Session) else lp))
-    direct, _ = outputs(real_solve)
-    calls = []
-    real_linprog = lpmod.linprog
-    monkeypatch.setattr(lpmod, "_highs", None)
-    monkeypatch.setattr(lpmod, "linprog",
-                        lambda *a, **kw: calls.append(1) or real_linprog(*a, **kw))
-    fallback, (implicit_runs, explicit_runs) = outputs(real_solve)
-    # Without the binding every run is cold, so the fallback repeats the cold
-    # reference in full, separation rounds and iteration counts included.
-    assert fallback == cold
-    assert fallback[0][2:4] == (3, 71)
+    assert cold[0][2:4] == (3, 71)
     # The warm session passes through other optimal vertices on the way to
     # the same menus: 3 rounds and 27 iterations on this market.
-    assert menus(direct) == menus(fallback)
+    direct, (implicit_runs, explicit_runs) = outputs(real_solve)
+    assert menus(direct) == menus(cold)
     assert direct[0][2:4] == (3, 27)
-    # Every run went through linprog once: each separation round of
-    # solve_implicit, then each lazy round of solve_explicit.  Prices come
-    # from shortest paths, so no other LP runs.
-    rounds = fallback[0][2]
-    assert implicit_runs == [True] * rounds
-    lazy_rounds = len(explicit_runs)
-    assert explicit_runs == [True] * lazy_rounds and lazy_rounds >= 1
-    assert len(calls) == rounds + lazy_rounds
+    # Every run is a menu LP: each separation round of solve_implicit, then
+    # each lazy round of solve_explicit.  Prices come from shortest paths,
+    # so no other LP runs.
+    assert implicit_runs == [True] * direct[0][2]
+    assert explicit_runs == [True] * len(explicit_runs) and explicit_runs
 
 
 def test_implicit_and_explicit_start_from_the_same_lp(monkeypatch):

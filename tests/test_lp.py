@@ -1,7 +1,8 @@
-"""The array form of an LP, the HiGHS row session, its linprog fallback,
-duals and the dual bound."""
+"""The array form of an LP, the HiGHS row and column sessions, the binding
+they need, duals and the dual bound."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 import infomenu
 from infomenu import lp as lpmod
 from infomenu.lp import ArrayLP, solve
-from named_lp import as_scipy
+from named_lp import as_scipy, with_columns
 
 
 def array_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=(), bounds=None, sense="max") -> ArrayLP:
@@ -97,36 +99,39 @@ def random_array_lp(rng) -> ArrayLP:
                    A_eq, np.zeros(n_eq), bounds, "max")
 
 
-def test_direct_rowwise_call_matches_linprog_bit_for_bit(monkeypatch):
+def test_direct_rowwise_call_matches_linprog_bit_for_bit():
     rng = np.random.default_rng(11)
     for _ in range(40):
         lp = random_array_lp(rng)
         direct = solve(lp)
-        with monkeypatch.context() as m:
-            m.setattr(lpmod, "_highs", None)
-            fallback = solve(lp)
-        assert direct.status == fallback.status == "Optimal"
-        assert direct.x.tobytes() == fallback.x.tobytes()
-        assert direct.row_duals.tobytes() == fallback.row_duals.tobytes()
-        assert direct.objective_value == fallback.objective_value
-        assert direct.iterations == fallback.iterations
+        # linprog minimizes -c; its marginals are d(min-obj)/d(rhs).
+        res = linprog(-lp.c, A_ub=as_scipy(lp.A_ub), b_ub=lp.b_ub, A_eq=as_scipy(lp.A_eq),
+                      b_eq=lp.b_eq, bounds=lp.bounds, method="highs")
+        assert direct.status == "Optimal" and res.status == 0
+        assert direct.x.tobytes() == res.x.tobytes()
+        duals = -np.concatenate((res.ineqlin.marginals, res.eqlin.marginals))
+        assert direct.row_duals.tobytes() == duals.tobytes()
+        assert direct.objective_value == float(lp.c @ res.x)
+        assert direct.iterations == res.nit
 
 
-def test_array_lp_reports_infeasible_and_unbounded_on_both_paths(monkeypatch):
+def test_array_lp_reports_infeasible_and_unbounded():
     free = [(-np.inf, np.inf)]
     infeasible = array_lp([1.0], [[-1.0], [1.0]], [-2.0, 1.0], bounds=free)
-    unbounded = array_lp([1.0, 0.0], [[1.0, -1.0]], [1.0], bounds=free + [(0.0, np.inf)])
-    for binding in (lpmod._highs, None):
-        monkeypatch.setattr(lpmod, "_highs", binding)
-        assert solve(infeasible).status == "Infeasible"
+    assert solve(infeasible).status == "Infeasible"
+    assert solve(lpmod.Session(infeasible)).status == "Infeasible"
+    for sense, objective in (("max", np.inf), ("min", -np.inf)):
+        unbounded = array_lp([1.0 if sense == "max" else -1.0, 0.0], [[1.0, -1.0]], [1.0],
+                             bounds=free + [(0.0, np.inf)], sense=sense)
         sol = solve(unbounded)
-        assert (sol.status, sol.objective_value) == ("Unbounded", np.inf)
+        assert (sol.status, sol.objective_value) == ("Unbounded", objective)
 
 
 def test_binding_check_needs_every_name_used(monkeypatch):
-    assert lpmod._binding() is not None
+    assert lpmod._binding() is lpmod._highs
     monkeypatch.setattr(lpmod, "_BINDING_NAMES", lpmod._BINDING_NAMES + ("_Highs.noSuchMethod",))
-    assert lpmod._binding() is None
+    with pytest.raises(ImportError, match=r"_Highs\.noSuchMethod"):
+        lpmod._binding()
 
 
 def test_iterations_are_reported():
@@ -154,30 +159,28 @@ def test_one_run_session_is_the_one_shot_solve():
         assert once.iterations == session.iterations
 
 
-def test_appended_rows_join_the_warm_run(monkeypatch):
+def test_appended_rows_join_the_warm_run():
     rng = np.random.default_rng(17)
-    for binding in (lpmod._highs, None):
-        monkeypatch.setattr(lpmod, "_highs", binding)
-        for _ in range(20):
-            lp = random_array_lp(rng)
-            session = lpmod.Session(lp)
-            first = solve(session)
-            # Cut off the first optimum: the rows a @ x <= a @ x* - 0.1.
-            A = sp.random(2, lp.n_variables(), density=0.8, random_state=rng, format="csr")
-            b = A @ first.x - 0.1
-            session.add_rows(A, b)
-            assert session.n_constraints() == lp.n_constraints() + 2
-            cold = solve(stacked(lp, A, b))
-            warm = solve(session)
-            assert warm.status == cold.status
-            if cold.status != "Optimal":
-                continue
-            assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
-            grown = session.array_lp()
-            assert max_violation(grown, warm.x) <= 1e-7
-            # Duals follow array_lp's row order: they price the objective.
-            assert lpmod.lagrangian_bound(grown, warm.row_duals, grown.bounds) == pytest.approx(
-                warm.objective_value, abs=1e-7)
+    for _ in range(40):
+        lp = random_array_lp(rng)
+        session = lpmod.Session(lp)
+        first = solve(session)
+        # Cut off the first optimum: the rows a @ x <= a @ x* - 0.1.
+        A = sp.random(2, lp.n_variables(), density=0.8, random_state=rng, format="csr")
+        b = A @ first.x - 0.1
+        session.add_rows(A, b)
+        assert session.n_constraints() == lp.n_constraints() + 2
+        cold = solve(stacked(lp, A, b))
+        warm = solve(session)
+        assert warm.status == cold.status
+        if cold.status != "Optimal":
+            continue
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+        grown = session.array_lp()
+        assert max_violation(grown, warm.x) <= 1e-7
+        # Duals follow array_lp's row order: they price the objective.
+        assert lpmod.lagrangian_bound(grown, warm.row_duals, grown.bounds) == pytest.approx(
+            warm.objective_value, abs=1e-7)
 
 
 def test_session_replays_the_same_vertex():
@@ -207,41 +210,39 @@ def test_lagrangian_bound_bounds_the_optimum_from_any_duals():
     assert lpmod.lagrangian_bound(lp, np.array([-1.0, -1.0]), lp.bounds) == 2.0
 
 
-def test_tight_tolerances_reach_the_fallback(monkeypatch):
-    seen = []
-    real_linprog = lpmod.linprog
-    monkeypatch.setattr(lpmod, "_highs", None)
-    monkeypatch.setattr(lpmod, "linprog",
-                        lambda *a, **kw: seen.append(kw.get("options")) or real_linprog(*a, **kw))
-    sol = solve(lpmod.Session(simple_max(), feasibility_tol=1e-10))
-    assert sol.objective_value == pytest.approx(1.0)
-    assert seen == [{"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}]
+def test_tight_tolerances_reach_highs():
+    for tol, expected in ((1e-10, 1e-10), (None, 1e-7)):
+        session = lpmod.Session(simple_max(), feasibility_tol=tol)
+        assert solve(session).objective_value == pytest.approx(1.0)
+        options = session._instance().getOptions()
+        assert options.primal_feasibility_tolerance == options.dual_feasibility_tolerance == expected
 
 
-def test_appended_columns_give_the_cold_solve(monkeypatch):
+def test_appended_columns_give_the_cold_solve():
     rng = np.random.default_rng(29)
-    for binding in (lpmod._highs, None):
-        monkeypatch.setattr(lpmod, "_highs", binding)
-        for _ in range(20):
-            lp = random_array_lp(rng)
-            session = lpmod.Session(lp)
-            runs = [solve(session)]
-            for k in rng.integers(1, 4, size=2):
-                cols = sp.random(lp.n_constraints(), int(k), density=0.7, random_state=rng,
-                                 format="csc", data_rvs=lambda size: rng.normal(size=size))
-                session.add_columns(cols.data, cols.indices, cols.indptr)
-                runs.append(solve(session))
-            grown = session.array_lp()
-            assert session.n_variables() == grown.n_variables() == len(runs[-1].x)
-            assert not grown.c[lp.n_variables():].any()
-            cold = solve(grown)
-            assert runs[-1].status == cold.status == "Optimal"
-            assert runs[-1].x.tobytes() == cold.x.tobytes()
-            assert runs[-1].row_duals.tobytes() == cold.row_duals.tobytes()
-            assert runs[-1].objective_value == cold.objective_value
-            assert runs[-1].iterations == cold.iterations
-            assert max_violation(grown, runs[-1].x) <= 1e-7
-            assert runs[-1].objective_value >= runs[0].objective_value - 1e-9
+    for _ in range(40):
+        lp = random_array_lp(rng)
+        session = lpmod.Session(lp)
+        runs, added = [solve(session)], []
+        for k in rng.integers(1, 4, size=2):
+            cols = sp.random(lp.n_constraints(), int(k), density=0.7, random_state=rng,
+                             format="csc", data_rvs=lambda size: rng.normal(size=size))
+            session.add_columns(cols.data, cols.indices, cols.indptr)
+            added.append(cols)
+            runs.append(solve(session))
+        grown = with_columns(lp, sp.hstack(added, format="csc"))
+        assert session.n_variables() == grown.n_variables() == len(runs[-1].x)
+        cold = solve(grown)
+        assert runs[-1].status == cold.status == "Optimal"
+        assert runs[-1].x.tobytes() == cold.x.tobytes()
+        assert runs[-1].row_duals.tobytes() == cold.row_duals.tobytes()
+        assert runs[-1].objective_value == cold.objective_value
+        assert runs[-1].iterations == cold.iterations
+        assert max_violation(grown, runs[-1].x) <= 1e-7
+        assert runs[-1].objective_value >= runs[0].objective_value - 1e-9
+        # A column session has no ArrayLP view: its columns live in HiGHS only.
+        with pytest.raises(ValueError):
+            session.array_lp()
 
 
 def test_a_session_grows_by_rows_or_by_columns():
@@ -351,13 +352,15 @@ def test_lagrangian_bound_is_the_same_on_scipy_and_numpy_csr():
         assert lpmod.lagrangian_bound(ours, y, box) == lpmod.lagrangian_bound(lp, y, box)
 
 
-def run_python(code: str) -> None:
-    """Run ``code`` in a fresh interpreter that imports this infomenu."""
+def run_python(code: str, ok: bool = True) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this infomenu;
+    check that it exits 0, or with ``ok=False`` that it fails."""
     src = str(Path(infomenu.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    assert (done.returncode == 0) == ok, done.stderr
+    return done
 
 
 def test_import_loads_the_binding_without_scipy_optimize():
@@ -396,3 +399,26 @@ from infomenu import lp
 assert "scipy.optimize" in sys.modules
 assert lp._highs is sys.modules["scipy.optimize._highspy._core"]
 """)
+
+
+@pytest.mark.parametrize("missing, setup", [
+    ("kHighsInf", """
+import sys, types
+from scipy.optimize._highspy import _core
+stub = types.ModuleType(_core.__name__)
+stub.__dict__.update({k: v for k, v in vars(_core).items() if k != "kHighsInf"})
+sys.modules[_core.__name__] = stub
+"""),
+    ("scipy", """
+import importlib.util
+real = importlib.util.find_spec
+importlib.util.find_spec = lambda name, *a: None if name == "scipy" else real(name, *a)
+"""),
+], ids=["binding-name", "scipy"])
+def test_import_fails_without_the_binding(missing, setup):
+    error = run_python(setup + "import infomenu\n", ok=False).stderr.strip().splitlines()[-1]
+    assert error.startswith("ImportError") and missing in error
+    # The error names the scipy floor pyproject.toml declares.
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    floor = re.search(r'"scipy>=([0-9.]+)"', pyproject).group(1)
+    assert f"scipy>={floor}" in error

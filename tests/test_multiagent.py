@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,9 +30,9 @@ from infomenu import (
 )
 from infomenu.audit import matching_environment
 from infomenu.explicit import CLEANUP_TOL
-from infomenu.io import blueprint_to_json
+from infomenu.io import blueprint_from_json, blueprint_to_json
 from infomenu.multiagent import MechanismBlueprint, _Coords, _initial_weight_sets
-from named_lp import EQ, GE, LE, NamedLP, assert_same_arrays
+from named_lp import EQ, GE, LE, NamedLP, assert_same_arrays, with_columns
 
 import multi_reference as ref
 
@@ -488,12 +489,26 @@ def test_master_arrays_match_named_reference(shape, monkeypatch):
     rng = np.random.default_rng([len(type_counts), *type_counts, n, m])
     env = random_multi(rng, type_counts, n, m, zero_utility)
     coords = _Coords(env)
-    masters, reduced = [], []
+    masters, reduced, first, added = [], [], [], []
     real_solve, real_rvpm = lpmod.solve, multiagent.rvpm
-    # The master of each round as its session holds it at the call; then
-    # the decomposition LP.
+    real_init, real_add = lpmod.Session.__init__, lpmod.Session.add_columns
+
+    def init(session, lp, feasibility_tol=None):
+        first.append(lp)
+        real_init(session, lp, feasibility_tol)
+
+    def add_columns(session, data, indices, indptr):
+        added.append(sp.csc_matrix((data, indices, indptr),
+                                   shape=(session.n_constraints(), len(indptr) - 1)))
+        real_add(session, data, indices, indptr)
+
+    # The master of each round, its first LP with the columns its session
+    # got so far; then the decomposition LP.
+    monkeypatch.setattr(lpmod.Session, "__init__", init)
+    monkeypatch.setattr(lpmod.Session, "add_columns", add_columns)
     monkeypatch.setattr(lpmod, "solve", lambda prog: masters.append(
-        prog.array_lp() if isinstance(prog, lpmod.Session) else prog) or real_solve(prog))
+        with_columns(first[-1], sp.hstack(added, format="csc"))
+        if isinstance(prog, lpmod.Session) else prog) or real_solve(prog))
 
     def rvpm(*args):
         reduced.append(real_rvpm(*args))
@@ -514,24 +529,6 @@ def test_master_arrays_match_named_reference(shape, monkeypatch):
     vectors += reduced[n_start:-1]
     assert_same_arrays(masters[result.pricing_rounds - 1],
                        named_master_lp(env, vectors).compile()[0])
-
-
-def test_fallback_without_the_binding_gives_the_same_mechanism(monkeypatch):
-    env = random_multi(np.random.default_rng(83), (2, 2), 2, 2, False)
-    direct = solve_reduced_lp(env)
-    calls = []
-    real_linprog = lpmod.linprog
-    monkeypatch.setattr(lpmod, "_highs", None)
-    monkeypatch.setattr(lpmod, "linprog", lambda *a, **k: calls.append(1) or real_linprog(*a, **k))
-    fallback = solve_reduced_lp(env)
-    # Every master round and the decomposition LP went through linprog.
-    assert len(calls) == fallback.pricing_rounds + 1
-    assert repr(fallback.revenue) == repr(direct.revenue)
-    assert fallback.pricing_rounds == direct.pricing_rounds
-    assert blueprint_to_json(env, fallback.blueprint, fallback.reduced_form) == blueprint_to_json(
-        env, direct.blueprint, direct.reduced_form
-    )
-    assert fallback.master_iterations == direct.master_iterations
 
 
 def test_master_iterations_are_deterministic():
@@ -939,6 +936,26 @@ def test_vpm_weights_of_the_wrong_shape_are_invalid():
         run_mechanism(bp, env, {"b0": "t0"}, seed=0)
     with pytest.raises(InvalidInstance):
         simulate_interim(bp, env, 10, seed=0)
+
+
+def test_duplicate_type_ids_are_invalid():
+    # Two types of one id would share one (buyer, type) slot of the reduced form.
+    types = [BuyerType("t0", [0.9, 0.1]), BuyerType("t0", [0.1, 0.9])]
+    with pytest.raises(InvalidInstance, match="duplicate type ids"):
+        MultiBuyer("b0", np.eye(2), types, {"t0": 0.5})
+
+
+def test_negative_mixture_weights_are_invalid():
+    # Within 1e-9 of a distribution, but a replay cannot draw a negative weight.
+    env = one_buyer([[0.5, 0.5]])
+    mixture = [(1.0 + 1e-13, identity_weights(env, 0)), (-1e-13, VPMWeights({}))]
+    with pytest.raises(InvalidInstance, match="mixture weights"):
+        MechanismBlueprint(mixture, {("b0", "t0"): 0.0})
+    doc = blueprint_to_json(env, MechanismBlueprint([(0.5, VPMWeights({}))] * 2,
+                                                    {("b0", "t0"): 0.0}))
+    doc["mixture"][0]["weight"], doc["mixture"][1]["weight"] = 1.0 + 1e-13, -1e-13
+    with pytest.raises(InvalidInstance, match="mixture weights"):
+        blueprint_from_json(doc)
 
 
 def test_replay_refuses_cells_beyond_an_int64_index():

@@ -324,6 +324,20 @@ def test_market_value_accepts_experiment_dust():
     assert market.value("t0", ex) == pytest.approx(0.5005, abs=1e-9)
 
 
+def test_market_rejects_duplicate_type_ids():
+    # Two types of one id would share one probability and one menu assignment.
+    types = [BuyerType("t0", np.array([0.9, 0.1])), BuyerType("t0", np.array([0.1, 0.9]))]
+    with pytest.raises(InvalidInstance, match="duplicate type ids"):
+        OracleMarket(MatrixOracle(np.eye(2)), types, {"t0": 0.5})
+
+
+def test_market_rejects_nan_type_probabilities():
+    # A NaN probability would reach the menu LP's objective, where HiGHS never stops.
+    types = [BuyerType("t0", np.array([0.9, 0.1])), BuyerType("t1", np.array([0.2, 0.8]))]
+    with pytest.raises(InvalidInstance, match="type probabilities"):
+        OracleMarket(MatrixOracle(np.eye(2)), types, {"t0": float("nan"), "t1": 1.0})
+
+
 def test_sat_utility_of_cached_and_uncached_agree():
     rng = np.random.default_rng(13)
     for _ in range(5):
