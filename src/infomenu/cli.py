@@ -123,13 +123,7 @@ def cmd_solve_implicit(args) -> int:
         if not args.instance:
             raise InvalidInstance("--oracle traffic needs --instance")
         types, probs = _load_types(args.instance)
-    result = solve_implicit(
-        oracle,
-        types,
-        probs,
-        args.epsilon,
-        grid_cap=args.grid_cap,
-    )
+    result = solve_implicit(oracle, types, probs, args.epsilon)
     menu_doc = iomod.menu_to_json(result.menu)
     if args.out:
         _write(args.out, iomod.dumps(menu_doc))
@@ -241,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph")
     p.add_argument("--cnf")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--grid-cap", type=int, default=10**7, dest="grid_cap")
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve_implicit)
 

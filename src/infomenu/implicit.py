@@ -188,9 +188,9 @@ def _bucket_count_bound(n_states: int, epsilon: float) -> int:
     )
 
 
-def schedule_delta(n_states: int, epsilon: float, grid_cap: int = DEFAULT_GRID_CAP) -> float:
+def schedule_delta(n_states: int, epsilon: float) -> float:
     """Grid step: epsilon divided by the merge-bucket bound, clamped so the
-    full column grid fits under ``grid_cap``.
+    full column grid fits under ``DEFAULT_GRID_CAP``.
 
     The clamp is admissible while delta stays below epsilon/(2*n_states):
     querying best responses on a posterior net of that resolution loses at
@@ -202,14 +202,14 @@ def schedule_delta(n_states: int, epsilon: float, grid_cap: int = DEFAULT_GRID_C
         raise InvalidInstance("epsilon must lie in (0, 1)")
     buckets = _bucket_count_bound(n_states, epsilon)
     steps = math.ceil(buckets / epsilon)
-    if (steps + 1) ** n_states <= grid_cap:
+    if (steps + 1) ** n_states <= DEFAULT_GRID_CAP:
         return 1.0 / steps
-    capped = int(grid_cap ** (1.0 / n_states))
-    while (capped + 1) ** n_states > grid_cap:
+    capped = int(DEFAULT_GRID_CAP ** (1.0 / n_states))
+    while (capped + 1) ** n_states > DEFAULT_GRID_CAP:
         capped -= 1
     if capped < 1 or 1.0 / capped > epsilon / (2.0 * n_states):
         raise GridTooLarge(
-            f"grid needs {(steps + 1) ** n_states} columns, cap is {grid_cap}"
+            f"grid needs {(steps + 1) ** n_states} columns, cap is {DEFAULT_GRID_CAP}"
         )
     log.info(
         "signal grid clamped: schedule step 1/%d exceeds cap, using 1/%d", steps, capped
@@ -306,7 +306,6 @@ def build_action_sets(
     types: list[BuyerType],
     epsilon: float,
     *,
-    grid_cap: int = DEFAULT_GRID_CAP,
     delta: float | None = None,
 ) -> tuple[ActionSets, SignalGrid]:
     """Discover the actions each type could best-respond with.
@@ -327,10 +326,10 @@ def build_action_sets(
         if len(t.prior) != n_states:
             raise InvalidInstance("types disagree on the state count")
     if delta is None:
-        delta = schedule_delta(n_states, epsilon, grid_cap)
+        delta = schedule_delta(n_states, epsilon)
     grid = SignalGrid(delta, n_states)
-    if grid.n_columns > grid_cap:
-        raise GridTooLarge(f"{grid.n_columns} grid columns exceed cap {grid_cap}")
+    if grid.n_columns > DEFAULT_GRID_CAP:
+        raise GridTooLarge(f"{grid.n_columns} grid columns exceed cap {DEFAULT_GRID_CAP}")
 
     groups: dict[tuple, list[int]] = {}
     for i, bt in enumerate(types):
@@ -370,8 +369,6 @@ def solve_implicit(
     types: list[BuyerType],
     type_probs: dict[str, float],
     epsilon: float,
-    *,
-    grid_cap: int = DEFAULT_GRID_CAP,
 ) -> ImplicitResult:
     """Oracle-driven menu optimization within epsilon-ish of optimal.
 
@@ -387,7 +384,7 @@ def solve_implicit(
     the usual case).
     """
     market = OracleMarket(oracle, types, type_probs)
-    action_sets, grid = build_action_sets(oracle, types, epsilon, grid_cap=grid_cap)
+    action_sets, grid = build_action_sets(oracle, types, epsilon)
     k, n = len(types), grid.n_states
     layout = MenuLayout([t.prior for t in types], [action_sets.size(t.id) for t in types])
     tokens = [tok for t in types for tok in action_sets.actions[t.id]]       # per signal

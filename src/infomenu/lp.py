@@ -1,5 +1,5 @@
 """Linear programs in the array form handed to HiGHS, and the session that
-grows one by rows or by columns.
+grows one by rows.
 
 ``ArrayLP`` is the one form: an objective vector, CSR inequality rows
 ``A_ub x <= b_ub``, CSR equality rows ``A_eq x == b_eq`` and per-variable
@@ -10,15 +10,14 @@ are the sparse operations the library needs, so it does not import
 ``scipy.sparse``.  The LP code reads a matrix only through ``data``,
 ``indices``, ``indptr`` and ``shape``, so a scipy CSR matrix serves as well.
 
-A ``Session`` builds the HiGHS model of an ``ArrayLP`` once, through
-scipy's bundled binding, the one solver path: the one model and the
-options ``linprog`` would pass, without ``linprog``'s per-call wrapper, by
-rows (``A_ub``, then ``A_eq``).  ``add_rows`` then appends "<=" rows, and
+A ``Session`` hands an ``ArrayLP`` to one HiGHS instance of scipy's
+bundled binding, the one solver path: the LP and the options ``linprog``
+would pass, without ``linprog``'s per-call wrapper, as arrays by rows
+(``A_ub``, then ``A_eq``).  ``add_rows`` then appends "<=" rows, and
 each ``solve(session)`` runs HiGHS again from the basis the previous run
 left; the separation loops of the menu solvers grow their LPs this way.
-``add_columns`` appends nonnegative zero-cost columns instead, and each run
-is the cold solve of the grown LP: the multi-buyer master grows this way.
-``solve(ArrayLP)`` is a fresh session that runs once.  The binding is
+``solve(ArrayLP)`` is a fresh session that runs once; the multi-buyer
+master is solved so, one ``ArrayLP`` per pricing round.  The binding is
 loaded from its file, so importing this module imports neither
 ``scipy.optimize`` nor ``scipy.sparse``; a scipy whose binding lacks a name
 the session uses fails the import.  Solutions carry row duals in the
@@ -30,6 +29,7 @@ into an upper bound on a maximization's optimum.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import sys
@@ -47,10 +47,11 @@ SCIPY_FLOOR = "1.17"
 _LINPROG_CHECK_TOL = np.sqrt(1e-9) * 10
 # What Session uses of scipy's bundled HiGHS binding.
 _BINDING_NAMES = (
-    "HighsLp", "HighsOptions", "HighsStatus.kError", "HighsModelStatus.kOptimal",
-    "HighsDebugLevel.kHighsDebugLevelNone", "MatrixFormat.kRowwise", "kHighsInf",
+    "HighsOptions", "HighsStatus.kError", "HighsModelStatus.kOptimal",
+    "HighsModelStatus.kInfeasible", "HighsModelStatus.kModelError", "HighsModelStatus.kUnbounded",
+    "HighsDebugLevel.kHighsDebugLevelNone", "MatrixFormat.kRowwise", "ObjSense.kMinimize", "kHighsInf",
     "simplex_constants.SimplexStrategy.kSimplexStrategyDual", "_Highs.passOptions",
-    "_Highs.passModel", "_Highs.addRows", "_Highs.addCols", "_Highs.run", "_Highs.getModelStatus",
+    "_Highs.passModel", "_Highs.addRows", "_Highs.run", "_Highs.getModelStatus",
     "_Highs.getInfo", "_Highs.getSolution", "_Highs.modelStatusToString",
 )
 
@@ -107,6 +108,7 @@ def linprog(*args, **kwargs):
 
 _highs = _binding()
 _INF = _highs.kHighsInf
+_ROWWISE, _MINIMIZE = int(_highs.MatrixFormat.kRowwise), int(_highs.ObjSense.kMinimize)
 
 
 def _highs_inf(values) -> np.ndarray:
@@ -215,51 +217,54 @@ class LPSolution:
 
 
 class Session:
-    """An ``ArrayLP`` held by HiGHS, grown by "<=" rows or by columns.
+    """An ``ArrayLP`` held by one HiGHS instance, grown by "<=" rows.
 
-    ``add_rows`` appends rows to the one HiGHS instance, and each
-    ``solve(session)`` runs from the basis the previous run left.
-    ``add_columns`` appends variables >= 0 of objective coefficient 0, and
-    the next run is the cold solve of the grown LP: a fresh instance gets
-    the kept model, then every appended column.  A session grows one way,
-    not both.  The row duals list the first ``A_ub`` rows, the appended
-    rows, then the equality rows, as ``array_lp()`` stacks them.  A session
-    replays the same calls for the same input, so it returns the same
-    vertex from run to run.  ``feasibility_tol`` sets HiGHS's primal and
-    dual feasibility tolerances (default 1e-7).
+    The instance gets ``linprog``'s options and the model in ``__init__``;
+    ``add_rows`` appends rows to it, and each ``solve(session)`` runs from
+    the basis the previous run left.  The row duals list the first ``A_ub``
+    rows, the appended rows, then the equality rows, as ``array_lp()``
+    stacks them.  A session replays the same calls for the same input, so
+    it returns the same vertex from run to run.  ``feasibility_tol`` sets
+    HiGHS's primal and dual feasibility tolerances (default 1e-7).  An
+    objective or matrix entry that is not finite, or a NaN right-hand side
+    or bound, raises ``NumericalFailure``: HiGHS would read it as a status.
     """
 
     def __init__(self, lp: ArrayLP, feasibility_tol: float | None = None):
+        _check_values({"c": lp.c, "A_ub": lp.A_ub.data, "A_eq": lp.A_eq.data},
+                      {"b_ub": lp.b_ub, "b_eq": lp.b_eq, "bounds": lp.bounds})
         self._first = lp
         self._added: list[tuple[CSR, np.ndarray]] = []
-        # The appended columns in CSC arrays, ready for HiGHS's addCols.
-        self._col_start = self._col_index = np.zeros(0, dtype=np.int32)
-        self._col_value = np.zeros(0)
-        # Objective and bounds of every column, bounds of every row (in
-        # HiGHS's order: the first A_ub, its A_eq, then the appended rows).
-        self._c = lp.c
+        # Bounds of every column and of every row (in HiGHS's order: the
+        # first A_ub, its A_eq, then the appended rows).
         self._col_lower, self._col_upper = _highs_inf(lp.bounds[:, 0]), _highs_inf(lp.bounds[:, 1])
         n_ub = lp.A_ub.shape[0]
         self._row_upper = _highs_inf(np.concatenate((lp.b_ub, lp.b_eq)))
         self._row_lower = np.full(len(self._row_upper), -_INF)
         self._row_lower[n_ub:] = self._row_upper[n_ub:]
-        self._model = self._highs_model()
-        # Built once: they cost more than a small run, and passOptions copies them.
-        self._options = _options(feasibility_tol)
-        self._highs = None
+        # The LP linprog would pass, as arrays: by rows (A_ub then A_eq),
+        # minimized.  The binding reads one integrality entry per column, so
+        # every column is passed as continuous.
+        ub, eq = lp.A_ub, lp.A_eq
+        self._solver = _highs._Highs()
+        self._solver.passOptions(_options(feasibility_tol))
+        self._model_error = self._solver.passModel(
+            len(lp.c), len(self._row_upper), ub.nnz + eq.nnz, _ROWWISE, _MINIMIZE, 0.0,
+            _sign(lp) * lp.c, self._col_lower, self._col_upper, self._row_lower, self._row_upper,
+            np.concatenate((ub.indptr[:-1], eq.indptr[:-1] + ub.nnz)),
+            np.concatenate((ub.indices, eq.indices)), np.concatenate((ub.data, eq.data)),
+            np.zeros(len(lp.c), np.int32)) == _highs.HighsStatus.kError
 
     def n_variables(self) -> int:
-        return len(self._c)
+        return len(self._first.c)
 
     def n_constraints(self) -> int:
         return len(self._row_upper)
 
     def array_lp(self) -> ArrayLP:
         """The LP so far as one ``ArrayLP``: the first ``A_ub``, then the
-        appended rows.  A session grown by columns has no such view."""
+        appended rows."""
         lp = self._first
-        if len(self._col_start):
-            raise ValueError("a session grown by columns has no ArrayLP view")
         if not self._added:
             return lp
         A_ub = vstack([lp.A_ub] + [A for A, _ in self._added])
@@ -269,76 +274,19 @@ class Session:
     def add_rows(self, A: CSR, b: np.ndarray) -> None:
         """Append the rows ``A @ x <= b``; the next run starts from the
         current basis with the new rows basic."""
-        if len(self._col_start):
-            raise ValueError("a session grows by rows or by columns, not both")
+        _check_values({"A": A.data}, {"b": b})
         self._added.append((A, b))
         self._row_upper = np.concatenate((self._row_upper, _highs_inf(b)))
         self._row_lower = np.concatenate((self._row_lower, np.full(len(b), -_INF)))
-        self._instance().addRows(len(b), np.full(len(b), -_INF), _highs_inf(b), int(A.indptr[-1]),
-                                 A.indptr[:-1].astype(np.int32), A.indices.astype(np.int32),
-                                 A.data.astype(np.float64))
-
-    def add_columns(self, data, indices, indptr) -> None:
-        """Append the columns given in CSC arrays, their row ``indices``
-        counted over the first LP's rows (``A_ub``, then ``A_eq``), as
-        variables >= 0 of objective coefficient 0; the next run is cold."""
-        if self._added:
-            raise ValueError("a session grows by rows or by columns, not both")
-        indices = np.asarray(indices, dtype=np.int32)
-        if np.any((indices < 0) | (indices >= self.n_constraints())):
-            raise ValueError(f"a column entry off the {self.n_constraints()} rows of the LP")
-        k = len(indptr) - 1
-        starts = np.asarray(indptr[:-1]) + len(self._col_index)
-        self._col_start = np.concatenate((self._col_start, starts.astype(np.int32)))
-        self._col_index = np.concatenate((self._col_index, indices))
-        self._col_value = np.concatenate((self._col_value, np.asarray(data, dtype=np.float64)))
-        self._c = np.concatenate((self._c, np.zeros(k)))
-        self._col_lower = np.concatenate((self._col_lower, np.zeros(k)))
-        self._col_upper = np.concatenate((self._col_upper, np.full(k, _INF)))
-        self._highs = None
-
-    def _highs_model(self):
-        """The first LP as ``linprog`` would pass it: the rows it stacks
-        (``A_ub`` then ``A_eq``, infinities as HiGHS's)."""
-        lp = self._first
-        ub, eq = lp.A_ub, lp.A_eq
-        model = _highs.HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = len(lp.c)
-        model.num_row_ = model.a_matrix_.num_row_ = len(self._row_upper)
-        model.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
-        model.col_cost_ = (_sign(lp) * lp.c).tolist()
-        model.col_lower_, model.col_upper_ = self._col_lower.tolist(), self._col_upper.tolist()
-        model.row_lower_, model.row_upper_ = self._row_lower.tolist(), self._row_upper.tolist()
-        model.a_matrix_.start_ = np.concatenate((ub.indptr, eq.indptr[1:] + ub.indptr[-1])).tolist()
-        model.a_matrix_.index_ = np.concatenate((ub.indices, eq.indices)).tolist()
-        model.a_matrix_.value_ = np.concatenate((ub.data, eq.data)).tolist()
-        return model
-
-    def _instance(self):
-        """The HiGHS instance of the session, made when first needed: a
-        fresh ``_Highs`` with ``linprog``'s options, the kept model and the
-        appended columns.
-
-        A fresh instance matters: a reused one keeps solver state from the
-        previous model, and the vertex HiGHS returns may change.
-        """
-        if self._highs is not None:
-            return self._highs
-        highs = self._highs = _highs._Highs()
-        highs.passOptions(self._options)
-        self._model_error = highs.passModel(self._model) == _highs.HighsStatus.kError
-        k = len(self._col_start)
-        if k and not self._model_error:
-            highs.addCols(k, np.full(k, _sign(self._first) * 0.0), self._col_lower[-k:],
-                          self._col_upper[-k:], len(self._col_index), self._col_start,
-                          self._col_index, self._col_value)
-        return highs
+        self._solver.addRows(len(b), np.full(len(b), -_INF), _highs_inf(b), int(A.indptr[-1]),
+                             A.indptr[:-1].astype(np.int32), A.indices.astype(np.int32),
+                             A.data.astype(np.float64))
 
     def _run(self) -> LPSolution:
         """One HiGHS run on the LP so far, read as ``linprog`` reads it:
         Infeasible (a model HiGHS rejects included) and Unbounded are
         solutions, any other status but Optimal a NumericalFailure."""
-        highs, lp, status = self._instance(), self._first, _highs.HighsModelStatus
+        highs, lp, status = self._solver, self._first, _highs.HighsModelStatus
         if self._model_error:
             model_status = status.kModelError
         else:
@@ -364,11 +312,23 @@ class Session:
         n_ub, n_eq = lp.A_ub.shape[0], lp.A_eq.shape[0]
         if self._added:
             duals = np.concatenate((duals[:n_ub], duals[n_ub + n_eq:], duals[n_ub:n_ub + n_eq]))
-        return LPSolution("Optimal", float(np.dot(self._c, x)), x, duals, iterations)
+        return LPSolution("Optimal", float(np.dot(lp.c, x)), x, duals, iterations)
 
 
+def _check_values(finite: dict, not_nan: dict) -> None:
+    """``NumericalFailure`` naming each field HiGHS cannot take: one of
+    ``finite`` with an entry that is not finite, or one of ``not_nan`` with a
+    NaN (an infinite right-hand side or bound leaves it open)."""
+    bad = [f"a non-finite {name}" for name, v in finite.items() if not np.isfinite(v).all()]
+    bad += [f"a NaN in {name}" for name, v in not_nan.items() if np.isnan(v).any()]
+    if bad:
+        raise NumericalFailure(f"LP has {', '.join(bad)}")
+
+
+@functools.cache
 def _options(feasibility_tol: float | None):
-    """``linprog``'s HiGHS options."""
+    """``linprog``'s HiGHS options, built once per tolerance: they cost more
+    than a small run, and ``passOptions`` copies them."""
     options = _highs.HighsOptions()
     options.presolve = "on"
     options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual

@@ -18,8 +18,9 @@ Per buyer, the interim LP is the single-buyer menu LP over its types
 (``explicit.menu_lp``) with one more column per type, its win probability
 p: the type keeps its outside option with chance 1 - p, and its experiment
 sends mass p.  Both LPs here start from these blocks side by side: the
-column-generation master ties them to the VPM vertices, and the ex-post
-reference ``brute_force_multi`` ties them to per-profile allocations.
+column-generation master ties them to the VPM vertices found so far (one
+``ArrayLP`` per pricing round), and the ex-post reference
+``brute_force_multi`` ties them to per-profile allocations.
 """
 
 from __future__ import annotations
@@ -361,21 +362,39 @@ def _buyer_blocks(env: MultiEnvironment) -> tuple[lpmod.ArrayLP, np.ndarray]:
     return lp, np.vstack(slots)
 
 
-def _master_lp(env: MultiEnvironment) -> tuple[lpmod.ArrayLP, np.ndarray]:
-    """The column-generation master before any vertex column, and the
-    columns of each slot (``_buyer_blocks``).
+def _master_lp(blocks: lpmod.ArrayLP, slots: np.ndarray,
+               vertices: list[np.ndarray]) -> lpmod.ArrayLP:
+    """The column-generation master over the VPM ``vertices``.
 
-    It is ``_buyer_blocks``'s LP with more equality rows: couple per
-    coordinate (slot, w, j), pi[slot, w, j] = sum_k lam[k] vertex_k, in
-    ``_Coords`` order, then convex, sum_k lam[k] = 1.  The vertex weights
-    lam[k] are the columns that pricing appends.
+    It is ``_buyer_blocks``'s LP (``blocks``, with the columns ``slots`` of
+    each slot) with one more column per vertex, its weight lam[k] >= 0, and
+    more equality rows: couple per coordinate (slot, w, j), pi[slot, w, j] =
+    sum_k lam[k] vertex_k, in ``_Coords`` order, then convex, sum_k lam[k]
+    = 1.  The lam columns follow every block column, so each couple row,
+    its pi column then its nonzero lam columns, is already sorted.
     """
-    blocks, slots = _buyer_blocks(env)
-    dim = slots[:, :-2].size
-    couple = lpmod.block_csr([(np.arange(dim), slots[:, :-2].ravel(), 1.0, True)],
-                             (dim + 1, len(blocks.c)))
-    return replace(blocks, A_eq=lpmod.vstack([blocks.A_eq, couple]),
-                   b_eq=np.concatenate((blocks.b_eq, np.zeros(dim), [1.0]))), slots
+    pi = slots[:, :-2].ravel()
+    dim, k, first = len(pi), len(vertices), len(blocks.c)
+    n_cols = first + k
+    # Couple row c: 1 at pi[c], then -vertex_k[c] at lam[k]; convex: 1 at
+    # each lam[k].  Zeros are left out.
+    values = np.zeros((dim + 1, k + 1))
+    values[:dim, 0] = 1.0
+    values[:dim, 1:] = -np.reshape(vertices, (k, dim)).T
+    values[dim, 1:] = 1.0
+    cols = np.empty((dim + 1, k + 1), np.int32)
+    cols[:dim, 0] = pi
+    cols[:, 1:] = np.arange(first, n_cols)
+    keep = values != 0.0
+    eq = blocks.A_eq
+    A_eq = lpmod.CSR(np.concatenate((eq.data, values[keep])), np.concatenate((eq.indices, cols[keep])),
+                     np.concatenate((eq.indptr, eq.nnz + np.cumsum(keep.sum(axis=1), dtype=np.int32))),
+                     (eq.shape[0] + dim + 1, n_cols))
+    return lpmod.ArrayLP(
+        np.concatenate((blocks.c, np.zeros(k))),
+        replace(blocks.A_ub, shape=(blocks.A_ub.shape[0], n_cols)), blocks.b_ub, A_eq,
+        np.concatenate((blocks.b_eq, np.zeros(dim), [1.0])),
+        np.concatenate((blocks.bounds, np.tile([0.0, np.inf], (k, 1)))), "max")
 
 
 def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
@@ -383,17 +402,17 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
 
     The master couples the interim matrices to a convex combination of VPM
     reduced forms; pricing asks the VPM optimizer for the vertex maximizing
-    the coupling duals and stops when no vertex improves.  The final mixture
-    is re-expressed over at most dim+1 vertices and verified to reproduce
-    the optimal reduced form coordinate-wise.
+    the coupling duals and stops when no vertex improves.  Each round solves
+    the master over the vertices so far as one fresh ``ArrayLP``
+    (``_master_lp``), a cold solve.  The final mixture is re-expressed over
+    at most dim+1 vertices and verified to reproduce the optimal reduced
+    form coordinate-wise.
     """
     coords = _Coords(env)
     n, m = env.n_states, env.n_actions
-    n_slots = len(coords.slots)
-    fixed, slots = _master_lp(env)
-    session = lpmod.Session(fixed)
-    # Session rows: the fixed block's A_ub rows, then the row sums, couple, convex.
-    couple = fixed.A_ub.shape[0] + n_slots * n
+    blocks, slots = _buyer_blocks(env)
+    # Master rows: the blocks' A_ub rows and row sums, then couple, convex.
+    couple = blocks.n_constraints()
     convex = couple + coords.dim
 
     vertices: list[np.ndarray] = []
@@ -407,10 +426,6 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
         seen.add(key)
         vertices.append(vec)
         vertex_weights.append(wts)
-        # Its column lam[k]: -vec on the couple rows and 1 on the convex row.
-        nz = np.flatnonzero(vec)
-        session.add_columns(np.append(-vec[nz], 1.0), np.append(couple + nz, convex),
-                            [0, len(nz) + 1])
         return True
 
     for wts in _initial_weight_sets(env, coords):
@@ -421,7 +436,7 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
         rounds += 1
         if rounds > MAX_PRICING_ROUNDS:
             raise NonConvergence(f"pricing did not settle in {MAX_PRICING_ROUNDS} rounds")
-        sol = lpmod.solve(session)
+        sol = lpmod.solve(_master_lp(blocks, slots, vertices))
         iterations += sol.iterations
         if sol.status != "Optimal":
             raise NumericalFailure(f"reduced-form master LP is {sol.status}")

@@ -3,11 +3,12 @@ multi-buyer fast path.
 
 The library replays a blueprint from a table of (component, type profile)
 cell counts, reads the VPM values and recommended signals from one table
-per component, and grows the column-generation master in one HiGHS column
-session.  The references here do the same work the direct way: one scaled
-weight matrix per (buyer, type) looked up when needed, one boolean mask per
-(buyer, type) over all draws, and one fresh ``ArrayLP`` per pricing round
-rebuilt from CSC pieces.  The tests require byte-equal outputs.
+per component, and writes each round's column-generation master straight
+as CSR (``_master_lp``).  The references here do the same work the direct
+way: one scaled weight matrix per (buyer, type) looked up when needed, one
+boolean mask per (buyer, type) over all draws, and one fresh ``ArrayLP``
+per pricing round rebuilt from CSC pieces with ``scipy.sparse``.  The tests
+require byte-equal outputs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from infomenu.multiagent import (
     MultiEnvironment,
     ReducedForm,
     VPMWeights,
+    _buyer_blocks,
     _caratheodory,
     _Coords,
     _initial_weight_sets,
@@ -129,7 +131,8 @@ def solve_reduced_lp(env: MultiEnvironment):
     coords = _Coords(env)
     n, m = env.n_states, env.n_actions
     n_slots = len(coords.slots)
-    fixed, slots = _master_lp(env)
+    blocks, slots = _buyer_blocks(env)
+    fixed = _master_lp(blocks, slots, [])
     ub = fixed.A_ub
     n_ub = ub.shape[0]
     couple = n_slots * n

@@ -109,17 +109,6 @@ def as_scipy(A) -> sp.csr_matrix:
     return sp.csr_matrix((A.data.copy(), A.indices.copy(), A.indptr.copy()), shape=A.shape)
 
 
-def with_columns(lp: ArrayLP, cols) -> ArrayLP:
-    """``lp`` with the columns of the scipy matrix ``cols`` (rows over
-    ``A_ub``, then ``A_eq``) appended as variables >= 0 of cost 0."""
-    n_ub, k = lp.A_ub.shape[0], cols.shape[1]
-    cols = sp.csr_matrix(cols)
-    return ArrayLP(np.concatenate((lp.c, np.zeros(k))),
-                   sp.hstack([as_scipy(lp.A_ub), cols[:n_ub]], format="csr"), lp.b_ub,
-                   sp.hstack([as_scipy(lp.A_eq), cols[n_ub:]], format="csr"), lp.b_eq,
-                   np.concatenate((lp.bounds, np.tile([0.0, np.inf], (k, 1)))), lp.sense)
-
-
 def canonical(A) -> sp.csr_matrix:
     A = as_scipy(A)
     A.eliminate_zeros()

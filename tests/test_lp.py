@@ -1,6 +1,7 @@
-"""The array form of an LP, the HiGHS row and column sessions, the binding
-they need, duals and the dual bound."""
+"""The array form of an LP, the HiGHS row session, the binding it needs,
+its input checks, duals and the dual bound."""
 
+import ast
 import os
 import re
 import subprocess
@@ -14,8 +15,9 @@ from scipy.optimize import linprog
 
 import infomenu
 from infomenu import lp as lpmod
+from infomenu.errors import NumericalFailure
 from infomenu.lp import ArrayLP, solve
-from named_lp import as_scipy, with_columns
+from named_lp import as_scipy
 
 
 def array_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=(), bounds=None, sense="max") -> ArrayLP:
@@ -134,6 +136,79 @@ def test_binding_check_needs_every_name_used(monkeypatch):
         lpmod._binding()
 
 
+def lp_binding_reads() -> set[str]:
+    """The binding attributes lp.py reads, as dotted names from the binding:
+    chains from the module-level ``_highs``, ``HighsModelStatus`` members
+    through the local ``status``, and ``_Highs`` methods through a
+    session's ``_solver`` or the local ``highs``."""
+    tree = ast.parse(Path(lpmod.__file__).read_text())
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    roots = {"_highs": "", "status": "HighsModelStatus.", "highs": "_Highs.", "self._solver": "_Highs."}
+    reads = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            continue
+        chain = ".".join([node.id, *reversed(parts)])
+        for root, prefix in roots.items():
+            if chain.startswith(root + "."):
+                reads.add(prefix + chain[len(root) + 1:])
+    return reads
+
+
+def test_binding_names_are_what_lp_reads():
+    reads = lp_binding_reads()
+    assert "HighsModelStatus.kInfeasible" in reads and "_Highs.addRows" in reads
+    listed = set(lpmod._BINDING_NAMES)
+    # A class or enum read on its way to a listed member is covered by it.
+    unlisted = {name for name in reads - listed
+                if not any(full.startswith(name + ".") for full in listed)}
+    assert not unlisted, f"lp reads binding names not in _BINDING_NAMES: {sorted(unlisted)}"
+    assert not listed - reads, f"_BINDING_NAMES lists names lp never reads: {sorted(listed - reads)}"
+
+
+def one_column_lp(**fields) -> ArrayLP:
+    """max x subject to x <= 1 on [0, 2], with ``fields`` replaced."""
+    lp = array_lp([1.0], [[1.0]], [1.0], bounds=[(0.0, 2.0)])
+    for name, value in fields.items():
+        setattr(lp, name, np.array(value, dtype=float))
+    return lp
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c", [np.nan]), ("c", [np.inf]), ("b_ub", [np.nan]), ("bounds", [[np.nan, 2.0]]),
+    ("bounds", [[0.0, np.nan]]),
+])
+def test_a_nan_or_infinite_value_is_a_numerical_failure(field, value):
+    with pytest.raises(NumericalFailure, match=rf"\b{field}\b"):
+        solve(one_column_lp(**{field: value}))
+
+
+def test_a_nonfinite_matrix_entry_is_a_numerical_failure():
+    lp = one_column_lp()
+    lp.A_ub = sp.csr_matrix([[np.nan]])
+    with pytest.raises(NumericalFailure, match=r"\bA_ub\b"):
+        solve(lp)
+    session = lpmod.Session(one_column_lp())
+    for A, b, field in (([[np.inf]], [1.0], "A"), ([[1.0]], [np.nan], "b")):
+        with pytest.raises(NumericalFailure, match=rf"\b{field}\b"):
+            session.add_rows(sp.csr_matrix(A), np.array(b))
+    assert session.n_constraints() == 1
+
+
+def test_infinite_rhs_and_bounds_stay_open():
+    open_lp = one_column_lp(b_ub=[np.inf], bounds=[[-np.inf, 2.0]])
+    assert solve(open_lp).objective_value == 2.0
+    session = lpmod.Session(one_column_lp())
+    session.add_rows(sp.csr_matrix([[1.0]]), np.array([np.inf]))
+    assert solve(session).objective_value == 1.0
+
+
 def test_iterations_are_reported():
     rng = np.random.default_rng(3)
     for lp in (random_array_lp(rng) for _ in range(2)):
@@ -214,48 +289,8 @@ def test_tight_tolerances_reach_highs():
     for tol, expected in ((1e-10, 1e-10), (None, 1e-7)):
         session = lpmod.Session(simple_max(), feasibility_tol=tol)
         assert solve(session).objective_value == pytest.approx(1.0)
-        options = session._instance().getOptions()
+        options = session._solver.getOptions()
         assert options.primal_feasibility_tolerance == options.dual_feasibility_tolerance == expected
-
-
-def test_appended_columns_give_the_cold_solve():
-    rng = np.random.default_rng(29)
-    for _ in range(40):
-        lp = random_array_lp(rng)
-        session = lpmod.Session(lp)
-        runs, added = [solve(session)], []
-        for k in rng.integers(1, 4, size=2):
-            cols = sp.random(lp.n_constraints(), int(k), density=0.7, random_state=rng,
-                             format="csc", data_rvs=lambda size: rng.normal(size=size))
-            session.add_columns(cols.data, cols.indices, cols.indptr)
-            added.append(cols)
-            runs.append(solve(session))
-        grown = with_columns(lp, sp.hstack(added, format="csc"))
-        assert session.n_variables() == grown.n_variables() == len(runs[-1].x)
-        cold = solve(grown)
-        assert runs[-1].status == cold.status == "Optimal"
-        assert runs[-1].x.tobytes() == cold.x.tobytes()
-        assert runs[-1].row_duals.tobytes() == cold.row_duals.tobytes()
-        assert runs[-1].objective_value == cold.objective_value
-        assert runs[-1].iterations == cold.iterations
-        assert max_violation(grown, runs[-1].x) <= 1e-7
-        assert runs[-1].objective_value >= runs[0].objective_value - 1e-9
-        # A column session has no ArrayLP view: its columns live in HiGHS only.
-        with pytest.raises(ValueError):
-            session.array_lp()
-
-
-def test_a_session_grows_by_rows_or_by_columns():
-    lp = simple_max()
-    by_rows, by_cols = lpmod.Session(lp), lpmod.Session(lp)
-    by_rows.add_rows(sp.csr_matrix(np.ones((1, lp.n_variables()))), np.ones(1))
-    with pytest.raises(ValueError):
-        by_rows.add_columns(np.ones(by_rows.n_constraints()),
-                            np.arange(by_rows.n_constraints()), [0, by_rows.n_constraints()])
-    by_cols.add_columns(np.ones(lp.n_constraints()), np.arange(lp.n_constraints()),
-                        [0, lp.n_constraints()])
-    with pytest.raises(ValueError):
-        by_cols.add_rows(sp.csr_matrix(np.ones((1, by_cols.n_variables()))), np.ones(1))
 
 
 def assert_same_csr(ours, ref) -> None:

@@ -4,7 +4,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,8 +30,8 @@ from infomenu import (
 from infomenu.audit import matching_environment
 from infomenu.explicit import CLEANUP_TOL
 from infomenu.io import blueprint_from_json, blueprint_to_json
-from infomenu.multiagent import MechanismBlueprint, _Coords, _initial_weight_sets
-from named_lp import EQ, GE, LE, NamedLP, assert_same_arrays, with_columns
+from infomenu.multiagent import MechanismBlueprint, _Coords, _initial_weight_sets, _master_lp
+from named_lp import EQ, GE, LE, NamedLP, as_scipy, assert_same_arrays
 
 import multi_reference as ref
 
@@ -489,31 +488,15 @@ def test_master_arrays_match_named_reference(shape, monkeypatch):
     rng = np.random.default_rng([len(type_counts), *type_counts, n, m])
     env = random_multi(rng, type_counts, n, m, zero_utility)
     coords = _Coords(env)
-    masters, reduced, first, added = [], [], [], []
+    masters, reduced = [], []
     real_solve, real_rvpm = lpmod.solve, multiagent.rvpm
-    real_init, real_add = lpmod.Session.__init__, lpmod.Session.add_columns
-
-    def init(session, lp, feasibility_tol=None):
-        first.append(lp)
-        real_init(session, lp, feasibility_tol)
-
-    def add_columns(session, data, indices, indptr):
-        added.append(sp.csc_matrix((data, indices, indptr),
-                                   shape=(session.n_constraints(), len(indptr) - 1)))
-        real_add(session, data, indices, indptr)
-
-    # The master of each round, its first LP with the columns its session
-    # got so far; then the decomposition LP.
-    monkeypatch.setattr(lpmod.Session, "__init__", init)
-    monkeypatch.setattr(lpmod.Session, "add_columns", add_columns)
-    monkeypatch.setattr(lpmod, "solve", lambda prog: masters.append(
-        with_columns(first[-1], sp.hstack(added, format="csc"))
-        if isinstance(prog, lpmod.Session) else prog) or real_solve(prog))
 
     def rvpm(*args):
         reduced.append(real_rvpm(*args))
         return reduced[-1]
 
+    # The master of each round, then the decomposition LP.
+    monkeypatch.setattr(lpmod, "solve", lambda prog: masters.append(prog) or real_solve(prog))
     monkeypatch.setattr(multiagent, "rvpm", rvpm)
     result = solve_reduced_lp(env)
     # rvpm runs once per starting vertex and once per round; the last
@@ -525,10 +508,20 @@ def test_master_arrays_match_named_reference(shape, monkeypatch):
         if np.round(vec, 12).tobytes() not in keys:
             keys.add(np.round(vec, 12).tobytes())
             vectors.append(vec)
-    assert_same_arrays(masters[0], named_master_lp(env, vectors).compile()[0])
-    vectors += reduced[n_start:-1]
-    assert_same_arrays(masters[result.pricing_rounds - 1],
-                       named_master_lp(env, vectors).compile()[0])
+    blocks, slots = multiagent._buyer_blocks(env)
+    for rounds in (1, result.pricing_rounds):
+        master = _master_lp(blocks, slots, vectors)
+        assert_same_arrays(master, named_master_lp(env, vectors).compile()[0])
+        solved = masters[rounds - 1]
+        for A, B in ((master.A_ub, solved.A_ub), (master.A_eq, solved.A_eq)):
+            # Written straight as canonical CSR (sorted rows, one entry per
+            # position), and handed to HiGHS as built.
+            canon = as_scipy(A)
+            canon.sum_duplicates()
+            for attr in ("data", "indices", "indptr"):
+                assert getattr(A, attr).tobytes() == getattr(canon, attr).tobytes()
+                assert getattr(A, attr).tobytes() == getattr(B, attr).tobytes()
+        vectors += reduced[n_start:-1]
 
 
 def test_master_iterations_are_deterministic():
