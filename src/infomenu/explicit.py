@@ -168,12 +168,13 @@ def separate(session: lpmod.Session, layout: MenuLayout, best,
         session.add_rows(layout.deviation_rows(group[new], payoff[new]), np.full(len(new), -0.0))
 
 
-def _explicit_parts(env: Environment):
-    """The layout of an explicit market (every type has every action),
-    ``utils[t, j]``, the payoffs of action j to type t over states, the base
-    utilities and the type probabilities."""
+def _explicit_parts(env: Environment, alloc: bool = False):
+    """The layout of an explicit market (every type has every action; with
+    ``alloc``, a win probability per type), ``utils[t, j]``, the payoffs of
+    action j to type t over states, the base utilities and the type
+    probabilities."""
     utils = np.array([env.utility[bt.id].T for bt in env.types])       # (k, m, n)
-    layout = MenuLayout([bt.prior for bt in env.types], [env.n_actions] * len(env.types))
+    layout = MenuLayout([bt.prior for bt in env.types], [env.n_actions] * len(env.types), alloc)
     base = np.array([base_utility(env, bt.id) for bt in env.types])
     return layout, utils, base, np.array([env.prob(bt.id) for bt in env.types])
 
@@ -308,12 +309,14 @@ def extract_menu(types, pis, values_of, base: np.ndarray, small_prices,
                 assignment={bt.id: t for t, bt in enumerate(types)})
 
 
-def value_matrix(env: Environment, experiments: list[Experiment]) -> np.ndarray:
-    """``values[t, t2] = experiment_value(env, t, experiments[t2])``, from one
-    product per type.  It is a stacked ``matmul``: each experiment meets the
-    same BLAS call as in ``experiment_value``, so the values agree bit for
-    bit, and the audit sees exactly the numbers the prices were set on."""
-    stacked = np.stack([ex.matrix for ex in experiments])                # (k, n, m)
+def value_matrix(env: Environment, matrices) -> np.ndarray:
+    """``values[t, t2]``, type t's value of the signaling matrix
+    ``matrices[t2]`` (``experiment_value`` of its ``Experiment``; rows may
+    sum to any mass), from one product per type.  It is a stacked
+    ``matmul``: each matrix meets the same BLAS call as in
+    ``experiment_value``, so the values agree bit for bit, and the audit
+    sees exactly the numbers the prices were set on."""
+    stacked = np.stack(matrices)                                         # (k, n, m)
     return np.array([
         ((stacked * bt.prior[:, None]).transpose(0, 2, 1) @ env.utility[bt.id])
         .max(axis=2).sum(axis=1)
@@ -359,7 +362,7 @@ def solve_explicit(env: Environment) -> tuple[Menu, float, AuditReport]:
         session = lpmod.Session(start, tol)
         sol, _, _ = separate(session, layout, best, set((group * m + a).tolist()))
         menu = extract_menu(env.types, [layout.pi(sol.x, t) for t in range(k)],
-                            lambda exs: value_matrix(env, exs), audit_base,
+                            lambda exs: value_matrix(env, [ex.matrix for ex in exs]), audit_base,
                             lambda p: np.where(np.abs(p) < CLEANUP_TOL, 0.0, p),
                             (keep, env.n_actions))
         revenue = float(probs @ menu.prices)

@@ -49,7 +49,7 @@ _LINPROG_CHECK_TOL = np.sqrt(1e-9) * 10
 _BINDING_NAMES = (
     "HighsOptions", "HighsStatus.kError", "HighsModelStatus.kOptimal",
     "HighsModelStatus.kInfeasible", "HighsModelStatus.kModelError", "HighsModelStatus.kUnbounded",
-    "HighsDebugLevel.kHighsDebugLevelNone", "MatrixFormat.kRowwise", "ObjSense.kMinimize", "kHighsInf",
+    "HighsDebugLevel.kHighsDebugLevelNone", "MatrixFormat.kRowwise", "ObjSense.kMinimize",
     "simplex_constants.SimplexStrategy.kSimplexStrategyDual", "_Highs.passOptions",
     "_Highs.passModel", "_Highs.addRows", "_Highs.run", "_Highs.getModelStatus",
     "_Highs.getInfo", "_Highs.getSolution", "_Highs.modelStatusToString",
@@ -89,13 +89,17 @@ def _load_core():
 
 def _binding():
     """scipy's bundled HiGHS binding; ImportError where it lacks a name
-    ``Session`` uses."""
+    ``Session`` uses or its ``kHighsInf`` is not ``inf`` (``Session`` passes
+    infinite bounds as they are)."""
     core = _load_core()
     for name in _BINDING_NAMES:
         try:
             attrgetter(name)(core)
         except AttributeError:
             raise ImportError(f"{_CORE} has no {name}: infomenu needs scipy>={SCIPY_FLOOR}") from None
+    inf = getattr(core, "kHighsInf", None)
+    if inf != np.inf:
+        raise ImportError(f"{_CORE}.kHighsInf is {inf}, not inf: infomenu needs scipy>={SCIPY_FLOOR}")
     return core
 
 
@@ -107,13 +111,7 @@ def linprog(*args, **kwargs):
 
 
 _highs = _binding()
-_INF = _highs.kHighsInf
 _ROWWISE, _MINIMIZE = int(_highs.MatrixFormat.kRowwise), int(_highs.ObjSense.kMinimize)
-
-
-def _highs_inf(values) -> np.ndarray:
-    """``values`` with infinities as HiGHS's infinity, as linprog passes them."""
-    return np.clip(values, -_INF, _INF)
 
 
 @dataclass
@@ -237,10 +235,10 @@ class Session:
         self._added: list[tuple[CSR, np.ndarray]] = []
         # Bounds of every column and of every row (in HiGHS's order: the
         # first A_ub, its A_eq, then the appended rows).
-        self._col_lower, self._col_upper = _highs_inf(lp.bounds[:, 0]), _highs_inf(lp.bounds[:, 1])
+        self._col_lower, self._col_upper = lp.bounds.T
         n_ub = lp.A_ub.shape[0]
-        self._row_upper = _highs_inf(np.concatenate((lp.b_ub, lp.b_eq)))
-        self._row_lower = np.full(len(self._row_upper), -_INF)
+        self._row_upper = np.concatenate((lp.b_ub, lp.b_eq))
+        self._row_lower = np.full(len(self._row_upper), -np.inf)
         self._row_lower[n_ub:] = self._row_upper[n_ub:]
         # The LP linprog would pass, as arrays: by rows (A_ub then A_eq),
         # minimized.  The binding reads one integrality entry per column, so
@@ -276,9 +274,9 @@ class Session:
         current basis with the new rows basic."""
         _check_values({"A": A.data}, {"b": b})
         self._added.append((A, b))
-        self._row_upper = np.concatenate((self._row_upper, _highs_inf(b)))
-        self._row_lower = np.concatenate((self._row_lower, np.full(len(b), -_INF)))
-        self._solver.addRows(len(b), np.full(len(b), -_INF), _highs_inf(b), int(A.indptr[-1]),
+        self._row_upper = np.concatenate((self._row_upper, b))
+        self._row_lower = np.concatenate((self._row_lower, np.full(len(b), -np.inf)))
+        self._solver.addRows(len(b), np.full(len(b), -np.inf), b, int(A.indptr[-1]),
                              A.indptr[:-1].astype(np.int32), A.indices.astype(np.int32),
                              A.data.astype(np.float64))
 

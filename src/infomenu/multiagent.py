@@ -20,7 +20,9 @@ p: the type keeps its outside option with chance 1 - p, and its experiment
 sends mass p.  Both LPs here start from these blocks side by side: the
 column-generation master ties them to the VPM vertices found so far (one
 ``ArrayLP`` per pricing round), and the ex-post reference
-``brute_force_multi`` ties them to per-profile allocations.
+``brute_force_multi`` ties them to per-profile allocations.  Each buyer
+holds its single-buyer market (``MultiBuyer.market``), which checks the
+buyer's inputs and gives its block, base utilities and audit values.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import lp as lpmod
 from .errors import InvalidInstance, NonConvergence, NumericalFailure, TooLarge
-from .explicit import CLEANUP_TOL, MenuLayout, full_menu_lp
-from .market import BuyerType, Experiment, PROB_TOL
+from .explicit import CLEANUP_TOL, _explicit_parts, full_menu_lp, value_matrix
+from .market import BuyerType, Environment, Experiment, base_utility
 
 DECOMP_TOL = 1e-6
 MAX_PROFILES = 256               # brute_force_multi's largest type-profile count
@@ -45,28 +47,31 @@ PRICING_TOL = 1e-8
 
 @dataclass(eq=False)
 class MultiBuyer:
+    """One buyer: its single-buyer market (``market``) over the state and
+    action indices checks its utility, types and type probabilities."""
+
     id: str
     utility: np.ndarray                  # (n_states, n_actions)
     types: list[BuyerType]
     type_probs: dict[str, float]
+    market: Environment = field(init=False, repr=False)
 
     def __post_init__(self):
         self.utility = np.asarray(self.utility, dtype=float)
-        if not np.isfinite(self.utility).all():
-            raise InvalidInstance(f"buyer {self.id}: utilities must be finite")
-        if np.any(self.utility < -PROB_TOL) or np.any(self.utility > 1 + PROB_TOL):
-            raise InvalidInstance(f"buyer {self.id}: utilities must lie in [0, 1]")
-        ids = [t.id for t in self.types]
-        if len(set(ids)) != len(ids):
-            raise InvalidInstance(f"buyer {self.id}: duplicate type ids")
-        total = sum(self.type_probs.get(t.id, -1.0) for t in self.types)
-        if not np.isfinite(total) or abs(total - 1.0) > PROB_TOL:
-            raise InvalidInstance(f"buyer {self.id}: type probabilities sum to {total}")
+        if self.utility.ndim != 2:
+            raise InvalidInstance(f"buyer {self.id}: utility must be a matrix")
         for t in self.types:
             if self.type_probs.get(t.id, 0.0) <= 0.0:
                 raise InvalidInstance(
                     f"buyer {self.id}: type {t.id} needs positive probability"
                 )
+        n, m = self.utility.shape
+        try:
+            self.market = Environment(list(range(n)), list(range(m)),
+                                      {t.id: self.utility for t in self.types},
+                                      self.types, self.type_probs)
+        except InvalidInstance as exc:
+            raise InvalidInstance(f"buyer {self.id}: {exc}") from None
 
 
 @dataclass(eq=False)
@@ -87,9 +92,6 @@ class MultiEnvironment:
         for b in self.buyers:
             if b.utility.shape != (n, m):
                 raise InvalidInstance(f"buyer {b.id}: utility matrix is not {n}x{m}")
-            for t in b.types:
-                if t.prior.shape != (n,):
-                    raise InvalidInstance(f"buyer {b.id} type {t.id}: bad prior length")
 
     @property
     def n_states(self) -> int:
@@ -102,15 +104,6 @@ class MultiEnvironment:
     def slots(self) -> list[tuple[int, int]]:
         """All (buyer index, type index) pairs, buyer-major."""
         return [(i, s) for i, b in enumerate(self.buyers) for s in range(len(b.types))]
-
-    def base_utilities(self) -> list[np.ndarray]:
-        """Per buyer: best prior-only payoff of each type."""
-        out = []
-        for b in self.buyers:
-            out.append(
-                np.array([(t.prior @ b.utility).max() for t in b.types])
-            )
-        return out
 
     def prob(self, i: int, s: int) -> float:
         b = self.buyers[i]
@@ -162,64 +155,47 @@ def _slot_starts(env: MultiEnvironment) -> np.ndarray:
     return np.array([0, *itertools.accumulate(len(b.types) for b in env.buyers[:-1])])
 
 
-def _vpm_table(env: MultiEnvironment, weights: VPMWeights,
-               pairs: list[tuple[MultiBuyer, BuyerType]] | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """The VPM scheme ``weights`` at each (buyer, type) of ``pairs`` (by
-    default every slot): its value (over the states, the sum of its largest
-    weight over the type's probability) and its recommended signal in each
-    state (the first of largest weight)."""
-    if pairs is None:
-        pairs = [(b, t) for b in env.buyers for t in b.types]
-    scaled = np.zeros((len(pairs), env.n_states, env.n_actions))
-    for row, (b, t) in enumerate(pairs):
-        mat = weights.x.get((b.id, t.id))
-        if mat is None:
-            continue
+def _vpm_table(env: MultiEnvironment, weights: VPMWeights) -> tuple[np.ndarray, np.ndarray]:
+    """The VPM scheme ``weights`` at each slot: its value (over the states,
+    the sum of its largest weight over the type's probability) and its
+    recommended signal in each state (the first of largest weight)."""
+    keys = [(b.id, t.id) for b in env.buyers for t in b.types]
+    row_of = {key: row for row, key in enumerate(keys)}
+    scaled = np.zeros((len(keys), env.n_states, env.n_actions))
+    for key, mat in weights.x.items():
+        if key not in row_of:
+            raise InvalidInstance(f"VPM weights of {key} name no (buyer, type) of the market")
         if np.shape(mat) != scaled.shape[1:]:
-            raise InvalidInstance(f"VPM weights of {(b.id, t.id)} are not {scaled.shape[1:]}")
-        scaled[row] = mat
-    scaled /= np.array([b.type_probs[t.id] for b, t in pairs])[:, None, None]
+            raise InvalidInstance(f"VPM weights of {key} are not {scaled.shape[1:]}")
+        scaled[row_of[key]] = mat
+    scaled /= np.array([b.type_probs[t.id] for b in env.buyers for t in b.types])[:, None, None]
     return scaled.max(axis=2).sum(axis=1), scaled.argmax(axis=2)
-
-
-def _winner(values: list[float]) -> int:
-    """Largest value wins; ties go to the lowest buyer index."""
-    best = max(values)
-    for i, v in enumerate(values):
-        if v == best:
-            return i
-    raise AssertionError
-
-
-def _profile_pairs(env: MultiEnvironment,
-                   profile: dict[str, str]) -> list[tuple[MultiBuyer, BuyerType]]:
-    """Each buyer with its type in ``profile`` (buyer id -> type id)."""
-    unknown = set(profile) - {b.id for b in env.buyers}
-    if unknown:
-        raise InvalidInstance(f"profile names unknown buyers {sorted(map(str, unknown))}")
-    pairs = []
-    for b in env.buyers:
-        types = [t for t in b.types if t.id == profile.get(b.id)]
-        if not types:
-            raise InvalidInstance(f"profile gives buyer {b.id} no type of its own: "
-                                  f"{profile.get(b.id)!r}")
-        pairs.append((b, types[0]))
-    return pairs
 
 
 def vpm_allocate(
     env: MultiEnvironment, weights: VPMWeights, profile: dict[str, str]
 ) -> tuple[int, Experiment]:
-    """Ex-post outcome of the VPM scheme at a realized type profile.
+    """Ex-post outcome of the VPM scheme at a realized type profile (buyer
+    id -> type id).
 
-    The winner's experiment puts, for each state, all mass on the signal
-    with the largest scaled weight (ties to the lowest signal).
+    The largest value wins, ties to the lowest buyer index; the winner's
+    experiment puts, for each state, all mass on the signal with the largest
+    scaled weight (ties to the lowest signal).
     """
-    values, signals = _vpm_table(env, weights, _profile_pairs(env, profile))
-    winner = _winner(values.tolist())
+    unknown = set(profile) - {b.id for b in env.buyers}
+    if unknown:
+        raise InvalidInstance(f"profile names unknown buyers {sorted(map(str, unknown))}")
+    slots = []
+    for first, b in zip(_slot_starts(env).tolist(), env.buyers):
+        ids = [t.id for t in b.types]
+        if profile.get(b.id) not in ids:
+            raise InvalidInstance(f"profile gives buyer {b.id} no type of its own: "
+                                  f"{profile.get(b.id)!r}")
+        slots.append(first + ids.index(profile[b.id]))
+    values, signals = _vpm_table(env, weights)
+    winner = int(np.argmax(values[slots]))
     mat = np.zeros((env.n_states, env.n_actions))
-    mat[np.arange(env.n_states), signals[winner]] = 1.0
+    mat[np.arange(env.n_states), signals[slots[winner]]] = 1.0
     return winner, Experiment(mat)
 
 
@@ -282,29 +258,22 @@ def mix_reduced_forms(
 
 def audit_reduced_form(env: MultiEnvironment, rf: ReducedForm) -> tuple[float, float]:
     """Exact interim audit: deviation values use the true per-signal best
-    action.  Returns (max BIC violation, max IIR violation)."""
-    base = env.base_utilities()
-    max_bic = 0.0
-    max_iir = 0.0
-    for i, b in enumerate(env.buyers):
-        for s, t in enumerate(b.types):
-            key = (b.id, t.id)
-            truthful = (
-                float(np.sum(rf.pi_hat[key] * t.prior[:, None] * b.utility))
-                + (1.0 - rf.p_hat[key]) * base[i][s]
-                - rf.t_hat[key]
-            )
-            max_iir = max(max_iir, base[i][s] - truthful)
-            for s2, t2 in enumerate(b.types):
-                key2 = (b.id, t2.id)
-                weighted = rf.pi_hat[key2] * t.prior[:, None]      # (n, m)
-                per_signal = weighted.T @ b.utility                 # (m signals, m actions)
-                dev = (
-                    float(per_signal.max(axis=1).sum())
-                    + (1.0 - rf.p_hat[key2]) * base[i][s]
-                    - rf.t_hat[key2]
-                )
-                max_bic = max(max_bic, dev - truthful)
+    action (``explicit.value_matrix`` on each buyer's market).  Returns (max
+    BIC violation, max IIR violation).  Reporting s2 = s is a deviation too:
+    it catches a recommendation the type would not obey."""
+    max_bic = max_iir = 0.0
+    for b in env.buyers:
+        keys = [(b.id, t.id) for t in b.types]
+        pis = [rf.pi_hat[key] for key in keys]
+        p = np.array([rf.p_hat[key] for key in keys])
+        t = np.array([rf.t_hat[key] for key in keys])
+        base = np.array([base_utility(b.market, bt.id) for bt in b.types])
+        priors = np.array([bt.prior for bt in b.types])
+        obedient = (np.array(pis) * priors[:, :, None] * b.utility).reshape(len(keys), -1)
+        truthful = obedient.sum(axis=1) + (1.0 - p) * base - t
+        deviation = value_matrix(b.market, pis) + (1.0 - p) * base[:, None] - t
+        max_bic = max(max_bic, float((deviation - truthful[:, None]).max()))
+        max_iir = max(max_iir, float((base - truthful).max()))
     return max_bic, max_iir
 
 
@@ -317,7 +286,7 @@ class MultiResult:
     master_iterations: int               # HiGHS simplex iterations over all master solves
 
 
-def _initial_weight_sets(env: MultiEnvironment, coords: _Coords) -> list[VPMWeights]:
+def _initial_weight_sets(env: MultiEnvironment) -> list[VPMWeights]:
     """Feasible starting vertices: the zero-weight scheme (buyer 0 wins an
     uninformative recommendation) and, per buyer, the scheme always handing
     that buyer full revelation with each state's best action recommended.
@@ -346,10 +315,9 @@ def _buyer_blocks(env: MultiEnvironment) -> tuple[lpmod.ArrayLP, np.ndarray]:
     and its price t, one row per slot."""
     n, m = env.n_states, env.n_actions
     blocks, slots, first = [], [], 0
-    for b, base in zip(env.buyers, env.base_utilities()):
-        layout = MenuLayout([t.prior for t in b.types], [m] * len(b.types), alloc=True)
-        utils = np.broadcast_to(b.utility.T, (layout.k, m, n))
-        blocks.append(full_menu_lp(layout, utils, base, [b.type_probs[t.id] for t in b.types]))
+    for b in env.buyers:
+        layout, utils, base, probs = _explicit_parts(b.market, alloc=True)
+        blocks.append(full_menu_lp(layout, utils, base, probs))
         k = np.arange(layout.k)[:, None]
         slots.append(first + np.hstack((n * layout.first[:, None] + np.arange(n * m),
                                         layout.alloc + k, layout.price + k)))
@@ -428,7 +396,7 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
         vertex_weights.append(wts)
         return True
 
-    for wts in _initial_weight_sets(env, coords):
+    for wts in _initial_weight_sets(env):
         add_vertex(wts, coords.vector(rvpm(env, wts)))
 
     rounds = iterations = 0

@@ -31,7 +31,6 @@ from infomenu.multiagent import (
     _Coords,
     _initial_weight_sets,
     _master_lp,
-    _winner,
 )
 from named_lp import as_scipy
 
@@ -57,7 +56,7 @@ def vpm_allocate(env: MultiEnvironment, weights: VPMWeights,
     type_index = [[t.id for t in b.types].index(profile[b.id]) for b in env.buyers]
     vals = [float(scaled(env, weights, i, type_index[i]).max(axis=1).sum())
             for i in range(len(env.buyers))]
-    winner = _winner(vals)
+    winner = vals.index(max(vals))          # ties go to the lowest buyer index
     mat = np.zeros((env.n_states, env.n_actions))
     mat[np.arange(env.n_states),
         np.argmax(scaled(env, weights, winner, type_index[winner]), axis=1)] = 1.0
@@ -154,7 +153,7 @@ def solve_reduced_lp(env: MultiEnvironment):
         indptr.append(indptr[-1][-1:] + len(nz) + 1)
         return True
 
-    for wts in _initial_weight_sets(env, coords):
+    for wts in _initial_weight_sets(env):
         add_vertex(wts, coords.vector(rvpm(env, wts)))
 
     rounds = iterations = 0

@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from infomenu import audit_menu
+from infomenu import InvalidInstance, audit_menu
 from infomenu import io as iomod
 from infomenu.audit import matching_environment
 from infomenu.cli import EXIT_INVALID, EXIT_OK, EXIT_TOO_LARGE, dispatch
@@ -210,6 +210,28 @@ def test_duplicate_type_ids_exit_invalid(tmp_path):
     instance.write_text(json.dumps({"types": types}))
     assert run_cli(["solve-implicit", "--oracle", "traffic", "--graph", str(graph),
                     "--instance", str(instance), "--epsilon", "0.1"]) == (EXIT_INVALID, "")
+
+
+# Buyer b0 of TEST_SOLVE_MULTI_DOC with one field replaced.
+INVALID_BUYERS = {
+    "1-d utility": {"utility": [1.0, 0.0]},
+    "prior of the wrong length": {"types": [{"id": "t0", "prior": [0.5, 0.3, 0.2], "prob": 1.0}]},
+    "utility of the wrong shape": {"utility": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+    "zero-probability type": {"types": [{"id": "t0", "prior": [0.5, 0.5], "prob": 1.0},
+                                        {"id": "t1", "prior": [0.9, 0.1], "prob": 0.0}]},
+    "utility above 1": {"utility": [[1.5, 0.0], [0.0, 1.0]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_BUYERS))
+def test_invalid_multi_buyer_documents_are_rejected(tmp_path, case):
+    buyers = TEST_SOLVE_MULTI_DOC["buyers"]
+    doc = {**TEST_SOLVE_MULTI_DOC, "buyers": [{**buyers[0], **INVALID_BUYERS[case]}, buyers[1]]}
+    with pytest.raises(InvalidInstance, match="buyer b0"):
+        iomod.multi_environment_from_json(doc)
+    path = tmp_path / "multi.json"
+    path.write_text(iomod.dumps(doc))
+    assert run_cli(["solve-multi", "--instance", str(path)]) == (EXIT_INVALID, "")
 
 
 def test_gen_traffic_and_respond(tmp_path):

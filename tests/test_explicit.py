@@ -224,7 +224,8 @@ def test_value_matrix_equals_experiment_value_bit_for_bit(shape):
     assert all(ex.matrix.shape == (n, m) for ex in experiments)
     reference = np.array([[experiment_value(env, bt.id, ex) for ex in experiments]
                           for bt in env.types])
-    np.testing.assert_array_equal(explicit.value_matrix(env, experiments), reference)
+    np.testing.assert_array_equal(explicit.value_matrix(env, [ex.matrix for ex in experiments]),
+                                  reference)
 
 
 def test_named_program_compiles_to_row_by_row_csr():

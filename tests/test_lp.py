@@ -136,6 +136,21 @@ def test_binding_check_needs_every_name_used(monkeypatch):
         lpmod._binding()
 
 
+def test_binding_check_needs_an_infinite_highs_infinity(monkeypatch):
+    # A session passes infinite bounds as they are, so kHighsInf must be inf.
+    real = lpmod._load_core()
+
+    class FiniteInf:
+        kHighsInf = 1e30
+
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+    monkeypatch.setattr(lpmod, "_load_core", FiniteInf)
+    with pytest.raises(ImportError, match="kHighsInf is 1e"):
+        lpmod._binding()
+
+
 def lp_binding_reads() -> set[str]:
     """The binding attributes lp.py reads, as dotted names from the binding:
     chains from the module-level ``_highs``, ``HighsModelStatus`` members

@@ -15,6 +15,7 @@ from infomenu import (
     InvalidInstance,
     MultiBuyer,
     MultiEnvironment,
+    ReducedForm,
     TooLarge,
     VPMWeights,
     audit_reduced_form,
@@ -291,6 +292,32 @@ def test_brute_force_cap():
         brute_force_multi(env)
 
 
+def reduced_form(parts) -> ReducedForm:
+    """The reduced form giving type i of buyer b0 (pi, p, t) = parts[i]."""
+    keys = [("b0", f"t{i}") for i in range(len(parts))]
+    return ReducedForm(*[dict(zip(keys, column)) for column in zip(*parts)])
+
+
+def test_audit_finds_an_unresponsive_recommendation_and_an_iir_violation():
+    env = one_buyer([[0.5, 0.5]])
+    swapped = np.array([[0.0, 1.0], [1.0, 0.0]])
+    # Obeying the swapped recommendation pays 0; following it backwards
+    # pays 1; the prior alone pays 0.5.
+    assert audit_reduced_form(env, reduced_form([(swapped, 1.0, 0.0)])) == (1.0, 0.5)
+    bic, iir = audit_reduced_form(env, reduced_form([(np.eye(2), 1.0, 0.7)]))
+    assert bic == 0.0 and iir == pytest.approx(0.2, abs=1e-15)
+
+
+def test_audit_finds_a_profitable_misreport():
+    # Type t0 pays 0.3 for full revelation and gets 1 - 0.3; reporting t1
+    # gets revelation with chance 0.5 (value 0.5), keeps its base 0.5 with
+    # chance 0.5 and pays 0.02: 0.73.  Type t1 gets 0.93 and would get 0.7.
+    env = one_buyer([[0.5, 0.5], [0.9, 0.1]])
+    rf = reduced_form([(np.eye(2), 1.0, 0.3), (0.5 * np.eye(2), 0.5, 0.02)])
+    bic, iir = audit_reduced_form(env, rf)
+    assert bic == pytest.approx(0.03, abs=1e-15) and iir == 0.0
+
+
 def test_blueprint_decomposition_and_size():
     rng = np.random.default_rng(67)
     env = two_buyers(
@@ -374,7 +401,7 @@ def named_buyer_blocks(env: MultiEnvironment) -> NamedLP:
     row, then every zlb[s, s2, j, a]; its equality rows are the row sums."""
     coords = _Coords(env)
     n, m = env.n_states, env.n_actions
-    base = env.base_utilities()
+    base = [[max(t.prior @ b.utility) for t in b.types] for b in env.buyers]
     prog = NamedLP(sense="max")
     slot_of = {pair: idx for idx, pair in enumerate(coords.slots)}
     for i, b in enumerate(env.buyers):
@@ -501,7 +528,7 @@ def test_master_arrays_match_named_reference(shape, monkeypatch):
     result = solve_reduced_lp(env)
     # rvpm runs once per starting vertex and once per round; the last
     # round's vertex does not improve and joins no master.
-    n_start = len(_initial_weight_sets(env, coords))
+    n_start = len(_initial_weight_sets(env))
     reduced = [coords.vector(rf) for rf in reduced]
     vectors, keys = [], set()
     for vec in reduced[:n_start]:
@@ -587,7 +614,7 @@ def named_per_profile_lp(env: MultiEnvironment) -> NamedLP:
     n_prof = int(np.prod(counts))
     n, m = env.n_states, env.n_actions
     nb = len(env.buyers)
-    base = env.base_utilities()
+    base = [[max(t.prior @ b.utility) for t in b.types] for b in env.buyers]
     profiles = list(itertools.product(*[range(c) for c in counts]))
     prof_index = {p: r for r, p in enumerate(profiles)}
 
@@ -928,6 +955,18 @@ def test_vpm_weights_of_the_wrong_shape_are_invalid():
     with pytest.raises(InvalidInstance):
         run_mechanism(bp, env, {"b0": "t0"}, seed=0)
     with pytest.raises(InvalidInstance):
+        simulate_interim(bp, env, 10, seed=0)
+
+
+@pytest.mark.parametrize("key", [("bX", "t0"), ("b1", "tY")])
+def test_vpm_weights_naming_no_slot_are_invalid(key):
+    # Read as zero weights, such a key would let buyer b0 win every draw.
+    env = two_buyers([[0.5, 0.5]], [[0.5, 0.5]])
+    bp = MechanismBlueprint([(1.0, VPMWeights({key: np.eye(2)}))],
+                            {("b0", "t0"): 0.0, ("b1", "t0"): 0.0})
+    with pytest.raises(InvalidInstance, match="name no"):
+        run_mechanism(bp, env, {"b0": "t0", "b1": "t0"}, seed=0)
+    with pytest.raises(InvalidInstance, match="name no"):
         simulate_interim(bp, env, 10, seed=0)
 
 
