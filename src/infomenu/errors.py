@@ -26,7 +26,7 @@ class TooLarge(InfoMenuError):
 
 
 class GridTooLarge(TooLarge):
-    """The discretized signal grid exceeds the configured column cap."""
+    """No signal grid under ``implicit.DEFAULT_GRID_CAP`` columns is fine enough."""
 
 
 class NonConvergence(NumericalFailure):

@@ -36,7 +36,8 @@ import numpy as np
 
 from . import lp as lpmod
 from .errors import InvalidInstance, NonConvergence, NumericalFailure, TooLarge
-from .explicit import CLEANUP_TOL, _explicit_parts, full_menu_lp, value_matrix
+from .explicit import (CLEANUP_TOL, RESOLVE_FEASIBILITY_TOL, _explicit_parts, full_menu_lp,
+                       value_matrix)
 from .market import BuyerType, Environment, Experiment, base_utility
 
 DECOMP_TOL = 1e-6
@@ -260,10 +261,14 @@ def audit_reduced_form(env: MultiEnvironment, rf: ReducedForm) -> tuple[float, f
     """Exact interim audit: deviation values use the true per-signal best
     action (``explicit.value_matrix`` on each buyer's market).  Returns (max
     BIC violation, max IIR violation).  Reporting s2 = s is a deviation too:
-    it catches a recommendation the type would not obey."""
+    it catches a recommendation the type would not obey.  A (buyer, type)
+    of the market missing from ``rf`` is an ``InvalidInstance``."""
     max_bic = max_iir = 0.0
     for b in env.buyers:
         keys = [(b.id, t.id) for t in b.types]
+        for key in keys:
+            if not (key in rf.pi_hat and key in rf.p_hat and key in rf.t_hat):
+                raise InvalidInstance(f"reduced form has no entry for {key}")
         pis = [rf.pi_hat[key] for key in keys]
         p = np.array([rf.p_hat[key] for key in keys])
         t = np.array([rf.t_hat[key] for key in keys])
@@ -492,7 +497,9 @@ def brute_force_multi(env: MultiEnvironment) -> float:
     p[i, r], where fo_i(r) is the others' probability; then sum_j pi[i, r, w,
     j] = p[i, r] per (i, r, w).  One "<=" row per profile caps sum_i p[i, r]
     at 1.  Per-profile prices and deviation bounds would enter only through
-    their fo-weighted sums, the interim t and z, so the LP has none.
+    their fo-weighted sums, the interim t and z, so the LP has none.  HiGHS
+    solves it at ``RESOLVE_FEASIBILITY_TOL``: a type probability near the
+    default tolerance 1e-7 would stop it up to 1e-8 short.
     """
     counts = [len(b.types) for b in env.buyers]
     n_prof = math.prod(counts)
@@ -524,7 +531,7 @@ def brute_force_multi(env: MultiEnvironment) -> float:
         lpmod.vstack([replace(blocks.A_eq, shape=(blocks.A_eq.shape[0], n_cols)), rows]),
         np.concatenate((blocks.b_eq, np.zeros(rows.shape[0]))),
         np.concatenate((blocks.bounds, np.tile([0.0, 1.0], (ex.size, 1)))), "max")
-    sol = lpmod.solve(prog)
+    sol = lpmod.solve(lpmod.Session(prog, RESOLVE_FEASIBILITY_TOL))
     if sol.status != "Optimal":
         raise NumericalFailure(f"ex-post LP is {sol.status}")
     # The objective as a left-to-right sum in slot order.
@@ -549,19 +556,19 @@ def run_mechanism(
     """One execution: draw a VPM component, allocate, charge interim prices.
 
     Payments depend only on reported types, never on the drawn component, so
-    the price leaks nothing about the scheme.  A (buyer, type) of the
-    profile without an interim price in ``t_hat`` is an ``InvalidInstance``.
+    the price leaks nothing about the scheme.  ``t_hat`` must price each
+    (buyer, type) of the market and nothing else; otherwise the blueprint
+    is an ``InvalidInstance``.
     """
+    odd = set(blueprint.t_hat) ^ {(b.id, t.id) for b in env.buyers for t in b.types}
+    if odd:
+        raise InvalidInstance("interim prices must cover exactly the (buyer, type) pairs "
+                              f"of the market; mismatched: {sorted(map(str, odd))}")
     rng = np.random.default_rng(seed)
     lams = np.array([w for w, _ in blueprint.mixture])
     k = int(rng.choice(len(lams), p=lams / lams.sum()))
     winner, experiment = vpm_allocate(env, blueprint.mixture[k][1], profile)
-    payments = {}
-    for b in env.buyers:
-        key = (b.id, profile[b.id])
-        if key not in blueprint.t_hat:
-            raise InvalidInstance(f"blueprint has no interim price for {key}")
-        payments[b.id] = blueprint.t_hat[key]
+    payments = {b.id: blueprint.t_hat[(b.id, profile[b.id])] for b in env.buyers}
     return MechanismRun(winner, experiment, payments, k)
 
 

@@ -24,13 +24,15 @@ SAT_BRUTE_FORCE_VARS = 24
 _STREAM_VARS = 20          # cache per-state utility vectors up to this many vars
 
 
-def _as_beliefs(beliefs) -> np.ndarray:
-    """Beliefs as floats, each (along the last axis) a probability vector
-    within ``PROB_TOL``, as ``market._as_prob_vector`` requires."""
+def _as_beliefs(beliefs, n_states: int) -> np.ndarray:
+    """Beliefs as a (batch x ``n_states``) float array of probability vectors
+    (within ``PROB_TOL``, as ``market._as_prob_vector`` requires)."""
     arr = np.asarray(beliefs, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != n_states:
+        raise InvalidInstance(f"beliefs must have {n_states} entries, one per state")
     # One test on the fast path; NaN fails either comparison.
     if arr.size and not (arr.min() >= -PROB_TOL
-                         and np.abs(arr.sum(axis=-1) - 1.0).max() <= PROB_TOL):
+                         and np.abs(arr.sum(axis=1) - 1.0).max() <= PROB_TOL):
         if not np.isfinite(arr).all():
             raise InvalidInstance("beliefs must be finite")
         if np.any(arr < -PROB_TOL):
@@ -41,11 +43,13 @@ def _as_beliefs(beliefs) -> np.ndarray:
 
 class BROracle:
     """Base class handling belief checks and the query counter; subclasses
-    implement _respond and utility_of, and may batch _respond_many.  The
-    counter update is lock-protected so oracles can be shared across
-    threads."""
+    give their state count and implement the batch kernel _respond_many and
+    utility_of.  ``respond`` is a batch of one through the same kernel, so an
+    answer depends on the belief alone.  The counter update is lock-protected
+    so oracles can be shared across threads."""
 
-    def __init__(self):
+    def __init__(self, n_states: int):
+        self.n_states = n_states
         self._lock = threading.Lock()
         self._queries = 0
 
@@ -59,25 +63,19 @@ class BROracle:
             self._queries += k
 
     def respond(self, belief) -> tuple[object, float]:
-        belief = _as_beliefs(belief)
+        beliefs = _as_beliefs([belief], self.n_states)
         self._count()
-        return self._respond(belief)
+        # The kernel, not respond_many, so a wrapper counting those sees one query.
+        (action,), (utility,) = self._respond_many(beliefs)
+        return action, float(utility)
 
     def respond_many(self, beliefs: np.ndarray) -> tuple[list[object], np.ndarray]:
-        """Batched respond; equivalent to a loop but lets subclasses vectorize."""
-        beliefs = _as_beliefs(beliefs)
+        """Answers to a (batch x states) array, each the one ``respond`` gives."""
+        beliefs = _as_beliefs(beliefs, self.n_states)
         self._count(len(beliefs))
         return self._respond_many(beliefs)
 
     def _respond_many(self, beliefs: np.ndarray) -> tuple[list[object], np.ndarray]:
-        actions, utilities = [], np.empty(len(beliefs))
-        for r, b in enumerate(beliefs):
-            a, u = self._respond(b)
-            actions.append(a)
-            utilities[r] = u
-        return actions, utilities
-
-    def _respond(self, belief: np.ndarray) -> tuple[object, float]:
         raise NotImplementedError
 
     def utility_of(self, action_id, state: int) -> float:
@@ -86,24 +84,20 @@ class BROracle:
 
 class MatrixOracle(BROracle):
     """Oracle over an explicit (states x actions) utility matrix; action ids
-    are column indices, ties go to the lowest index."""
+    are column indices, ties go to the lowest index.  Scores are summed over
+    states left to right, not by BLAS, whose last bits depend on the batch."""
 
     def __init__(self, utility: np.ndarray):
-        super().__init__()
         u = np.asarray(utility, dtype=float)
         if u.ndim != 2:
             raise InvalidInstance("utility matrix must be 2-d")
         if not np.isfinite(u).all() or np.any(u < 0) or np.any(u > 1):
             raise InvalidInstance("utilities must lie in [0, 1]")
+        super().__init__(len(u))
         self.utility = u
 
-    def _respond(self, belief: np.ndarray) -> tuple[int, float]:
-        scores = belief @ self.utility
-        a = int(np.argmax(scores))
-        return a, float(scores[a])
-
     def _respond_many(self, beliefs: np.ndarray) -> tuple[list[int], np.ndarray]:
-        scores = beliefs @ self.utility
+        scores = sum(beliefs[:, w, None] * row for w, row in enumerate(self.utility))
         actions = np.argmax(scores, axis=1)
         return [int(a) for a in actions], scores[np.arange(len(beliefs)), actions]
 
@@ -182,7 +176,7 @@ class TrafficOracle(BROracle):
     """
 
     def __init__(self, instance: TrafficInstance):
-        super().__init__()
+        super().__init__(2)
         self.instance = instance
         n = instance.n_vertices
         self._out: list[list[int]] = [[] for _ in range(n)]
@@ -219,13 +213,7 @@ class TrafficOracle(BROracle):
             dist[self._run_head] = np.minimum(current, reached)
         raise InvalidInstance("shortest-path sweep did not settle within n_vertices rounds")
 
-    def _respond(self, belief: np.ndarray) -> tuple[tuple[int, ...], float]:
-        (path,), (utility,) = self._respond_many(belief[None, :])
-        return path, float(utility)
-
     def _respond_many(self, beliefs: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        if beliefs.shape[1] != 2:
-            raise InvalidInstance("traffic oracle supports exactly two states")
         inst = self.instance
         weights = np.empty((len(inst.edges), len(beliefs)))
         for r, b in enumerate(beliefs):
@@ -412,11 +400,12 @@ class SATOracle(BROracle):
     Exhaustive over all assignments, capped at 24 variables; beyond the cap
     the query is refused since answering it is exactly the hard regime.
     Per-state utility vectors are cached up to 2^20 assignments and streamed
-    in chunks of 2^20 above that, each built by ``satisfied_table``.
+    in chunks of 2^20 above that, each built by ``satisfied_table`` once per
+    batch; every belief of the batch is scored on its own.
     """
 
     def __init__(self, instance: IPSATInstance):
-        super().__init__()
+        super().__init__(instance.n_states)
         if instance.num_vars > SAT_BRUTE_FORCE_VARS:
             raise TooLarge(
                 f"{instance.num_vars} variables exceed the brute-force cap {SAT_BRUTE_FORCE_VARS}"
@@ -428,38 +417,37 @@ class SATOracle(BROracle):
             self._cache = [satisfied_table(f) / len(f.clauses) for f in instance.formulas]
 
     def _buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """This thread's score and term arrays over the cached assignments,
+        """This thread's score and term arrays over one chunk of assignments,
         reused across queries: fresh 2^n temporaries per query cost more in
         page faults than the arithmetic."""
         local = self._scratch
         if not hasattr(local, "scores"):
-            size = 1 << self.instance.num_vars
+            size = 1 << min(self.instance.num_vars, _STREAM_VARS)
             local.scores, local.term = np.empty(size), np.empty(size)
         return local.scores, local.term
 
-    def _respond(self, belief: np.ndarray) -> tuple[int, float]:
-        inst = self.instance
-        if len(belief) != inst.n_states:
-            raise InvalidInstance("belief length does not match the state count")
+    def _chunks(self):
+        """(first assignment id, per-state utility vectors) of each chunk."""
         if self._cache is not None:
-            scores, term = self._buffers()
-            scores.fill(0.0)
-            for b, u in zip(belief, self._cache):
-                np.multiply(b, u, out=term)
-                scores += term
-            a = int(np.argmax(scores))
-            return a, float(scores[a])
-        best_a, best_u = 0, -1.0
-        for prefix in range(1 << (inst.num_vars - _STREAM_VARS)):
-            lo = prefix << _STREAM_VARS
-            scores = np.zeros(1 << _STREAM_VARS)
-            for b, f in zip(belief, inst.formulas):
-                if b != 0.0:
-                    scores += b * (satisfied_table(f, _STREAM_VARS, prefix) / len(f.clauses))
-            a = int(np.argmax(scores))
-            if scores[a] > best_u + 1e-15:
-                best_a, best_u = lo + a, float(scores[a])
-        return best_a, best_u
+            yield 0, self._cache
+            return
+        for prefix in range(1 << (self.instance.num_vars - _STREAM_VARS)):
+            yield prefix << _STREAM_VARS, [satisfied_table(f, _STREAM_VARS, prefix) / len(f.clauses)
+                                           for f in self.instance.formulas]
+
+    def _respond_many(self, beliefs: np.ndarray) -> tuple[list[int], np.ndarray]:
+        scores, term = self._buffers()
+        actions, utilities = [0] * len(beliefs), np.full(len(beliefs), -1.0)
+        for lo, tables in self._chunks():
+            for r, belief in enumerate(beliefs):
+                scores.fill(0.0)
+                for b, u in zip(belief, tables):
+                    np.multiply(b, u, out=term)
+                    scores += term
+                a = int(np.argmax(scores))
+                if scores[a] > utilities[r] + 1e-15:
+                    actions[r], utilities[r] = lo + a, scores[a]
+        return actions, utilities
 
     def utility_of(self, action_id: int, state: int) -> float:
         if self._cache is not None:
@@ -512,14 +500,15 @@ def oracle_value(oracle: BROracle, prior: np.ndarray, matrix: np.ndarray) -> flo
     experiment dust (at most ``PROB_TOL``) and count as 0, so that a
     low-mass signal's posterior is still a probability vector."""
     prior = np.asarray(prior, dtype=float)
+    # Row k is signal k's weighted prior, contiguous so that its sum is the
+    # one a lone vector gets.
+    weighted = np.ascontiguousarray((prior[:, None] * np.clip(matrix, 0.0, None)).T)
+    mass = weighted.sum(axis=1)
+    live = mass > 0.0
+    _, eus = oracle.respond_many(weighted[live] / mass[live, None])
     total = 0.0
-    for k in range(matrix.shape[1]):
-        weighted = prior * np.clip(matrix[:, k], 0.0, None)
-        mass = float(weighted.sum())
-        if mass <= 0.0:
-            continue
-        _, eu = oracle.respond(weighted / mass)
-        total += mass * eu
+    for m, eu in zip(mass[live].tolist(), eus.tolist()):
+        total += m * eu
     return total
 
 

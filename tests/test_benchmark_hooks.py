@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from infomenu import Environment, explicit, implicit
 from infomenu import lp as lpmod
@@ -73,3 +74,26 @@ def test_every_lazy_round_is_one_traced_solve(monkeypatch):
     # Prices come from shortest paths: HiGHS runs only in the menu session.
     assert view.count("lp.solve", under="explicit.prices") == len(runs) - len(rounds) == 0
     assert [s.fields["rows"] for _, s in view.select("lp.solve", under="explicit.solve")] == rounds
+
+
+class _Keeper:
+    """The tracer as an op's observer, keeping the oracles it hands out."""
+
+    def __init__(self, tracer: spans.Tracer):
+        self.tracer, self.oracles = tracer, []
+
+    def oracle(self, kind, make):
+        self.oracles.append(self.tracer.oracle(kind, make))
+        return self.oracles[-1]
+
+
+@pytest.mark.parametrize("index", [0, 2, 8])          # a sat, a matrix and a traffic op
+def test_traced_queries_are_the_oracle_query_count(index):
+    # The tracer wraps an oracle's public respond and respond_many; were
+    # respond to call the public respond_many, its queries would count twice.
+    inp = workloads.WORKLOADS["oracle-menus"].make_input(0, index)
+    keeper = _Keeper(spans.Tracer())
+    workloads.op_oracle(inp, keeper)
+    (oracle,) = keeper.oracles
+    traced = spans.View(keeper.tracer.spans).field_sum(f"oracles.{inp.kind}.respond", "queries")
+    assert traced == oracle.query_count > 0

@@ -285,6 +285,24 @@ def test_brute_force_symmetric_buyers_invariant_under_swap():
     )
 
 
+def test_ex_post_reference_is_tight_at_tiny_type_probabilities():
+    # Draw 4 of one-buyer markets from default_rng(1) with two types at
+    # probability 1e-7: an objective coefficient at HiGHS's default dual
+    # tolerance, where the ex-post LP stopped 1.07e-8 below the optimum.
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        n, m, k = (int(rng.integers(lo, hi)) for lo, hi in ((2, 4), (2, 5), (2, 4)))
+        utility = rng.uniform(size=(n, m))
+        priors = rng.dirichlet(np.ones(n), size=k)
+    assert (n, m, k) == (3, 4, 3)
+    types = [BuyerType(f"t{s}", prior) for s, prior in enumerate(priors)]
+    probs = {t.id: 1e-7 for t in types[1:]} | {"t0": 1.0 - (k - 1) * 1e-7}
+    states, actions = [f"w{w}" for w in range(n)], [f"a{j}" for j in range(m)]
+    env = MultiEnvironment(states, actions, [MultiBuyer("b0", utility, types, probs)])
+    menu_env = Environment(states, actions, {t.id: utility for t in types}, types, probs)
+    assert brute_force_multi(env) == pytest.approx(solve_explicit(menu_env)[1], abs=1e-12)
+
+
 def test_brute_force_cap():
     types = [list(p) for p in np.random.default_rng(0).dirichlet(np.ones(2), 17)]
     env = two_buyers(types, types)
@@ -734,8 +752,8 @@ def test_ex_post_arrays_match_named_reference(shape, monkeypatch):
     env = random_multi(rng, type_counts, n, m, zero_utility)
     seen = []
 
-    def first_solve(prog):
-        seen.append(prog)
+    def first_solve(session):
+        seen.append(session.array_lp())
         raise _FirstSolve
 
     monkeypatch.setattr(lpmod, "solve", first_solve)
@@ -968,6 +986,29 @@ def test_vpm_weights_naming_no_slot_are_invalid(key):
         run_mechanism(bp, env, {"b0": "t0", "b1": "t0"}, seed=0)
     with pytest.raises(InvalidInstance, match="name no"):
         simulate_interim(bp, env, 10, seed=0)
+
+
+@pytest.mark.parametrize("prices", [{("b0", "t0"): 0.0, ("bX", "t9"): 5.0},
+                                    {("b0", "t0"): 0.0, ("b0", "tY"): 5.0},
+                                    {("b0", "t1"): 0.0}, {}])
+def test_interim_prices_off_the_market_slots_are_invalid(prices):
+    # A price naming no (buyer, type) used to be dropped without an error;
+    # a blueprint prices every (buyer, type) of the market, reported or not.
+    env = one_buyer([[0.5, 0.5], [0.9, 0.1]])
+    bp = MechanismBlueprint([(1.0, VPMWeights({}))], prices)
+    with pytest.raises(InvalidInstance, match="interim prices"):
+        run_mechanism(bp, env, {"b0": "t1"}, seed=0)
+
+
+@pytest.mark.parametrize("field", ["pi_hat", "p_hat", "t_hat"])
+def test_audit_names_a_buyer_type_missing_from_the_reduced_form(field):
+    env = one_buyer([[0.5, 0.5]])
+    with pytest.raises(InvalidInstance, match=r"\('b0', 't0'\)"):
+        audit_reduced_form(env, ReducedForm({}, {}, {}))
+    rf = reduced_form([(np.eye(2), 1.0, 0.0)])
+    del getattr(rf, field)[("b0", "t0")]
+    with pytest.raises(InvalidInstance, match=r"\('b0', 't0'\)"):
+        audit_reduced_form(env, rf)
 
 
 def test_duplicate_type_ids_are_invalid():

@@ -3,8 +3,10 @@
 ``TrafficOracle`` answers a batch of beliefs with one Bellman-Ford sweep and
 must return the heap Dijkstra's paths and utilities bit for bit;
 ``satisfied_table`` builds the satisfied-clause counts subcube by subcube and
-must equal ``satisfied_counts``.  The pins at the end hold ``solve_implicit``
-and ``infomenu solve-implicit`` to their outputs before the kernels.
+must equal ``satisfied_counts``.  Every oracle answers ``respond`` as a batch of
+one through its one kernel, and a belief's answer does not depend on the
+batch it rides in.  The pins at the end hold ``solve_implicit`` and
+``infomenu solve-implicit`` to their outputs before the kernels.
 """
 
 import argparse
@@ -25,6 +27,7 @@ from infomenu.market import BuyerType
 from infomenu.oracles import (
     CNF,
     IPSATInstance,
+    MatrixOracle,
     SATOracle,
     TrafficInstance,
     TrafficOracle,
@@ -255,6 +258,68 @@ def test_sat_oracle_shared_across_threads():
     for t in range(8):
         assert got[t] == expected[t % 4::4]
     assert oracle.query_count == 8 * 6
+
+
+# --- one kernel: an answer depends on the belief alone ------------------------------
+
+def mixed_beliefs(rng, n: int, count: int) -> np.ndarray:
+    """Dirichlet beliefs, then beliefs with denominators up to 12, where
+    payoffs tie more often."""
+    counts = rng.integers(0, 4, size=(count // 2, n))
+    counts[counts.sum(axis=1) == 0, 0] = 1
+    rational = counts / counts.sum(axis=1, keepdims=True)
+    return np.vstack([rng.dirichlet(np.ones(n), size=count - len(rational)), rational])
+
+
+def assert_batch_free(oracle, beliefs: np.ndarray, rng) -> None:
+    """Each belief's answer from ``respond``, from a batch of one, and at
+    random positions of batches of 1 to 64 beliefs is the same, bit for bit."""
+    alone = [oracle.respond(b) for b in beliefs]
+    actions = [a for a, _ in alone]
+    utils = np.array([u for _, u in alone])
+    for r, b in enumerate(beliefs):
+        one_actions, one_utils = oracle.respond_many(b[None])
+        assert one_actions == [actions[r]]
+        assert one_utils.tobytes() == utils[r:r + 1].tobytes()
+    for size in rng.integers(1, 65, size=6):
+        pick = rng.integers(len(beliefs), size=size)
+        batch_actions, batch_utils = oracle.respond_many(beliefs[pick])
+        assert batch_actions == [actions[i] for i in pick]
+        assert batch_utils.tobytes() == utils[pick].tobytes()
+
+
+def test_matrix_tie_goes_to_the_lowest_column_in_any_batch():
+    # Columns 2, 3 and 4 are equal; a BLAS product scored them apart by a
+    # last bit that depended on the batch.
+    u = np.array([[3, 3, 2, 2, 2, 2, 1], [2, 2, 3, 3, 3, 1, 1]]) / 3
+    b = np.array([0.14063007995567436, 0.8593699200443257])
+    oracle = MatrixOracle(u)
+    assert oracle.respond(b)[0] == 2
+    assert oracle.respond_many(b[None])[0] == [2]
+    assert oracle.respond_many(np.array([b, b]))[0] == [2, 2]
+    assert oracle.respond_many(np.array([[0.5, 0.5], b]))[0] == [0, 2]
+
+
+def test_matrix_answers_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(2, 9))
+        oracle = MatrixOracle(rng.integers(0, 4, size=(n, m)) / 3)
+        assert_batch_free(oracle, mixed_beliefs(rng, n, 20), rng)
+
+
+def test_traffic_answers_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(42)
+    for inst in traffic_networks():
+        assert_batch_free(TrafficOracle(inst), traffic_beliefs(rng, count=40, steps=8), rng)
+
+
+def test_sat_answers_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        n, states = int(rng.integers(1, 7)), int(rng.integers(2, 4))
+        oracle = SATOracle(IPSATInstance([random_cnf(rng, n) for _ in range(states)]))
+        assert_batch_free(oracle, mixed_beliefs(rng, states, 20), rng)
 
 
 # --- pinned solve-implicit outputs ------------------------------------------------

@@ -289,6 +289,22 @@ def test_traffic_rejects_non_binary_state_belief():
         two_edge_oracle().respond([0.5, 0.3, 0.2])
 
 
+@pytest.mark.parametrize("bad", [[0.5, 0.25, 0.25], [1.0]])
+def test_oracles_reject_beliefs_of_the_wrong_length(bad):
+    # Each oracle states its state count; the base class checks it once.
+    sat = SATOracle(build_sat_reduction(CNF(1, [[1], [-1]])))
+    for oracle in (MatrixOracle(np.eye(2)), two_edge_oracle(), sat):
+        with pytest.raises(InvalidInstance, match="2 entries"):
+            oracle.respond(bad)
+        with pytest.raises(InvalidInstance, match="2 entries"):
+            oracle.respond_many(np.array([bad]))
+        with pytest.raises(InvalidInstance):
+            oracle.respond([[0.5, 0.5]])                  # a batch, not a belief
+        with pytest.raises(InvalidInstance):
+            oracle.respond_many(np.array([0.5, 0.5]))     # a belief, not a batch
+        assert oracle.query_count == 0
+
+
 def test_oracles_reject_non_finite_beliefs():
     oracle = MatrixOracle(np.eye(2))
     with pytest.raises(InvalidInstance):
