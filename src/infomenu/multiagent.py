@@ -23,6 +23,9 @@ column-generation master ties them to the VPM vertices found so far (one
 ``brute_force_multi`` ties them to per-profile allocations.  Each buyer
 holds its single-buyer market (``MultiBuyer.market``), which checks the
 buyer's inputs and gives its block, base utilities and audit values.
+
+A slot is a (buyer, type) pair; every per-slot array here is in
+buyer-major slot order, and ``_slot_index`` is the one place that knows it.
 """
 
 from __future__ import annotations
@@ -46,10 +49,12 @@ MAX_PRICING_ROUNDS = 500
 PRICING_TOL = 1e-8
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MultiBuyer:
     """One buyer: its single-buyer market (``market``) over the state and
-    action indices checks its utility, types and type probabilities."""
+    action indices checks its utility, types and type probabilities.  The
+    buyer is frozen, so its fields and its market cannot diverge; a buyer
+    with other data is a new buyer (``dataclasses.replace``)."""
 
     id: str
     utility: np.ndarray                  # (n_states, n_actions)
@@ -58,21 +63,22 @@ class MultiBuyer:
     market: Environment = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.utility = np.asarray(self.utility, dtype=float)
-        if self.utility.ndim != 2:
+        utility = np.asarray(self.utility, dtype=float)
+        if utility.ndim != 2:
             raise InvalidInstance(f"buyer {self.id}: utility must be a matrix")
         for t in self.types:
             if self.type_probs.get(t.id, 0.0) <= 0.0:
                 raise InvalidInstance(
                     f"buyer {self.id}: type {t.id} needs positive probability"
                 )
-        n, m = self.utility.shape
+        n, m = utility.shape
         try:
-            self.market = Environment(list(range(n)), list(range(m)),
-                                      {t.id: self.utility for t in self.types},
-                                      self.types, self.type_probs)
+            market = Environment(list(range(n)), list(range(m)),
+                                 {t.id: utility for t in self.types}, self.types, self.type_probs)
         except InvalidInstance as exc:
             raise InvalidInstance(f"buyer {self.id}: {exc}") from None
+        object.__setattr__(self, "utility", utility)
+        object.__setattr__(self, "market", market)
 
 
 @dataclass(eq=False)
@@ -102,14 +108,6 @@ class MultiEnvironment:
     def n_actions(self) -> int:
         return len(self.actions)
 
-    def slots(self) -> list[tuple[int, int]]:
-        """All (buyer index, type index) pairs, buyer-major."""
-        return [(i, s) for i, b in enumerate(self.buyers) for s in range(len(b.types))]
-
-    def prob(self, i: int, s: int) -> float:
-        b = self.buyers[i]
-        return b.type_probs[b.types[s].id]
-
 
 @dataclass(eq=False)
 class VPMWeights:
@@ -128,9 +126,11 @@ class ReducedForm:
 
     def validate(self, tol: float = 1e-6) -> None:
         for key, mat in self.pi_hat.items():
+            p = self.p_hat[key]
+            if not (np.isfinite(mat).all() and np.isfinite(p)):
+                raise InvalidInstance(f"{key}: non-finite interim probability")
             if np.any(mat < -tol):
                 raise InvalidInstance(f"{key}: negative interim probability")
-            p = self.p_hat[key]
             if not (-tol <= p <= 1 + tol):
                 raise InvalidInstance(f"{key}: win probability {p} outside [0, 1]")
             rows = mat.sum(axis=1)
@@ -151,25 +151,37 @@ class MechanismBlueprint:
             raise InvalidInstance("mixture weights must be a distribution")
 
 
-def _slot_starts(env: MultiEnvironment) -> np.ndarray:
-    """Each buyer's first slot: slots are (buyer, type) pairs, buyer-major."""
-    return np.array([0, *itertools.accumulate(len(b.types) for b in env.buyers[:-1])])
-
-
-def _vpm_table(env: MultiEnvironment, weights: VPMWeights) -> tuple[np.ndarray, np.ndarray]:
-    """The VPM scheme ``weights`` at each slot: its value (over the states,
-    the sum of its largest weight over the type's probability) and its
-    recommended signal in each state (the first of largest weight)."""
+def _slot_index(env: MultiEnvironment) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray]:
+    """The market's slots, its (buyer, type) pairs in buyer-major order:
+    their keys, their type probabilities, and each buyer's first slot."""
     keys = [(b.id, t.id) for b in env.buyers for t in b.types]
+    probs = np.array([b.type_probs[t.id] for b in env.buyers for t in b.types], dtype=float)
+    return keys, probs, np.array([0, *itertools.accumulate(len(b.types) for b in env.buyers[:-1])])
+
+
+def _weight_array(env: MultiEnvironment, keys: list, weights: VPMWeights) -> np.ndarray:
+    """``weights`` as a (slot, state, signal) array over the slots ``keys``;
+    a slot without weights reads zero.  Weights of a key that is no slot,
+    of the wrong shape or not finite are an ``InvalidInstance``."""
     row_of = {key: row for row, key in enumerate(keys)}
-    scaled = np.zeros((len(keys), env.n_states, env.n_actions))
+    x = np.zeros((len(keys), env.n_states, env.n_actions))
     for key, mat in weights.x.items():
         if key not in row_of:
             raise InvalidInstance(f"VPM weights of {key} name no (buyer, type) of the market")
-        if np.shape(mat) != scaled.shape[1:]:
-            raise InvalidInstance(f"VPM weights of {key} are not {scaled.shape[1:]}")
-        scaled[row_of[key]] = mat
-    scaled /= np.array([b.type_probs[t.id] for b in env.buyers for t in b.types])[:, None, None]
+        if np.shape(mat) != x.shape[1:]:
+            raise InvalidInstance(f"VPM weights of {key} are not {x.shape[1:]}")
+        x[row_of[key]] = mat
+        if not np.isfinite(x[row_of[key]]).all():
+            raise InvalidInstance(f"VPM weights of {key} are not finite")
+    return x
+
+
+def _vpm_table(x: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The VPM scheme of the weight array ``x`` at each slot: its value (over
+    the states, the sum of its largest weight over the slot's probability
+    ``probs``) and its recommended signal in each state (the first of
+    largest weight)."""
+    scaled = x / probs[:, None, None]
     return scaled.max(axis=2).sum(axis=1), scaled.argmax(axis=2)
 
 
@@ -186,14 +198,15 @@ def vpm_allocate(
     unknown = set(profile) - {b.id for b in env.buyers}
     if unknown:
         raise InvalidInstance(f"profile names unknown buyers {sorted(map(str, unknown))}")
+    keys, probs, first = _slot_index(env)
     slots = []
-    for first, b in zip(_slot_starts(env).tolist(), env.buyers):
+    for start, b in zip(first.tolist(), env.buyers):
         ids = [t.id for t in b.types]
         if profile.get(b.id) not in ids:
             raise InvalidInstance(f"profile gives buyer {b.id} no type of its own: "
                                   f"{profile.get(b.id)!r}")
-        slots.append(first + ids.index(profile[b.id]))
-    values, signals = _vpm_table(env, weights)
+        slots.append(start + ids.index(profile[b.id]))
+    values, signals = _vpm_table(_weight_array(env, keys, weights), probs)
     winner = int(np.argmax(values[slots]))
     mat = np.zeros((env.n_states, env.n_actions))
     mat[np.arange(env.n_states), signals[slots[winner]]] = 1.0
@@ -206,39 +219,24 @@ def rvpm(env: MultiEnvironment, weights: VPMWeights) -> ReducedForm:
     A buyer-type's win probability multiplies, over the other buyers, the
     chance their realized value loses (or ties from a higher index).
     """
-    values, signals = _vpm_table(env, weights)
-    vals = [values[a:a + len(b.types)] for a, b in zip(_slot_starts(env), env.buyers)]
-    probs = [np.array([b.type_probs[t.id] for t in b.types]) for b in env.buyers]
+    keys, probs, first = _slot_index(env)
+    values, signals = _vpm_table(_weight_array(env, keys, weights), probs)
+    ends = [*first.tolist(), len(keys)]
+    vals = [values[a:b] for a, b in zip(ends, ends[1:])]              # per buyer
+    fs = [probs[a:b] for a, b in zip(ends, ends[1:])]
     wins = []
-    for i, s in env.slots():
-        win = 1.0
-        for l in range(len(env.buyers)):
-            if l != i:
-                lose = vals[l] <= vals[i][s] if l > i else vals[l] < vals[i][s]
-                win *= float(probs[l][lose].sum())
-        wins.append(win)
+    for i, own in enumerate(vals):
+        for value in own:
+            win = 1.0
+            for l in range(len(vals)):
+                if l != i:
+                    lose = vals[l] <= value if l > i else vals[l] < value
+                    win *= float(fs[l][lose].sum())
+            wins.append(win)
     n, m = env.n_states, env.n_actions
     pi = np.zeros((len(wins), n, m))
     pi[np.arange(len(wins))[:, None], np.arange(n), signals] = np.array(wins)[:, None]
-    keys = [(b.id, t.id) for b in env.buyers for t in b.types]
     return ReducedForm(dict(zip(keys, pi)), dict(zip(keys, wins)), dict.fromkeys(keys, 0.0))
-
-
-class _Coords:
-    """Flat indexing of reduced-form signal coordinates (slot, state, signal)."""
-
-    def __init__(self, env: MultiEnvironment):
-        self.slots = env.slots()
-        self.keys = [(env.buyers[i].id, env.buyers[i].types[s].id) for i, s in self.slots]
-        self.shape = (env.n_states, env.n_actions)
-        self.dim = len(self.slots) * env.n_states * env.n_actions
-
-    def vector(self, rf: ReducedForm) -> np.ndarray:
-        return np.concatenate([rf.pi_hat[key].ravel() for key in self.keys])
-
-    def weights(self, flat: np.ndarray) -> VPMWeights:
-        blocks = flat.reshape(len(self.keys), *self.shape)
-        return VPMWeights({key: block.copy() for key, block in zip(self.keys, blocks)})
 
 
 def mix_reduced_forms(
@@ -248,12 +246,10 @@ def mix_reduced_forms(
     pi_hat: dict[tuple[str, str], np.ndarray] = {}
     p_hat: dict[tuple[str, str], float] = {}
     t_hat: dict[tuple[str, str], float] = {}
-    for i, b in enumerate(env.buyers):
-        for t in b.types:
-            key = (b.id, t.id)
-            pi_hat[key] = sum(w * rf.pi_hat[key] for w, rf in parts)
-            p_hat[key] = sum(w * rf.p_hat[key] for w, rf in parts)
-            t_hat[key] = sum(w * rf.t_hat[key] for w, rf in parts)
+    for key in _slot_index(env)[0]:
+        pi_hat[key] = sum(w * rf.pi_hat[key] for w, rf in parts)
+        p_hat[key] = sum(w * rf.p_hat[key] for w, rf in parts)
+        t_hat[key] = sum(w * rf.t_hat[key] for w, rf in parts)
     return ReducedForm(pi_hat, p_hat, t_hat)
 
 
@@ -262,7 +258,8 @@ def audit_reduced_form(env: MultiEnvironment, rf: ReducedForm) -> tuple[float, f
     action (``explicit.value_matrix`` on each buyer's market).  Returns (max
     BIC violation, max IIR violation).  Reporting s2 = s is a deviation too:
     it catches a recommendation the type would not obey.  A (buyer, type)
-    of the market missing from ``rf`` is an ``InvalidInstance``."""
+    of the market missing from ``rf``, or a non-finite entry of ``rf``, is
+    an ``InvalidInstance``."""
     max_bic = max_iir = 0.0
     for b in env.buyers:
         keys = [(b.id, t.id) for t in b.types]
@@ -272,6 +269,8 @@ def audit_reduced_form(env: MultiEnvironment, rf: ReducedForm) -> tuple[float, f
         pis = [rf.pi_hat[key] for key in keys]
         p = np.array([rf.p_hat[key] for key in keys])
         t = np.array([rf.t_hat[key] for key in keys])
+        if not (np.isfinite(pis).all() and np.isfinite(p).all() and np.isfinite(t).all()):
+            raise InvalidInstance(f"reduced form of buyer {b.id} is not finite")
         base = np.array([base_utility(b.market, bt.id) for bt in b.types])
         priors = np.array([bt.prior for bt in b.types])
         obedient = (np.array(pis) * priors[:, :, None] * b.utility).reshape(len(keys), -1)
@@ -342,30 +341,24 @@ def _master_lp(blocks: lpmod.ArrayLP, slots: np.ndarray,
     It is ``_buyer_blocks``'s LP (``blocks``, with the columns ``slots`` of
     each slot) with one more column per vertex, its weight lam[k] >= 0, and
     more equality rows: couple per coordinate (slot, w, j), pi[slot, w, j] =
-    sum_k lam[k] vertex_k, in ``_Coords`` order, then convex, sum_k lam[k]
-    = 1.  The lam columns follow every block column, so each couple row,
-    its pi column then its nonzero lam columns, is already sorted.
+    sum_k lam[k] vertex_k, then convex, sum_k lam[k] = 1.  The lam columns
+    follow every block column.
     """
     pi = slots[:, :-2].ravel()
     dim, k, first = len(pi), len(vertices), len(blocks.c)
     n_cols = first + k
-    # Couple row c: 1 at pi[c], then -vertex_k[c] at lam[k]; convex: 1 at
-    # each lam[k].  Zeros are left out.
-    values = np.zeros((dim + 1, k + 1))
-    values[:dim, 0] = 1.0
+    # Row c < dim (couple): 1 at pi[c], then -vertex_k[c] at lam[k]; row dim
+    # (convex): 1 at each lam[k].  Zeros are left out.
+    values = np.ones((dim + 1, k + 1))
     values[:dim, 1:] = -np.reshape(vertices, (k, dim)).T
-    values[dim, 1:] = 1.0
-    cols = np.empty((dim + 1, k + 1), np.int32)
-    cols[:dim, 0] = pi
-    cols[:, 1:] = np.arange(first, n_cols)
-    keep = values != 0.0
-    eq = blocks.A_eq
-    A_eq = lpmod.CSR(np.concatenate((eq.data, values[keep])), np.concatenate((eq.indices, cols[keep])),
-                     np.concatenate((eq.indptr, eq.nnz + np.cumsum(keep.sum(axis=1), dtype=np.int32))),
-                     (eq.shape[0] + dim + 1, n_cols))
+    values[dim, 0] = 0.0
+    rows, cols = np.indices(values.shape)
+    cols[:, 0], cols[:, 1:] = np.append(pi, 0), np.arange(first, n_cols)
+    added = lpmod.block_csr([(rows, cols, values, values != 0.0)], (dim + 1, n_cols))
     return lpmod.ArrayLP(
         np.concatenate((blocks.c, np.zeros(k))),
-        replace(blocks.A_ub, shape=(blocks.A_ub.shape[0], n_cols)), blocks.b_ub, A_eq,
+        replace(blocks.A_ub, shape=(blocks.A_ub.shape[0], n_cols)), blocks.b_ub,
+        lpmod.vstack([replace(blocks.A_eq, shape=(blocks.A_eq.shape[0], n_cols)), added]),
         np.concatenate((blocks.b_eq, np.zeros(dim), [1.0])),
         np.concatenate((blocks.bounds, np.tile([0.0, np.inf], (k, 1)))), "max")
 
@@ -381,12 +374,12 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
     at most dim+1 vertices and verified to reproduce the optimal reduced
     form coordinate-wise.
     """
-    coords = _Coords(env)
+    keys, probs, _ = _slot_index(env)
     n, m = env.n_states, env.n_actions
     blocks, slots = _buyer_blocks(env)
     # Master rows: the blocks' A_ub rows and row sums, then couple, convex.
     couple = blocks.n_constraints()
-    convex = couple + coords.dim
+    convex = couple + len(keys) * n * m
 
     vertices: list[np.ndarray] = []
     vertex_weights: list[VPMWeights] = []
@@ -401,8 +394,11 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
         vertex_weights.append(wts)
         return True
 
+    def vector(rf: ReducedForm) -> np.ndarray:
+        return np.concatenate([rf.pi_hat[key].ravel() for key in keys])
+
     for wts in _initial_weight_sets(env):
-        add_vertex(wts, coords.vector(rvpm(env, wts)))
+        add_vertex(wts, vector(rvpm(env, wts)))
 
     rounds = iterations = 0
     while True:
@@ -415,8 +411,9 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
             raise NumericalFailure(f"reduced-form master LP is {sol.status}")
         y = sol.row_duals[couple:convex]
         sigma = float(sol.row_duals[convex])
-        candidate = coords.weights(y)
-        vec = coords.vector(rvpm(env, candidate))
+        candidate = VPMWeights({key: block.copy()
+                                for key, block in zip(keys, y.reshape(len(keys), n, m))})
+        vec = vector(rvpm(env, candidate))
         score = float(y @ vec)
         if score <= sigma + PRICING_TOL:
             break
@@ -428,12 +425,11 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
     slot_x = sol.x[slots]                                               # [slot, (pi, p, t)]
     pi_star = slot_x[:, : n * m].ravel()
     # The objective as a left-to-right sum in slot order, not a dot product.
-    revenue = float(sum(env.prob(*slot) * t
-                        for slot, t in zip(coords.slots, slot_x[:, -1].tolist())))
+    revenue = float(sum(f * t for f, t in zip(probs.tolist(), slot_x[:, -1].tolist())))
     # Entries below CLEANUP_TOL in magnitude are LP dust (-5e-14, -0.0) and read 0.0.
     snapped = np.where(np.abs(slot_x) < CLEANUP_TOL, 0.0, slot_x)
     rf = ReducedForm({}, {}, {})
-    for key, (*pi, p, t) in zip(coords.keys, snapped.tolist()):
+    for key, (*pi, p, t) in zip(keys, snapped.tolist()):
         rf.pi_hat[key] = np.clip(np.reshape(pi, (n, m)), 0.0, None)
         rf.p_hat[key] = float(np.clip(p, 0.0, 1.0))
         rf.t_hat[key] = t
@@ -449,7 +445,7 @@ def solve_reduced_lp(env: MultiEnvironment) -> MultiResult:
     gap = float(np.max(np.abs(mixed - pi_star)))
     if gap > DECOMP_TOL:
         raise NumericalFailure(f"mixture misses the reduced form by {gap}")
-    if len(mixture) > coords.dim + 1:
+    if len(mixture) > len(pi_star) + 1:
         raise NumericalFailure("mixture uses more vertices than dim + 1")
     return MultiResult(
         reduced_form=rf,
@@ -506,16 +502,18 @@ def brute_force_multi(env: MultiEnvironment) -> float:
     if n_prof > MAX_PROFILES:
         raise TooLarge(f"{n_prof} profiles exceed cap {MAX_PROFILES}")
     n, m, nb = env.n_states, env.n_actions, len(env.buyers)
+    _, probs, first = _slot_index(env)
     blocks, slots = _buyer_blocks(env)
     profiles = np.array(list(itertools.product(*[range(c) for c in counts]))).T   # [buyer, r]
-    f = np.array([[env.prob(i, s) for s in row] for i, row in enumerate(profiles)])
+    own = first[:, None] + profiles              # each buyer's slot in each profile
+    f = probs[own]
     fo = np.ones((nb, n_prof))                   # the others' probability, in buyer order
     for i, l in itertools.permutations(range(nb), 2):
         fo[i] *= f[l]
-    first, width = len(blocks.c), n * m + 1      # per (i, r): pi[i, r, w, j], then p[i, r]
-    ex = first + np.arange(nb * n_prof * width).reshape(nb, n_prof, width)
-    n_cols, n_linked = first + ex.size, len(slots) * width
-    linked = (_slot_starts(env)[:, None] + profiles)[..., None] * width + np.arange(width)
+    width = n * m + 1                            # per (i, r): pi[i, r, w, j], then p[i, r]
+    ex = len(blocks.c) + np.arange(nb * n_prof * width).reshape(nb, n_prof, width)
+    n_cols, n_linked = len(blocks.c) + ex.size, len(slots) * width
+    linked = own[..., None] * width + np.arange(width)
     sums = n_linked + np.arange(nb * n_prof * n).reshape(nb, n_prof, n)
     rows = lpmod.block_csr(
         [(np.arange(n_linked), slots[:, :-1].ravel(), 1.0, True),
@@ -560,7 +558,7 @@ def run_mechanism(
     (buyer, type) of the market and nothing else; otherwise the blueprint
     is an ``InvalidInstance``.
     """
-    odd = set(blueprint.t_hat) ^ {(b.id, t.id) for b in env.buyers for t in b.types}
+    odd = set(blueprint.t_hat) ^ set(_slot_index(env)[0])
     if odd:
         raise InvalidInstance("interim prices must cover exactly the (buyer, type) pairs "
                               f"of the market; mismatched: {sorted(map(str, odd))}")
@@ -589,17 +587,16 @@ def simulate_interim(
     """
     if not isinstance(n_draws, numbers.Integral) or n_draws < 0:
         raise InvalidInstance(f"n_draws must be a nonnegative integer, not {n_draws!r}")
+    keys, probs, first = _slot_index(env)
+    fs = np.split(probs, first[1:])                           # per buyer
     lams = np.array([w for w, _ in blueprint.mixture])
-    shape = (len(lams), *(len(b.types) for b in env.buyers))
+    shape = (len(lams), *map(len, fs))
     n_cells = math.prod(shape)
     if n_cells > np.iinfo(np.int64).max:
         raise TooLarge(f"{n_cells} (component, type profile) cells do not fit an int64 index")
     rng = np.random.default_rng(seed)
     comp = rng.choice(len(lams), size=n_draws, p=lams / lams.sum())
-    draws = []
-    for b in env.buyers:
-        probs = np.array([b.type_probs[t.id] for t in b.types])
-        draws.append(rng.choice(len(b.types), size=n_draws, p=probs / probs.sum()))
+    draws = [rng.choice(len(f), size=n_draws, p=f / f.sum()) for f in fs]
 
     cell = comp
     for k, d in zip(shape[1:], draws):
@@ -613,10 +610,10 @@ def simulate_interim(
     k_of, *types_of = np.unravel_index(cells, shape)
 
     n, m = env.n_states, env.n_actions
-    tables = [_vpm_table(env, wts) for _, wts in blueprint.mixture]
+    tables = [_vpm_table(_weight_array(env, keys, wts), probs) for _, wts in blueprint.mixture]
     values = np.array([v for v, _ in tables])                 # [component, slot]
     signals = np.array([r for _, r in tables])                # [component, slot, state]
-    slots = _slot_starts(env) + np.stack(types_of, axis=1)    # [cell, buyer]
+    slots = first + np.stack(types_of, axis=1)                # [cell, buyer]
     winner = np.argmax(values[k_of[:, None], slots], axis=1)  # ties -> lowest index
     won = slots[np.arange(len(cells)), winner]
     hits = np.zeros((values.shape[1], n, m), dtype=np.int64)
@@ -626,8 +623,7 @@ def simulate_interim(
 
     empirical: dict[tuple[str, str], np.ndarray] = {}
     draw_counts: dict[tuple[str, str], int] = {}
-    for slot, (i, s) in enumerate(env.slots()):
-        key = (env.buyers[i].id, env.buyers[i].types[s].id)
+    for slot, key in enumerate(keys):
         total = draw_counts[key] = int(totals[slot])
         empirical[key] = hits[slot] / total if total else np.zeros((n, m))
     return empirical, draw_counts

@@ -28,9 +28,9 @@ from infomenu.multiagent import (
     VPMWeights,
     _buyer_blocks,
     _caratheodory,
-    _Coords,
     _initial_weight_sets,
     _master_lp,
+    _slot_index,
 )
 from named_lp import as_scipy
 
@@ -127,15 +127,15 @@ def solve_reduced_lp(env: MultiEnvironment):
     """Column generation with the master rebuilt as one fresh ``ArrayLP``
     per round.  Returns (reduced form, revenue, rounds, master iterations,
     mixture as (weight, VPMWeights))."""
-    coords = _Coords(env)
+    keys, probs, _ = _slot_index(env)
     n, m = env.n_states, env.n_actions
-    n_slots = len(coords.slots)
+    n_slots = len(keys)
     blocks, slots = _buyer_blocks(env)
     fixed = _master_lp(blocks, slots, [])
     ub = fixed.A_ub
     n_ub = ub.shape[0]
     couple = n_slots * n
-    convex = couple + coords.dim
+    convex = couple + n_slots * n * m
     A = as_scipy(fixed.A_eq).tocsc()
     indptr, indices, data = [A.indptr], [A.indices], [A.data]
     vertices, vertex_weights, seen = [], [], set()
@@ -153,8 +153,11 @@ def solve_reduced_lp(env: MultiEnvironment):
         indptr.append(indptr[-1][-1:] + len(nz) + 1)
         return True
 
+    def vector(rf):
+        return np.concatenate([rf.pi_hat[key].ravel() for key in keys])
+
     for wts in _initial_weight_sets(env):
-        add_vertex(wts, coords.vector(rvpm(env, wts)))
+        add_vertex(wts, vector(rvpm(env, wts)))
 
     rounds = iterations = 0
     while True:
@@ -174,8 +177,9 @@ def solve_reduced_lp(env: MultiEnvironment):
             raise NumericalFailure(f"reduced-form master LP is {sol.status}")
         y = sol.row_duals[n_ub + couple:n_ub + convex]
         sigma = float(sol.row_duals[n_ub + convex])
-        candidate = coords.weights(y)
-        vec = coords.vector(rvpm(env, candidate))
+        candidate = VPMWeights({key: block.copy()
+                                for key, block in zip(keys, y.reshape(n_slots, n, m))})
+        vec = vector(rvpm(env, candidate))
         if float(y @ vec) <= sigma + PRICING_TOL:
             break
         if not add_vertex(candidate, vec):
@@ -184,11 +188,11 @@ def solve_reduced_lp(env: MultiEnvironment):
     slot_x = sol.x[slots]                                   # [slot, (pi, p, t)]
     pi_star = slot_x[:, : n * m].ravel()
     rf = ReducedForm({}, {}, {})
-    for key, (*pi, p, t) in zip(coords.keys, slot_x.tolist()):
+    for key, (*pi, p, t) in zip(keys, slot_x.tolist()):
         rf.pi_hat[key] = np.clip(np.reshape(pi, (n, m)), 0.0, None)
         rf.p_hat[key] = float(np.clip(p, 0.0, 1.0))
         rf.t_hat[key] = t
-    revenue = float(sum(env.prob(*slot) * t for slot, t in zip(coords.slots, rf.t_hat.values())))
+    revenue = float(sum(f * t for f, t in zip(probs.tolist(), rf.t_hat.values())))
     lam, kept = _caratheodory(vertices, pi_star)
     mixture = [(float(lam[idx]), vertex_weights[kept[idx]]) for idx in range(len(kept))]
     return rf, revenue, rounds, iterations, mixture

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from infomenu import Environment, explicit, implicit
+from infomenu import Environment, explicit, implicit, multiagent
 from infomenu import lp as lpmod
 from infomenu.oracles import MatrixOracle
 
@@ -97,3 +97,14 @@ def test_traced_queries_are_the_oracle_query_count(index):
     (oracle,) = keeper.oracles
     traced = spans.View(keeper.tracer.spans).field_sum(f"oracles.{inp.kind}.respond", "queries")
     assert traced == oracle.query_count > 0
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_every_pricing_call_is_one_traced_span(index, monkeypatch):
+    # ``multiagent.pricing`` wraps the module's ``rvpm``: the solver calls it
+    # once per starting vertex and once per pricing round.  Were pricing to
+    # go around that name, the span count and pricing_s would read 0.
+    env = workloads.WORKLOADS["multi-buyer"].make_input(0, index).env
+    result, view, _ = traced_runs(monkeypatch, lambda: multiagent.solve_reduced_lp(env))
+    assert (view.count("multiagent.pricing", under="multiagent.solve")
+            == len(multiagent._initial_weight_sets(env)) + result.pricing_rounds)

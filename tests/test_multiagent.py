@@ -1,6 +1,8 @@
 """Reduced forms, VPM schemes, the interim solver, and mechanism replay."""
 
 import itertools
+import json
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from infomenu import (
 from infomenu.audit import matching_environment
 from infomenu.explicit import CLEANUP_TOL
 from infomenu.io import blueprint_from_json, blueprint_to_json
-from infomenu.multiagent import MechanismBlueprint, _Coords, _initial_weight_sets, _master_lp
+from infomenu.multiagent import MechanismBlueprint, _initial_weight_sets, _master_lp, _slot_index
 from named_lp import EQ, GE, LE, NamedLP, as_scipy, assert_same_arrays
 
 import multi_reference as ref
@@ -60,6 +62,12 @@ def two_buyers(types0, types1, probs0=None, probs1=None, u0=None, u1=None) -> Mu
             MultiBuyer("b1", np.eye(2) if u1 is None else u1, tl1, probs1),
         ],
     )
+
+
+def type_prob(env: MultiEnvironment, i: int, s: int) -> float:
+    """Buyer i's probability of its type s."""
+    b = env.buyers[i]
+    return b.type_probs[b.types[s].id]
 
 
 def identity_weights(env: MultiEnvironment, buyer: int, scale: float = 1.0) -> VPMWeights:
@@ -276,10 +284,8 @@ def test_brute_force_dominates_single_agent_carveout():
 def test_brute_force_symmetric_buyers_invariant_under_swap():
     types = [[0.5, 0.5], [0.8, 0.2]]
     env = two_buyers(types, types)
-    env_swapped = two_buyers(types, types)
-    env_swapped.buyers = env_swapped.buyers[::-1]
-    for b, name in zip(env_swapped.buyers, ["b0", "b1"]):
-        b.id = name
+    env_swapped = MultiEnvironment(env.states, env.actions, [
+        replace(b, id=name) for b, name in zip(env.buyers[::-1], ["b0", "b1"])])
     assert brute_force_multi(env) == pytest.approx(
         brute_force_multi(env_swapped), abs=1e-7
     )
@@ -417,20 +423,19 @@ def named_buyer_blocks(env: MultiEnvironment) -> NamedLP:
     j] and prices t[slot] per type, its z[i, s, s2, j], then its p[slot]; its
     "<=" rows are, per type s, the BIC row of each report s2 then the IIR
     row, then every zlb[s, s2, j, a]; its equality rows are the row sums."""
-    coords = _Coords(env)
+    first = _slot_index(env)[2].tolist()
     n, m = env.n_states, env.n_actions
     base = [[max(t.prior @ b.utility) for t in b.types] for b in env.buyers]
     prog = NamedLP(sense="max")
-    slot_of = {pair: idx for idx, pair in enumerate(coords.slots)}
     for i, b in enumerate(env.buyers):
-        slots = [slot_of[(i, s)] for s in range(len(b.types))]
+        slots = [first[i] + s for s in range(len(b.types))]
         for slot in slots:
             for w in range(n):
                 for j in range(m):
                     prog.add_variable(f"pi[{slot},{w},{j}]", 0.0, 1.0)
         for s, slot in enumerate(slots):
             prog.add_variable(f"t[{slot}]", None, None)
-            prog.set_objective(f"t[{slot}]", env.prob(i, s))
+            prog.set_objective(f"t[{slot}]", type_prob(env, i, s))
         for s in range(len(b.types)):
             for s2 in range(len(b.types)):
                 for j in range(m):
@@ -485,7 +490,7 @@ def named_master_lp(env: MultiEnvironment, vectors: list[np.ndarray]) -> NamedLP
     prog = named_buyer_blocks(env)
     for k in range(len(vectors)):
         prog.add_variable(f"lam[{k}]", 0.0, None)
-    for slot in range(len(_Coords(env).slots)):
+    for slot in range(len(_slot_index(env)[0])):
         for w in range(n):
             for j in range(m):
                 c = (slot * n + w) * m + j
@@ -532,7 +537,7 @@ def test_master_arrays_match_named_reference(shape, monkeypatch):
     type_counts, n, m, zero_utility = shape
     rng = np.random.default_rng([len(type_counts), *type_counts, n, m])
     env = random_multi(rng, type_counts, n, m, zero_utility)
-    coords = _Coords(env)
+    slot_keys = _slot_index(env)[0]
     masters, reduced = [], []
     real_solve, real_rvpm = lpmod.solve, multiagent.rvpm
 
@@ -547,7 +552,7 @@ def test_master_arrays_match_named_reference(shape, monkeypatch):
     # rvpm runs once per starting vertex and once per round; the last
     # round's vertex does not improve and joins no master.
     n_start = len(_initial_weight_sets(env))
-    reduced = [coords.vector(rf) for rf in reduced]
+    reduced = [np.concatenate([rf.pi_hat[key].ravel() for key in slot_keys]) for rf in reduced]
     vectors, keys = [], set()
     for vec in reduced[:n_start]:
         if np.round(vec, 12).tobytes() not in keys:
@@ -586,14 +591,15 @@ def named_ex_post_lp(env: MultiEnvironment) -> NamedLP:
     counts = [len(b.types) for b in env.buyers]
     n, m = env.n_states, env.n_actions
     profiles = list(itertools.product(*[range(c) for c in counts]))
-    slot_of = {pair: idx for idx, pair in enumerate(_Coords(env).slots)}
+    first = _slot_index(env)[2].tolist()
+    slot_of = {(i, s): first[i] + s for i, c in enumerate(counts) for s in range(c)}
     prog = named_buyer_blocks(env)
 
     def fo(i: int, prof: tuple[int, ...]) -> float:
         out = 1.0
         for l, s in enumerate(prof):
             if l != i:
-                out *= env.prob(l, s)
+                out *= type_prob(env, l, s)
         return out
 
     for i in range(len(env.buyers)):
@@ -639,7 +645,7 @@ def named_per_profile_lp(env: MultiEnvironment) -> NamedLP:
     def fprob(prof: tuple[int, ...]) -> float:
         out = 1.0
         for i, s in enumerate(prof):
-            out *= env.prob(i, s)
+            out *= type_prob(env, i, s)
         return out
 
     def others(i: int) -> list[tuple[int, ...]]:
@@ -652,7 +658,7 @@ def named_per_profile_lp(env: MultiEnvironment) -> NamedLP:
         for l in range(nb):
             if l == i:
                 continue
-            out *= env.prob(l, rest[pos])
+            out *= type_prob(env, l, rest[pos])
             pos += 1
         return out
 
@@ -870,7 +876,7 @@ def random_blueprint(rng, env: MultiEnvironment, k: int, ties: bool) -> Mechanis
         mixture.append((float(w), VPMWeights(x)))
     total = sum(w for w, _ in mixture)
     mixture = [(w / total, wts) for w, wts in mixture]
-    return MechanismBlueprint(mixture, {key: 0.0 for key in _Coords(env).keys})
+    return MechanismBlueprint(mixture, dict.fromkeys(_slot_index(env)[0], 0.0))
 
 
 def replay_cases(seed: int, count: int):
@@ -883,8 +889,9 @@ def replay_cases(seed: int, count: int):
         n, m = (int(v) for v in rng.integers(1, 4, size=2))
         env = random_multi(rng, type_counts, n, m, False)
         if ties:
-            for b in env.buyers:
-                b.type_probs = {t.id: 1.0 / len(b.types) for t in b.types}
+            env = MultiEnvironment(env.states, env.actions, [
+                replace(b, type_probs={t.id: 1.0 / len(b.types) for t in b.types})
+                for b in env.buyers])
         yield rng, env, random_blueprint(rng, env, int(rng.integers(1, 5)), ties)
 
 
@@ -940,7 +947,7 @@ def test_fast_path_matches_the_references_on_benchmark_draws():
 def test_profiles_with_unknown_ids_are_invalid(profile):
     env = two_buyers([[0.5, 0.5]], [[0.3, 0.7], [0.9, 0.1]])
     bp = MechanismBlueprint([(1.0, identity_weights(env, 0))],
-                            {key: 0.0 for key in _Coords(env).keys})
+                            dict.fromkeys(_slot_index(env)[0], 0.0))
     with pytest.raises(InvalidInstance):
         vpm_allocate(env, bp.mixture[0][1], profile)
     with pytest.raises(InvalidInstance):
@@ -1036,6 +1043,64 @@ def test_replay_refuses_cells_beyond_an_int64_index():
                                                BuyerType("t1", [0.2, 0.8])],
                          {"t0": 0.5, "t1": 0.5}) for i in range(64)]
     env = MultiEnvironment(["w0", "w1"], ["a0", "a1"], buyers)
-    bp = MechanismBlueprint([(1.0, VPMWeights({}))], {key: 0.0 for key in _Coords(env).keys})
+    bp = MechanismBlueprint([(1.0, VPMWeights({}))], dict.fromkeys(_slot_index(env)[0], 0.0))
     with pytest.raises(TooLarge):
         simulate_interim(bp, env, 10, seed=0)
+
+
+def test_a_buyer_is_frozen_with_its_market():
+    # Rebinding type_probs used to leave b.market at 0.5/0.5: solve_reduced_lp
+    # read the new probabilities (revenue 0.45), brute_force_multi the old (0.25).
+    env = one_buyer([[0.5, 0.5], [0.9, 0.1]])
+    b = env.buyers[0]
+    with pytest.raises(FrozenInstanceError):
+        b.type_probs = {"t0": 0.9, "t1": 0.1}
+    with pytest.raises(FrozenInstanceError):
+        b.id = "b1"
+    fresh = MultiEnvironment(env.states, env.actions,
+                             [replace(b, type_probs={"t0": 0.9, "t1": 0.1})])
+    assert fresh.buyers[0].market.type_probs == {"t0": 0.9, "t1": 0.1}
+    assert solve_reduced_lp(fresh).revenue == pytest.approx(0.45, abs=1e-9)
+    assert brute_force_multi(fresh) == pytest.approx(0.45, abs=1e-9)
+
+
+@pytest.mark.parametrize("field", ["pi_hat", "t_hat"])
+def test_non_finite_reduced_forms_are_invalid(field):
+    env = one_buyer([[0.5, 0.5], [0.9, 0.1]])
+    rf = solve_reduced_lp(env).reduced_form
+    getattr(rf, field)[("b0", "t0")] = np.full((2, 2), np.nan) if field == "pi_hat" else np.nan
+    with pytest.raises(InvalidInstance, match="not finite"):
+        audit_reduced_form(env, rf)
+
+
+def test_validate_refuses_a_non_finite_reduced_form():
+    reduced_form([(np.eye(2), 1.0, 0.0)]).validate()
+    for pi, p in ((np.array([[np.nan, 1.0], [0.0, 1.0]]), 1.0), (np.eye(2), np.nan)):
+        with pytest.raises(InvalidInstance, match="non-finite"):
+            reduced_form([(pi, p, 0.0)]).validate()
+
+
+def test_non_finite_vpm_weights_are_invalid():
+    # vpm_allocate would award b1 at every t0 profile (nan wins argmax), while
+    # rvpm would give ('b1', 't0') win probability 0 (nan loses every comparison).
+    env = two_buyers([[0.5, 0.5], [0.9, 0.1]], [[0.5, 0.5], [0.9, 0.1]])
+    w = VPMWeights({("b1", "t0"): np.array([[np.nan, 0.0], [0.0, 0.0]])})
+    bp = MechanismBlueprint([(1.0, w)], dict.fromkeys(_slot_index(env)[0], 0.0))
+    profile = {"b0": "t0", "b1": "t0"}
+    for call in (lambda: rvpm(env, w), lambda: vpm_allocate(env, w, profile),
+                 lambda: run_mechanism(bp, env, profile, seed=0),
+                 lambda: simulate_interim(bp, env, 10, seed=0)):
+        with pytest.raises(InvalidInstance, match=r"\('b1', 't0'\) are not finite"):
+            call()
+
+
+def test_a_blueprint_document_with_a_nan_weight_is_refused_at_run():
+    env = two_buyers([[0.5, 0.5]], [[0.5, 0.5]])
+    doc = blueprint_to_json(env, MechanismBlueprint([(1.0, VPMWeights({}))],
+                                                    {("b0", "t0"): 0.0, ("b1", "t0"): 0.0}))
+    doc["mixture"][0]["directions"]["b1"]["t0"][0][0] = float("nan")
+    text = json.dumps(doc)
+    assert "NaN" in text
+    bp = blueprint_from_json(json.loads(text))
+    with pytest.raises(InvalidInstance, match="not finite"):
+        run_mechanism(bp, env, {"b0": "t0", "b1": "t0"}, seed=0)
